@@ -21,6 +21,7 @@ from .errors import (
     CaseError,
     ConfigError,
     DomainError,
+    PlotError,
     ProfileError,
     RegionError,
     StepFailureError,
@@ -74,6 +75,7 @@ __all__ = [
     "MatchOptions",
     "MatchResult",
     "Params",
+    "PlotError",
     "ProfileError",
     "ProfileSolution",
     "RegionError",

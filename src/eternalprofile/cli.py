@@ -137,11 +137,11 @@ def _run_asymptotics(cfg: RunConfig, out: Path, plots: bool) -> dict:
     bounds = asymptotics.upper_bounds_check(sol)
     export_profile_csv(sol, out / "profile.csv")
     if plots:
-        mask = (sol.grid >= fit.fit_window[0]) & (sol.grid <= fit.fit_window[1])
-        d = xi0 - sol.grid[mask]
+        lo, hi = fit.fit_window
+        d = np.geomspace(xi0 - hi, xi0 - lo, 80)
         line_chart(
             [
-                ("computed", d, sol.f_values[mask]),
+                ("computed", d, sol.eval_f(xi0 - d)),
                 ("predicted", d, expansion.amplitude * d**expansion.theta),
             ],
             out / "interface_fit.svg",

@@ -29,6 +29,10 @@ class RegionError(ProfileError):
     """Finite-difference stencil leaves the smooth positivity region."""
 
 
+class PlotError(ProfileError, ValueError):
+    """Chart has no finite data to draw."""
+
+
 class StepFailureError(ProfileError):
     """Adaptive step controller underflowed."""
 

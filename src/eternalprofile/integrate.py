@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._dop853 import solve_ivp
 from .errors import ProfileError
 from .model import Exponents, Params
 from .solution import Classification, LimitProfile, ProfileSolution, StopReason
@@ -131,22 +131,21 @@ def integrate_profile(
     ev_slope.terminal = True
     ev_slope.direction = 1
 
-    with np.errstate(all="ignore"):
-        sol = solve_ivp(
-            _make_rhs(p, e, 0.1 * opts.contact_eps),
-            (xi_start, horizon),
-            [F0, Fp0],
-            method="DOP853",
-            rtol=opts.rtol,
-            atol=opts.atol,
-            max_step=opts.max_step,
-            events=(
-                [ev_contact, ev_slope]
-                if opts.slope_event
-                else [ev_contact]
-            ),
-            dense_output=True,
-        )
+    sol = solve_ivp(
+        _make_rhs(p, e, 0.1 * opts.contact_eps),
+        (xi_start, horizon),
+        [F0, Fp0],
+        method="DOP853",
+        rtol=opts.rtol,
+        atol=opts.atol,
+        max_step=opts.max_step,
+        events=(
+            [ev_contact, ev_slope]
+            if opts.slope_event
+            else [ev_contact]
+        ),
+        dense_output=True,
+    )
 
     if sol.status == 1:
         stop = (

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import root
 
+from ._dop853 import solve_ivp
 from .asymptotics import predict_expansion
 from .errors import BracketFailure, StepFailureError
 from .integrate import series_start
@@ -214,11 +214,8 @@ def _residuals(p: Params, x, opts: MatchOptions):
     if beta <= 0.0 or xi0 <= 0.0:
         return np.array([1e3, 1e3])
     try:
-        # far-off trial parameters can overflow mid-integration before
-        # the step controller rejects the step; that is not an error
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fwd = _forward_run(p, beta, opts.mid_frac * xi0, opts)
-            bwd, _, _ = _backward_run(p, beta, xi0, opts)
+        fwd = _forward_run(p, beta, opts.mid_frac * xi0, opts)
+        bwd, _, _ = _backward_run(p, beta, xi0, opts)
     except (BracketFailure, StepFailureError):
         return np.array([1e3, 1e3])
     return np.array(
@@ -240,13 +237,12 @@ def match_profile(
     ``beta_guess`` and ``xi0_guess`` come from the forward bisection
     stage; convergence is quadratic from any reasonable neighbourhood.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        res = root(
-            lambda x: _residuals(p, x, opts),
-            x0=np.array([beta_guess, xi0_guess]),
-            method="hybr",
-            options={"xtol": opts.xtol},
-        )
+    res = root(
+        lambda x: _residuals(p, x, opts),
+        x0=np.array([beta_guess, xi0_guess]),
+        method="hybr",
+        options={"xtol": opts.xtol},
+    )
     beta_star, xi0 = float(res.x[0]), float(res.x[1])
     residual = float(np.max(np.abs(res.fun)))
     success = bool(res.success) and residual < 1e-6
@@ -267,9 +263,8 @@ def _assemble_profile(
 ) -> ProfileSolution:
     """Dense profile at the matched parameters, tangential at xi0."""
     xi_mid = opts.mid_frac * xi0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fwd = _forward_run(p, beta, xi_mid, opts, dense=True)
-        bwd, expansion, d0 = _backward_run(p, beta, xi0, opts, dense=True)
+    fwd = _forward_run(p, beta, xi_mid, opts, dense=True)
+    bwd, expansion, d0 = _backward_run(p, beta, xi0, opts, dense=True)
     e = exponents_from_beta(p, beta)
     m = p.m
     c2 = -beta / ((m - 1.0) * p.N)

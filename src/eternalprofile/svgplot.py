@@ -13,6 +13,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import PlotError
+
 WIDTH = 640
 HEIGHT = 420
 MARGIN_L = 62
@@ -62,7 +64,10 @@ def line_chart(
     ylabel: str = "",
     logy: bool = False,
 ) -> None:
-    """Write a line chart of the given (label, x, y) series to ``path``."""
+    """Write a line chart of the given (label, x, y) series to ``path``.
+
+    Raises PlotError when no series has a finite point to draw.
+    """
     finite = []
     for label, x, y in series:
         x = np.asarray(x, dtype=float)
@@ -72,6 +77,8 @@ def line_chart(
             x, y = x[keep], np.log10(y[keep])
         keep = np.isfinite(x) & np.isfinite(y)
         finite.append((label, x[keep], y[keep]))
+    if not any(len(s[1]) for s in finite):
+        raise PlotError(f"no finite data to draw in {Path(path).name}")
     xs = np.concatenate([s[1] for s in finite if len(s[1])])
     ys = np.concatenate([s[2] for s in finite if len(s[2])])
     x_lo, x_hi = float(xs.min()), float(xs.max())

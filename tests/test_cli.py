@@ -110,6 +110,16 @@ def test_plots_flag_controls_svg(tmp_path):
     assert (plotted / "profile.svg").is_file()
 
 
+def test_asymptotics_plot_where_no_grid_node_is_in_the_fit_window(tmp_path):
+    # at (1.2, 0.4, 1) the stored grid skips the whole fit window, so the
+    # chart samples the dense profile instead
+    cfg = write_cfg(tmp_path, "m = 1.2\nq = 0.4\nN = 1\n")
+    out = tmp_path / "out"
+    assert main(["asymptotics", "--config", cfg, "--out", str(out), "--plots"]) == 0
+    assert read_report(out)["status"] == "ok"
+    assert "<polyline" in (out / "interface_fit.svg").read_text()
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -12,7 +12,7 @@ from eternalprofile import (
     match_profile,
     predict_expansion,
 )
-from eternalprofile.matching import _series_state, interface_samples
+from eternalprofile.matching import _residuals, _series_state, interface_samples
 
 
 def test_match_from_rough_guess():
@@ -30,6 +30,15 @@ def test_match_failure_reported_not_raised():
     result = match_profile(p, 50.0, 0.05)
     assert not result.success
     assert result.profile is None
+
+
+@pytest.mark.parametrize("x", [(50.0, 3.2), (0.51, 1e-3), (1e6, 1e3)])
+def test_far_off_trial_returns_sentinel(x):
+    # far-off hybr trials end in a step-size underflow of the forward leg
+    # or an interface launch inside the matching point; both give the
+    # sentinel, never an exception
+    p = make_params(2.0, 0.5, 1)
+    np.testing.assert_array_equal(_residuals(p, x, MatchOptions()), [1e3, 1e3])
 
 
 def test_matched_profile_is_tangential(solved):

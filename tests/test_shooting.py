@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eternalprofile import (
+    BracketFailure,
     Classification,
     DomainError,
     bisect_beta,
@@ -59,6 +60,13 @@ def test_bisect_beta_rejects_bad_bracket():
     p = make_params(2.0, 0.5, 1)
     with pytest.raises(DomainError):
         bisect_beta(p, (1.0, 0.25))
+
+
+def test_unbracketable_case_raises_bracket_failure():
+    # for beta >= 1 the forward integration stops with a step failure
+    # that classifies as Undetermined, so the upward scan runs out
+    with pytest.raises(BracketFailure):
+        solve(make_params(3.0, 0.5, 1))
 
 
 @pytest.mark.parametrize("case", sorted(BETA_STAR))

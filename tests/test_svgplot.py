@@ -1,7 +1,9 @@
 """SVG chart generation: determinism and basic structure."""
 
 import numpy as np
+import pytest
 
+from eternalprofile import PlotError, ProfileError
 from eternalprofile.svgplot import line_chart
 
 
@@ -47,3 +49,12 @@ def test_multiple_series_get_distinct_colors(tmp_path):
     text = path.read_text()
     assert text.count("<polyline") == 2
     assert "#1f6fb4" in text and "#d45500" in text
+
+
+def test_chart_without_finite_points_raises_plot_error(tmp_path):
+    x = np.linspace(0.0, 1.0, 5)
+    path = tmp_path / "empty.svg"
+    with pytest.raises(PlotError) as info:
+        line_chart([("a", x[:0], x[:0]), ("b", x, -x - 1.0)], path, logy=True)
+    assert isinstance(info.value, ProfileError)
+    assert not path.exists()
