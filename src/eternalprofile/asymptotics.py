@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .equation import launch_distance
 from .errors import ProfileError, WindowError
 from .model import Exponents, InterfaceCase, Params, interface_case
 from .solution import ProfileSolution
@@ -131,9 +132,7 @@ def extrapolate_xi0(
     f_stop = float(sol.f_values[-1])
     if f_stop <= 0.0:
         return float(sol.xi0)
-    return float(sol.xi0) + (f_stop / expansion.amplitude) ** (
-        1.0 / expansion.theta
-    )
+    return float(sol.xi0) + launch_distance(expansion, f_stop)
 
 
 #: Default fit depths as fractions of xi0.  The leading-order window sits

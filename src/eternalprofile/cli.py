@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Usage: eternalprofile <mode> --config <path> [--out <dir>] [--plots]
-with mode one of solve, shoot, classify, asymptotics, phase, verify,
-sweep.  The worker count for sweep mode can be overridden with the
+with mode one of solve, classify, asymptotics, phase, verify, sweep.
+The worker count for sweep mode can be overridden with the
 ETERNAL_PROFILE_THREADS environment variable.
 """
 
@@ -68,7 +68,6 @@ def _solve(cfg: RunConfig) -> shooting.ShootingResult:
         beta_tol=cfg.beta_tol,
         opts=_integrator_options(cfg),
         tol=_classify_tolerances(cfg),
-        use_seeds=cfg.use_seeds,
     )
 
 
@@ -266,7 +265,6 @@ def _run_sweep(cfg: RunConfig, out: Path, plots: bool) -> dict:
 
 _RUNNERS = {
     "solve": _run_solve,
-    "shoot": _run_solve,
     "classify": _run_classify,
     "asymptotics": _run_asymptotics,
     "phase": _run_phase,

@@ -5,8 +5,8 @@ starting with ``#`` are ignored.  Keys are validated against the table
 below and unknown keys are rejected with their line number.
 
     m, q, N          problem parameters (N a positive integer)
-    mode             solve | shoot | classify | asymptotics | phase |
-                     verify | sweep
+    mode             solve | classify | asymptotics | phase | verify |
+                     sweep
     beta             exponent for classify (optional elsewhere)
     beta_tol         relative bisection width target     (default 1e-8)
     rtol, atol       integrator tolerances               (1e-10, 1e-16)
@@ -16,7 +16,6 @@ below and unknown keys are rejected with their line number.
     horizon          integration cap (default: derived)
     output_dir       artifact directory                  (default ".")
     emit_plots       true | false                        (default false)
-    use_seeds        reuse stored deep-bisection seeds   (default true)
     sweep_betas      comma-separated beta list (sweep mode)
     sweep_params     semicolon-separated m:q:N triples (sweep mode)
 """
@@ -29,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from .errors import ConfigError
 
-MODES = ("solve", "shoot", "classify", "asymptotics", "phase", "verify", "sweep")
+MODES = ("solve", "classify", "asymptotics", "phase", "verify", "sweep")
 
 
 @dataclass
@@ -50,7 +49,6 @@ class RunConfig:
     horizon: Optional[float] = None
     output_dir: str = "."
     emit_plots: bool = False
-    use_seeds: bool = True
     sweep_betas: List[float] = field(default_factory=list)
     sweep_params: List[Tuple[float, float, int]] = field(default_factory=list)
 
@@ -145,8 +143,8 @@ def load_config(path) -> RunConfig:
             setattr(cfg, key, _parse_float(key, raw, lineno))
         elif key == "output_dir":
             cfg.output_dir = raw
-        elif key in ("emit_plots", "use_seeds"):
-            setattr(cfg, key, _parse_bool(key, raw, lineno))
+        elif key == "emit_plots":
+            cfg.emit_plots = _parse_bool(key, raw, lineno)
         elif key == "sweep_betas":
             try:
                 cfg.sweep_betas = [float(x) for x in raw.split(",") if x.strip()]

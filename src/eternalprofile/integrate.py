@@ -1,11 +1,7 @@
 """Cauchy-problem integrator for the profile ODE in F = f^m form.
 
-The profile equation is integrated from a series launch at xi = delta0,
-
-    F'' = -(N-1)/xi F' - alpha F^{1/m} + (beta/m) xi F^{(1-m)/m} F'
-          + xi^sigma F^{q/m},
-
-with F(0) = 1, F'(0) = 0 and F''(0) = -2 beta / ((m-1) N).  Integration
+The profile equation of ``equation`` is integrated from its origin
+series launch at xi = delta0, with F(0) = 1 and F'(0) = 0.  Integration
 stops at one of three events: f = F^{1/m} falls to the contact threshold,
 f' turns non-negative, or the horizon cap is reached.
 """
@@ -14,11 +10,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ._dop853 import solve_ivp
+from .equation import dense_from_origin, origin_series, profile_rhs
 from .errors import ProfileError
 from .model import Exponents, Params
 from .solution import Classification, LimitProfile, ProfileSolution, StopReason
@@ -61,50 +58,6 @@ class ClassifyTolerances:
     graze_factor: float = 10.0
 
 
-def series_start(
-    p: Params, e: Exponents, delta0: float
-) -> Tuple[float, float, float]:
-    """Series launch state (xi, F, F') at xi = delta0.
-
-    Keeps the quadratic Taylor term plus the absorption correction
-    xi^{sigma+2} / ((sigma+2)(sigma+N)); the latter's derivative decays
-    only like delta0^{sigma+1} and would otherwise dominate the launch
-    error whenever sigma is small.
-    """
-    sigma, N = p.sigma, p.N
-    Fsec0 = -2.0 * e.beta / ((p.m - 1.0) * N)
-    cs = 1.0 / ((sigma + 2.0) * (sigma + N))
-    F0 = 1.0 + 0.5 * Fsec0 * delta0**2 + cs * delta0 ** (sigma + 2.0)
-    Fp0 = Fsec0 * delta0 + (sigma + 2.0) * cs * delta0 ** (sigma + 1.0)
-    return delta0, F0, Fp0
-
-
-def _make_rhs(p: Params, e: Exponents, f_floor: float):
-    """Profile RHS with the nonlinear terms frozen below ``f_floor``.
-
-    The freeze keeps the field Lipschitz when trial stages overshoot
-    below the contact threshold; the frozen region is never part of the
-    accepted solution.
-    """
-    m, q, N, sigma = p.m, p.q, p.N, p.sigma
-    alpha, beta = e.alpha, e.beta
-    F_floor = f_floor**m
-    inv_m = 1.0 / m
-    Nm1 = N - 1
-
-    def rhs(xi, y):
-        F, Fp = y
-        Fc = F if F > F_floor else F_floor
-        f = Fc**inv_m
-        fp = Fp * f / (m * Fc)    # f' = F' F^{(1-m)/m} / m
-        Fpp = -alpha * f + beta * xi * fp + xi**sigma * f**q
-        if Nm1:
-            Fpp -= Nm1 / xi * Fp
-        return (Fp, Fpp)
-
-    return rhs
-
-
 def integrate_profile(
     p: Params,
     e: Exponents,
@@ -113,7 +66,7 @@ def integrate_profile(
 ) -> ProfileSolution:
     """Integrate the profile Cauchy problem and classify the stop event."""
     delta0 = opts.delta0
-    xi_start, F0, Fp0 = series_start(p, e, delta0)
+    F0, Fp0 = origin_series(p, e.beta, delta0)
     horizon = opts.horizon
     if horizon is None:
         horizon = opts.horizon_factor * absorption_scale(p)
@@ -132,8 +85,8 @@ def integrate_profile(
     ev_slope.direction = 1
 
     sol = solve_ivp(
-        _make_rhs(p, e, 0.1 * opts.contact_eps),
-        (xi_start, horizon),
+        profile_rhs(p, e.beta, (0.1 * opts.contact_eps) ** p.m),
+        (delta0, horizon),
         [F0, Fp0],
         method="DOP853",
         rtol=opts.rtol,
@@ -159,33 +112,12 @@ def integrate_profile(
         stop = StopReason.STEP_FAILURE
 
     grid = sol.t
-    F_values = sol.y[0]
-    Fp_values = sol.y[1]
-    odesol = sol.sol
-    c2 = -e.beta / ((p.m - 1.0) * p.N)
-    sg = p.sigma
-    cs = 1.0 / ((sg + 2.0) * (sg + p.N))
-
-    def dense(xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        F = np.empty_like(xi)
-        Fp = np.empty_like(xi)
-        small = xi < delta0
-        xs = xi[small]
-        F[small] = 1.0 + c2 * xs**2 + cs * xs ** (sg + 2.0)
-        Fp[small] = 2.0 * c2 * xs + (sg + 2.0) * cs * xs ** (sg + 1.0)
-        if odesol is not None and (~small).any():
-            vals = odesol(xi[~small])
-            F[~small] = vals[0]
-            Fp[~small] = vals[1]
-        return F, Fp
-
     prof = ProfileSolution(
         params=p,
         exps=e,
         grid=grid,
-        F_values=F_values,
-        Fprime_values=Fp_values,
+        F_values=sol.y[0],
+        Fprime_values=sol.y[1],
         xi0=None,
         xi1=None,
         xi_max=float(grid[-1]),
@@ -193,7 +125,7 @@ def integrate_profile(
         stop_reason=stop,
         contact_eps=opts.contact_eps,
         delta0=delta0,
-        dense=dense,
+        dense=dense_from_origin(p, e.beta, delta0, sol.sol),
     )
     return _attach_events(prof, tol)
 
@@ -277,19 +209,8 @@ def integrate_limit_profile(
     """
     if not horizon > 0:
         raise ProfileError(f"horizon must be > 0, got {horizon}")
-    m, q, N, sigma = p.m, p.q, p.N, p.sigma
     delta0 = 1e-8
-    # near the origin: H ~ 1 + xi^{sigma+2} / ((sigma+2)(N+sigma))
-    c = 1.0 / ((sigma + 2.0) * (N + sigma))
-    H0 = 1.0 + c * delta0 ** (sigma + 2.0)
-    Hp0 = c * (sigma + 2.0) * delta0 ** (sigma + 1.0)
-
-    def rhs(xi, y):
-        H, Hp = y
-        Hpp = xi**sigma * max(H, 0.0) ** (q / m)
-        if N > 1:
-            Hpp -= (N - 1) / xi * Hp
-        return (Hp, Hpp)
+    H0, Hp0 = origin_series(p, 0.0, delta0)
 
     def ev_guard(xi, y):
         return y[0] - guard
@@ -298,7 +219,7 @@ def integrate_limit_profile(
     ev_guard.direction = 1
 
     sol = solve_ivp(
-        rhs,
+        profile_rhs(p, 0.0, 0.0),
         (delta0, horizon),
         [H0, Hp0],
         method="DOP853",
@@ -307,28 +228,13 @@ def integrate_limit_profile(
         events=[ev_guard],
         dense_output=True,
     )
-    odesol = sol.sol
-
-    def dense(xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        H = np.empty_like(xi)
-        Hp = np.empty_like(xi)
-        small = xi < delta0
-        H[small] = 1.0 + c * xi[small] ** (sigma + 2.0)
-        Hp[small] = c * (sigma + 2.0) * xi[small] ** (sigma + 1.0)
-        if (~small).any():
-            vals = odesol(xi[~small])
-            H[~small] = vals[0]
-            Hp[~small] = vals[1]
-        return H, Hp
-
     return LimitProfile(
         params=p,
         grid=sol.t,
         H_values=sol.y[0],
         Hprime_values=sol.y[1],
         horizon=float(sol.t[-1]),
-        dense=dense,
+        dense=dense_from_origin(p, 0.0, delta0, sol.sol),
     )
 
 

@@ -23,17 +23,28 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import root
 
 from ._dop853 import solve_ivp
 from .asymptotics import predict_expansion
+from .equation import (
+    dense_from_origin,
+    interface_series,
+    launch_distance,
+    origin_series,
+    profile_rhs,
+)
 from .errors import BracketFailure, StepFailureError
-from .integrate import series_start
 from .model import Params, exponents_from_beta
 from .solution import Classification, ProfileSolution, StopReason
+
+
+#: Clamp on F inside the right-hand side; far below any stored profile
+#: value, it only keeps overshooting trial stages finite.
+_F_FLOOR = 1e-280
 
 
 @dataclass(frozen=True)
@@ -62,49 +73,15 @@ class MatchResult:
     profile: Optional[ProfileSolution] = None
 
 
-def _series_state(p: Params, expansion, d: float) -> Tuple[float, float]:
-    """(F, F') of the tangential expansion a distance d inside the interface."""
-    m = p.m
-    A, theta = expansion.amplitude, expansion.theta
-    f = A * d**theta
-    fd = A * theta * d ** (theta - 1.0)
-    if expansion.second_order_coeff is not None:
-        omega = (4.0 - m - p.q) / (m - p.q)
-        f -= expansion.second_order_coeff * d**omega
-        fd -= expansion.second_order_coeff * omega * d ** (omega - 1.0)
-    # d increases inward, so f'(xi) = -df/dd
-    return f**m, -m * f ** (m - 1.0) * fd
-
-
-def _make_rhs(p: Params, beta: float):
-    m, q, sigma, N = p.m, p.q, p.sigma, p.N
-    alpha = 2.0 * beta / (m - 1.0)
-    inv_m = 1.0 / m
-
-    def rhs(xi, y):
-        F, Fp = y
-        Fc = F if F > 1e-280 else 1e-280
-        f = Fc**inv_m
-        fp = Fp * f / (m * Fc)
-        r = -alpha * f + beta * xi * fp + xi**sigma * f**q
-        if N != 1:
-            r -= (N - 1) / xi * Fp
-        return (Fp, r)
-
-    return rhs
-
-
 def _forward_run(
     p: Params, beta: float, xi_mid: float, opts: MatchOptions, dense=False
 ):
     """Series launch at delta0, integrated out to the matching point."""
-    _, F0, Fp0 = series_start(p, exponents_from_beta(p, beta), opts.delta0)
-    y0 = (F0, Fp0)
     d0 = opts.delta0
     sol = solve_ivp(
-        _make_rhs(p, beta),
+        profile_rhs(p, beta, _F_FLOOR),
         (d0, xi_mid),
-        y0,
+        origin_series(p, beta, d0),
         method="DOP853",
         rtol=opts.rtol,
         atol=opts.atol,
@@ -124,18 +101,17 @@ def _backward_run(
     """Tangential-series launch at the interface, integrated to xi_mid."""
     e = exponents_from_beta(p, beta)
     expansion = predict_expansion(p, e, xi0)
-    d0 = (opts.launch_f / expansion.amplitude) ** (1.0 / expansion.theta)
+    d0 = launch_distance(expansion, opts.launch_f)
     xi_start = xi0 - d0
     xi_mid = opts.mid_frac * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
             f"interface launch {xi_start} inside matching point {xi_mid}"
         )
-    y0 = _series_state(p, expansion, d0)
     sol = solve_ivp(
-        _make_rhs(p, beta),
+        profile_rhs(p, beta, _F_FLOOR),
         (xi_start, xi_mid),
-        y0,
+        interface_series(p, expansion, d0),
         method="DOP853",
         rtol=opts.rtol,
         atol=opts.atol,
@@ -172,7 +148,7 @@ def interface_samples(
     """
     e = exponents_from_beta(p, beta)
     expansion = predict_expansion(p, e, xi0)
-    d0 = (launch_f / expansion.amplitude) ** (1.0 / expansion.theta)
+    d0 = launch_distance(expansion, launch_f)
     d_values = np.sort(np.asarray(d_values, dtype=float))
     keep = (d_values > 2.0 * d0) & (d_values < xi0)
     d_eval = d_values[keep]
@@ -180,13 +156,13 @@ def interface_samples(
         raise BracketFailure(
             f"no sample distances above the launch distance {d0:.3e}"
         )
-    rhs_xi = _make_rhs(p, beta)
+    rhs_xi = profile_rhs(p, beta, _F_FLOOR)
 
     def rhs_s(s, y):
         Fp, Fpp = rhs_xi(xi0 - s, y)
         return (-Fp, -Fpp)
 
-    y0 = _series_state(p, expansion, d0)
+    y0 = interface_series(p, expansion, d0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sol = solve_ivp(
             rhs_s,
@@ -266,10 +242,6 @@ def _assemble_profile(
     fwd = _forward_run(p, beta, xi_mid, opts, dense=True)
     bwd, expansion, d0 = _backward_run(p, beta, xi0, opts, dense=True)
     e = exponents_from_beta(p, beta)
-    m = p.m
-    c2 = -beta / ((m - 1.0) * p.N)
-    sg = p.sigma
-    cs = 1.0 / ((sg + 2.0) * (sg + p.N))
 
     # stitch: forward nodes, backward nodes reversed, then log-spaced
     # tangential-series samples down to tail_f at the interface
@@ -278,40 +250,34 @@ def _assemble_profile(
     keep = grid_b > grid_f[-1]
     F_b, Fp_b = bwd.y[0, ::-1][keep], bwd.y[1, ::-1][keep]
     grid_b = grid_b[keep]
-    d_tail = (opts.tail_f / expansion.amplitude) ** (1.0 / expansion.theta)
+    d_tail = launch_distance(expansion, opts.tail_f)
     d_ext = np.exp(np.linspace(np.log(d0), np.log(d_tail), 40))[1:]
-    ext = np.array([_series_state(p, expansion, d) for d in d_ext])
+    ext = np.array([interface_series(p, expansion, d) for d in d_ext])
     grid = np.concatenate([grid_f, grid_b, xi0 - d_ext])
     F_values = np.concatenate([F_f, F_b, ext[:, 0]])
     Fp_values = np.concatenate([Fp_f, Fp_b, ext[:, 1]])
 
     delta0 = float(grid_f[0])
     xi_launch = float(bwd.t[0])
-    dense_f, dense_b = fwd.sol, bwd.sol
+    dense_f = dense_from_origin(p, beta, delta0, fwd.sol)
+    dense_b = bwd.sol
 
     def dense(xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         F = np.empty_like(xi)
         Fp = np.empty_like(xi)
-        core = xi < delta0
-        fpart = (xi >= delta0) & (xi <= xi_mid)
+        fpart = xi <= xi_mid
         bpart = (xi > xi_mid) & (xi <= xi_launch)
         outer = xi > xi_launch
-        if core.any():
-            xc = xi[core]
-            F[core] = 1.0 + c2 * xc**2 + cs * xc ** (sg + 2.0)
-            Fp[core] = 2.0 * c2 * xc + (sg + 2.0) * cs * xc ** (sg + 1.0)
         if fpart.any():
-            vals = dense_f(xi[fpart])
-            F[fpart], Fp[fpart] = vals[0], vals[1]
+            F[fpart], Fp[fpart] = dense_f(xi[fpart])
         if bpart.any():
-            vals = dense_b(xi[bpart])
-            F[bpart], Fp[bpart] = vals[0], vals[1]
+            F[bpart], Fp[bpart] = dense_b(xi[bpart])
         if outer.any():
             d = np.clip(xi0 - xi[outer], 0.0, None)
             for i, di in zip(np.flatnonzero(outer), d):
                 F[i], Fp[i] = (
-                    _series_state(p, expansion, di) if di > 0 else (0.0, 0.0)
+                    interface_series(p, expansion, di) if di > 0 else (0.0, 0.0)
                 )
         return F, Fp
 

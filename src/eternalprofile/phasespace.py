@@ -94,6 +94,17 @@ def _require_subcritical(p: Params) -> None:
         )
 
 
+def _phase_coords(p: Params, e: Exponents, xi, f, fp):
+    """(X, Y, Z, W) of the profile points (xi, f, f')."""
+    m, q, sigma = p.m, p.q, p.sigma
+    sqm = math.sqrt(m)
+    X = sqm * xi ** (-(sigma + 2.0) / 2.0) * f ** ((m - q) / 2.0)
+    Y = sqm * xi ** (-sigma / 2.0) * f ** ((m - q - 2.0) / 2.0) * fp
+    Z = (e.alpha / sqm) * xi ** ((2.0 - sigma) / 2.0) * f ** ((2.0 - m - q) / 2.0)
+    W = Y + math.sqrt(2.0 / (m + q))
+    return X, Y, Z, W
+
+
 def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
     """Map a contacting profile onto its phase trajectory.
 
@@ -120,15 +131,11 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
     )
     eta = launch + cumulative_trapezoid(integrand, xi_all, initial=0.0)
     keep = xi_all >= START_CUTOFF * float(sol.xi0)
-    xi, f, fp, eta = xi_all[keep], f_all[keep], fp_all[keep], eta[keep]
-    X = sqm * xi ** (-(sigma + 2.0) / 2.0) * f ** ((m - q) / 2.0)
-    Y = sqm * xi ** (-sigma / 2.0) * f ** ((m - q - 2.0) / 2.0) * fp
-    Z = (e.alpha / sqm) * xi ** ((2.0 - sigma) / 2.0) * f ** ((2.0 - m - q) / 2.0)
-    W = Y + math.sqrt(2.0 / (m + q))
+    X, Y, Z, W = _phase_coords(p, e, xi_all[keep], f_all[keep], fp_all[keep])
     return PhasePortrait(
         params=p,
         exps=e,
-        eta_values=eta,
+        eta_values=eta[keep],
         X_values=X,
         Y_values=Y,
         Z_values=Z,
@@ -207,7 +214,7 @@ def stable_manifold_ratio(
     _require_subcritical(p)
     if sol.xi0 is None:
         raise ProfileError("stable_manifold_ratio requires contact")
-    m, q, sigma = p.m, p.q, p.sigma
+    m, q = p.m, p.q
     xi0 = float(sol.xi0)
     lo, hi = depth_window
     if not 0.0 < lo < hi < 1.0:
@@ -222,12 +229,7 @@ def stable_manifold_ratio(
     d, f, fp = d[good], f[good], fp[good]
     if len(d) < 3:
         raise TailError("too few positive samples in the depth window")
-    xi = xi0 - d
-    sqm = math.sqrt(m)
-    X = sqm * xi ** (-(sigma + 2.0) / 2.0) * f ** ((m - q) / 2.0)
-    Y = sqm * xi ** (-sigma / 2.0) * f ** ((m - q - 2.0) / 2.0) * fp
-    Z = (e.alpha / sqm) * xi ** ((2.0 - sigma) / 2.0) * f ** ((2.0 - m - q) / 2.0)
-    W = Y + math.sqrt(2.0 / (m + q))
+    X, _, Z, W = _phase_coords(p, e, xi0 - d, f, fp)
     ratio = W / Z
     predicted = (m - 1.0) / (2.0 + m + q)
     estimate = float(np.mean(ratio))

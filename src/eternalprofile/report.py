@@ -60,7 +60,7 @@ def _jsonable(obj):
         return {
             f.name: _jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
-            if f.name not in ("dense", "_hermite")
+            if f.name != "dense"
         }
     if isinstance(obj, enum.Enum):
         return obj.value

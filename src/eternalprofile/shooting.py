@@ -30,18 +30,6 @@ SCAN_EXP_LIMIT = 40
 TIGHTEN_FACTOR = 1e-2
 TIGHTEN_TIERS = 3
 
-#: Initial guesses (beta, xi0) for the matching stage, computed by
-#: earlier runs of the full pipeline.  They only shortcut the
-#: double-precision bracketing; the matching solve always reconverges
-#: from scratch.  Pass use_seeds=False to ignore them.
-MATCH_SEEDS = {
-    (2.0, 0.5, 1): (0.51383482, 3.2009),
-    (2.0, 0.5, 3): (0.96062063, 4.2865),
-    (1.5, 0.5, 2): (0.5, 2.4495),
-    (1.2, 0.3, 1): (0.14127220, 1.5208),
-}
-
-
 @dataclass
 class ShootingResult:
     """Converged shooting run: bracket, exponent pair and final profile."""
@@ -182,34 +170,20 @@ def solve(
     opts: IntegratorOptions = IntegratorOptions(),
     tol: ClassifyTolerances = ClassifyTolerances(),
     match_opts: MatchOptions = MatchOptions(),
-    use_seeds: bool = True,
 ) -> ShootingResult:
     """Full pipeline: bracket, bisect, and match to tangential contact.
 
     The double-precision bisection localizes beta* to the forward noise
     floor; the two-sided matching stage then solves for (beta*, xi0)
     exactly, so the final profile is tangential at the interface by
-    construction.  Stored seeds for known parameter sets skip the
-    bracketing stage; the matching solve always runs.
+    construction.
     """
-    seed = MATCH_SEEDS.get((p.m, p.q, p.N)) if use_seeds else None
-    bracket_lo = bracket_hi = None
-    if seed is not None:
-        beta_guess, xi0_guess = seed
-        history: List[Tuple[float, Classification]] = []
-        iterations = 0
-    else:
-        bracket = bracket_beta(p, opts, tol)
-        result = bisect_beta(p, bracket, beta_tol, opts, tol)
-        beta_guess = result.beta_star
-        prof = result.final_profile
-        stop = prof.xi1 if prof.xi1 is not None else float(prof.grid[-1])
-        # the forward stop point undershoots the interface by a few percent
-        xi0_guess = stop * 1.02
-        history = result.history
-        iterations = result.iterations
-        bracket_lo, bracket_hi = result.bracket_lo, result.bracket_hi
-    matched = match_profile(p, beta_guess, xi0_guess, match_opts)
+    bracket = bracket_beta(p, opts, tol)
+    result = bisect_beta(p, bracket, beta_tol, opts, tol)
+    prof = result.final_profile
+    stop = prof.xi1 if prof.xi1 is not None else float(prof.grid[-1])
+    # the forward stop point undershoots the interface by a few percent
+    matched = match_profile(p, result.beta_star, stop * 1.02, match_opts)
     if not matched.success or matched.profile is None:
         raise BracketFailure(
             f"matching stage failed for {p}: residual {matched.residual:.3e} "
@@ -219,15 +193,11 @@ def solve(
     return ShootingResult(
         beta_star=beta_star,
         alpha_star=2.0 * beta_star / (p.m - 1.0),
-        bracket_lo=(
-            bracket_lo if bracket_lo is not None else beta_star * (1.0 - beta_tol)
-        ),
-        bracket_hi=(
-            bracket_hi if bracket_hi is not None else beta_star * (1.0 + beta_tol)
-        ),
-        iterations=iterations,
+        bracket_lo=result.bracket_lo,
+        bracket_hi=result.bracket_hi,
+        iterations=result.iterations,
         final_profile=matched.profile,
-        history=history,
+        history=result.history,
         match=matched,
     )
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 if TYPE_CHECKING:
     from .model import Exponents, Params
@@ -48,12 +47,9 @@ class ProfileSolution:
     stop_reason: StopReason
     contact_eps: float
     delta0: float
+    dense: Callable = field(repr=False, compare=False)
     f0: float = 1.0
     label: str = "f"
-    dense: Optional[Callable] = field(default=None, repr=False, compare=False)
-    _hermite: Optional[CubicHermiteSpline] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def f_values(self) -> np.ndarray:
@@ -71,13 +67,8 @@ class ProfileSolution:
         xi = np.asarray(xi, dtype=float)
         scalar = xi.ndim == 0
         xi = np.atleast_1d(xi)
-        if self.dense is not None:
-            F, Fp = self.dense(np.clip(xi, 0.0, self.grid[-1]))
-            F, Fp = np.asarray(F, float).copy(), np.asarray(Fp, float).copy()
-        else:
-            h = self._spline()
-            xc = np.clip(xi, self.grid[0], self.grid[-1])
-            F, Fp = h(xc), h.derivative()(xc)
+        F, Fp = self.dense(np.clip(xi, 0.0, self.grid[-1]))
+        F, Fp = np.asarray(F, float).copy(), np.asarray(Fp, float).copy()
         outside = xi > (self.grid[-1] if self.xi0 is None else self.xi0)
         F[outside] = 0.0
         Fp[outside] = 0.0
@@ -90,15 +81,6 @@ class ProfileSolution:
         """Evaluate the profile f = F^{1/m} at ``xi``."""
         F, _ = self.eval_F(xi)
         return np.asarray(F) ** (1.0 / self.params.m)
-
-    def _spline(self) -> CubicHermiteSpline:
-        if self._hermite is None:
-            object.__setattr__(
-                self,
-                "_hermite",
-                CubicHermiteSpline(self.grid, self.F_values, self.Fprime_values),
-            )
-        return self._hermite
 
     @property
     def contact_F(self) -> Optional[float]:
@@ -123,12 +105,8 @@ class LimitProfile:
     H_values: np.ndarray
     Hprime_values: np.ndarray
     horizon: float
-    dense: Optional[Callable] = field(default=None, repr=False, compare=False)
+    dense: Callable = field(repr=False, compare=False)
 
     def eval_H(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.dense is not None:
-            H, Hp = self.dense(xi)
-            return np.asarray(H, float), np.asarray(Hp, float)
-        h = CubicHermiteSpline(self.grid, self.H_values, self.Hprime_values)
-        return h(xi), h.derivative()(xi)
+        H, Hp = self.dense(np.asarray(xi, dtype=float))
+        return np.asarray(H, float), np.asarray(Hp, float)

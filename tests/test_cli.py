@@ -37,13 +37,11 @@ def test_solve_mode(tmp_path):
     assert cols["xi"][0] == 1e-6
 
 
-def test_shoot_is_alias_for_solve(tmp_path):
+def test_removed_shoot_mode_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["shoot", "--config", cfg, "--out", str(out_b)]) == 0
-    ra, rb = read_report(out_a), read_report(out_b)
-    assert ra["results"] == rb["results"]
+    with pytest.raises(SystemExit) as exc:
+        main(["shoot", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 def test_classify_mode(tmp_path):
@@ -158,4 +156,3 @@ def test_report_echoes_full_config(tmp_path):
     assert config["m"] == 2.0
     assert config["beta_tol"] == 1e-8
     assert config["contact_eps"] == 1e-7
-    assert config["use_seeds"] is True

@@ -19,7 +19,6 @@ def test_minimal_config(tmp_path):
     assert cfg.beta_tol == 1e-8
     assert cfg.rtol == 1e-10
     assert cfg.emit_plots is False
-    assert cfg.use_seeds is True
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -51,6 +50,7 @@ def test_sweep_params_triples(tmp_path):
     [
         ("m = 2\nq = 0.5\nN = 1\nmode = fly\n", "mode"),
         ("m = 2\nq = 0.5\nN = 1\nwibble = 3\n", "unknown key"),
+        ("m = 2\nq = 0.5\nN = 1\nuse_seeds = true\n", "line 4.*use_seeds"),
         ("m = 2\nq = 0.5\nN = one\n", "integer"),
         ("m = 2\nq = 0.5\nN = 1\nm = 3\n", "duplicate"),
         ("m = 2\nq = 0.5\nN = 1\nemit_plots = maybe\n", "boolean"),

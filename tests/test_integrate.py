@@ -12,19 +12,17 @@ from eternalprofile import (
     integrate_profile,
     make_params,
 )
+from eternalprofile.equation import origin_series
 from eternalprofile.integrate import (
     absorption_scale,
     interface_slope_integral,
-    series_start,
 )
 
 
 def test_series_start_matches_taylor_plus_absorption():
     p = make_params(2.0, 0.5, 1)
-    e = exponents_from_beta(p, 0.5)
     delta0 = 1e-6
-    xi, F0, Fp0 = series_start(p, e, delta0)
-    assert xi == delta0
+    F0, Fp0 = origin_series(p, 0.5, delta0)
     Fsec0 = -2.0 * 0.5 / ((2.0 - 1.0) * 1)
     cs = 1.0 / ((p.sigma + 2.0) * (p.sigma + p.N))
     assert F0 == pytest.approx(

@@ -12,7 +12,8 @@ from eternalprofile import (
     match_profile,
     predict_expansion,
 )
-from eternalprofile.matching import _residuals, _series_state, interface_samples
+from eternalprofile.equation import interface_series
+from eternalprofile.matching import _residuals, interface_samples
 
 
 def test_match_from_rough_guess():
@@ -72,7 +73,7 @@ def test_series_state_consistent_with_expansion():
     e = exponents_from_beta(p, 0.14)
     expn = predict_expansion(p, e, 1.5)
     d = 1e-5
-    F, Fp = _series_state(p, expn, d)
+    F, Fp = interface_series(p, expn, d)
     f = expn.amplitude * d**expn.theta
     omega = (4.0 - p.m - p.q) / (p.m - p.q)
     f -= expn.second_order_coeff * d**omega

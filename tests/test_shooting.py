@@ -12,7 +12,7 @@ from eternalprofile import (
     make_params,
     solve,
 )
-from eternalprofile.shooting import MATCH_SEEDS, monotonicity_check
+from eternalprofile.shooting import monotonicity_check
 
 #: Frozen fixed points of the matching solve, cross-checked against an
 #: independent deep-bisection run; see the unit tests below.
@@ -84,15 +84,6 @@ def test_critical_case_beta_star_is_half(solved):
     assert solved[(1.5, 0.5, 2)].beta_star == pytest.approx(0.5, abs=2e-11)
 
 
-def test_seeded_and_unseeded_agree(solved, solved_unseeded):
-    for case in BETA_STAR:
-        a, b = solved[case], solved_unseeded[case]
-        assert a.beta_star == pytest.approx(b.beta_star, rel=1e-11)
-        assert a.final_profile.xi0 == pytest.approx(
-            b.final_profile.xi0, rel=1e-11
-        )
-
-
 def test_unseeded_reports_true_bracket(solved_unseeded):
     for case, result in solved_unseeded.items():
         assert result.bracket_lo < result.beta_star < result.bracket_hi
@@ -105,8 +96,10 @@ def test_beta_star_str_round_trips(solved):
     assert float(result.beta_star_str) == result.beta_star
 
 
-def test_seeds_cover_reference_cases():
-    assert set(MATCH_SEEDS) == set(BETA_STAR)
+def test_solve_has_no_seed_switch():
+    # solve always brackets, bisects and matches
+    with pytest.raises(TypeError):
+        solve(make_params(2.0, 0.5, 1), use_seeds=False)
 
 
 def test_monotonicity_in_beta():
