@@ -29,12 +29,11 @@ from .errors import (
     WindowError,
 )
 from .integrate import (
-    ClassifyTolerances,
     IntegratorOptions,
     integrate_limit_profile,
     integrate_profile,
 )
-from .matching import MatchOptions, MatchResult, match_profile
+from .matching import MatchResult, match_profile
 from .model import (
     Exponents,
     InterfaceCase,
@@ -63,7 +62,6 @@ __all__ = [
     "BracketFailure",
     "CaseError",
     "Classification",
-    "ClassifyTolerances",
     "ConfigError",
     "DomainError",
     "Exponents",
@@ -72,7 +70,6 @@ __all__ = [
     "InterfaceExpansion",
     "InterfaceFit",
     "LimitProfile",
-    "MatchOptions",
     "MatchResult",
     "Params",
     "PlotError",

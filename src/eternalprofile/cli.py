@@ -21,7 +21,7 @@ import numpy as np
 from . import asymptotics, pdecheck, phasespace, shooting
 from .config import MODES, RunConfig, load_config
 from .errors import ProfileError
-from .integrate import ClassifyTolerances, IntegratorOptions, integrate_profile
+from .integrate import IntegratorOptions, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
 from .report import (
     RunReport,
@@ -40,11 +40,8 @@ def _integrator_options(cfg: RunConfig) -> IntegratorOptions:
         delta0=cfg.delta0,
         contact_eps=cfg.contact_eps,
         horizon=cfg.horizon,
+        slope_tol=cfg.slope_tol,
     )
-
-
-def _classify_tolerances(cfg: RunConfig) -> ClassifyTolerances:
-    return ClassifyTolerances(slope_tol=cfg.slope_tol)
 
 
 def _profile_summary(sol: ProfileSolution) -> dict:
@@ -67,7 +64,6 @@ def _solve(cfg: RunConfig) -> shooting.ShootingResult:
         p,
         beta_tol=cfg.beta_tol,
         opts=_integrator_options(cfg),
-        tol=_classify_tolerances(cfg),
     )
 
 
@@ -109,7 +105,7 @@ def _run_solve(cfg: RunConfig, out: Path, plots: bool) -> dict:
 def _run_classify(cfg: RunConfig, out: Path, plots: bool) -> dict:
     p = make_params(cfg.m, cfg.q, cfg.N)
     e = exponents_from_beta(p, cfg.beta)
-    sol = integrate_profile(p, e, _integrator_options(cfg), _classify_tolerances(cfg))
+    sol = integrate_profile(p, e, _integrator_options(cfg))
     export_profile_csv(sol, out / "profile.csv")
     if plots:
         xi = np.linspace(0.0, sol.xi_max, 400)
@@ -229,9 +225,7 @@ def _sweep_job(args) -> tuple:
     cfg = RunConfig(**cfg_dict)
     p = make_params(m, q, N)
     e = exponents_from_beta(p, beta)
-    sol = integrate_profile(
-        p, e, _integrator_options(cfg), _classify_tolerances(cfg)
-    )
+    sol = integrate_profile(p, e, _integrator_options(cfg))
     return key, {
         "m": m,
         "q": q,

@@ -13,9 +13,12 @@ take their right-hand side and launch states from here; only
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .model import Params
+if TYPE_CHECKING:
+    from .model import Params
 
 
 def profile_rhs(p: Params, beta: float, F_floor: float):
@@ -61,18 +64,32 @@ def origin_series(p: Params, beta: float, xi):
     return F, Fp
 
 
-def interface_series(p: Params, expansion, d: float):
-    """(F, F') of the tangential expansion a distance d inside the interface."""
+def interface_series(p: Params, expansion, d):
+    """(F, F') of the tangential expansion a distance d (scalar or array)
+    inside the interface.
+
+    Powers use ``np.float_power``, which rounds like the scalar ``**``
+    (numpy's vectorised ``**`` can differ in the last bit), so an array of
+    distances gives the same bits as one distance at a time.
+    """
     m = p.m
+    pw = np.float_power
     A, theta = expansion.amplitude, expansion.theta
-    f = A * d**theta
-    fd = A * theta * d ** (theta - 1.0)
+    f = A * pw(d, theta)
+    fd = A * theta * pw(d, theta - 1.0)
     if expansion.second_order_coeff is not None:
         omega = (4.0 - m - p.q) / (m - p.q)
-        f -= expansion.second_order_coeff * d**omega
-        fd -= expansion.second_order_coeff * omega * d ** (omega - 1.0)
+        f -= expansion.second_order_coeff * pw(d, omega)
+        fd -= expansion.second_order_coeff * omega * pw(d, omega - 1.0)
     # d increases inward, so f'(xi) = -df/dd
-    return f**m, -m * f ** (m - 1.0) * fd
+    return pw(f, m), -m * pw(f, m - 1.0) * fd
+
+
+def f_from_F(m: float, F, Fp):
+    """(f, f') from (F, F') arrays: f = F^{1/m} and f' = F' f^{1-m} / m,
+    with F clipped at zero and f' = F' / m where f = 0."""
+    f = np.clip(F, 0.0, None) ** (1.0 / m)
+    return f, Fp * np.where(f > 0.0, f, 1.0) ** (1.0 - m) / m
 
 
 def launch_distance(expansion, f: float) -> float:

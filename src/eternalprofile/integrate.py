@@ -21,13 +21,23 @@ from .model import Exponents, Params
 from .solution import Classification, LimitProfile, ProfileSolution, StopReason
 
 
+#: Horizon cap, in units of ``absorption_scale``, when none is given.
+HORIZON_FACTOR = 50.0
+
+#: A slope event with f within this many ``contact_eps`` of zero is a
+#: tangential (CandidateB) contact.
+GRAZE_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Tolerances and launch/stop configuration for integrate_profile.
+    """Tolerances, launch/stop configuration and the tangency threshold.
 
     ``contact_eps`` is the stopping threshold in f units.  ``atol`` is
     deliberately far below ``contact_eps ** m`` so the contact event is
-    resolved in relative terms.
+    resolved in relative terms.  ``slope_tol`` is in F' units and is
+    rescaled by xi0^sigma at contact; a slope event within
+    ``GRAZE_FACTOR * contact_eps`` of zero also counts as tangential.
     """
 
     rtol: float = 1e-10
@@ -35,41 +45,23 @@ class IntegratorOptions:
     delta0: float = 1e-6
     contact_eps: float = 1e-7
     horizon: Optional[float] = None     # None: derived from the limit profile
-    horizon_factor: float = 50.0
-    max_step: float = np.inf
     #: stop when f' turns non-negative; disable to follow growing
     #: solutions (e.g. the small-beta regime) out to the horizon
     slope_event: bool = True
-
-    def tightened(self, factor: float = 1e-2) -> "IntegratorOptions":
-        return replace(self, rtol=self.rtol * factor, atol=self.atol * factor)
-
-
-@dataclass(frozen=True)
-class ClassifyTolerances:
-    """Thresholds mapping stop events to classifications.
-
-    ``slope_tol`` is in F' units and is rescaled by xi0^sigma at contact.
-    A slope event with f within ``graze_factor * contact_eps`` of zero is
-    treated as a tangential (CandidateB) contact.
-    """
-
     slope_tol: float = 1e-4
-    graze_factor: float = 10.0
 
 
 def integrate_profile(
     p: Params,
     e: Exponents,
     opts: IntegratorOptions = IntegratorOptions(),
-    tol: ClassifyTolerances = ClassifyTolerances(),
 ) -> ProfileSolution:
     """Integrate the profile Cauchy problem and classify the stop event."""
     delta0 = opts.delta0
     F0, Fp0 = origin_series(p, e.beta, delta0)
     horizon = opts.horizon
     if horizon is None:
-        horizon = opts.horizon_factor * absorption_scale(p)
+        horizon = HORIZON_FACTOR * absorption_scale(p)
     F_contact = opts.contact_eps**p.m
 
     def ev_contact(xi, y):
@@ -91,7 +83,6 @@ def integrate_profile(
         method="DOP853",
         rtol=opts.rtol,
         atol=opts.atol,
-        max_step=opts.max_step,
         events=(
             [ev_contact, ev_slope]
             if opts.slope_event
@@ -127,14 +118,14 @@ def integrate_profile(
         delta0=delta0,
         dense=dense_from_origin(p, e.beta, delta0, sol.sol),
     )
-    return _attach_events(prof, tol)
+    return _attach_events(prof, opts)
 
 
 def _attach_events(
-    prof: ProfileSolution, tol: ClassifyTolerances
+    prof: ProfileSolution, opts: IntegratorOptions
 ) -> ProfileSolution:
     """Fill xi0/xi1 and the classification from the stop event."""
-    cls = classify_beta(prof, tol)
+    cls = classify_beta(prof, opts)
     end = float(prof.grid[-1])
     xi0 = xi1 = None
     if prof.stop_reason is StopReason.CONTACT_ZERO:
@@ -147,13 +138,13 @@ def _attach_events(
 
 
 def classify_beta(
-    sol: ProfileSolution, tol: ClassifyTolerances = ClassifyTolerances()
+    sol: ProfileSolution, opts: IntegratorOptions = IntegratorOptions()
 ) -> Classification:
     """Map the stop event of ``sol`` to ClassA / ClassC / CandidateB."""
     sigma = sol.params.sigma
     if sol.stop_reason is StopReason.CONTACT_ZERO:
         xi0 = float(sol.grid[-1])
-        bound = tol.slope_tol * xi0**sigma
+        bound = opts.slope_tol * xi0**sigma
         Fp = float(sol.Fprime_values[-1])
         if Fp < -bound:
             return Classification.CLASS_A
@@ -162,7 +153,7 @@ def classify_beta(
         return Classification.UNDETERMINED
     if sol.stop_reason is StopReason.SLOPE_SIGN_CHANGE:
         f_end = float(sol.f_values[-1])
-        if f_end <= tol.graze_factor * sol.contact_eps:
+        if f_end <= GRAZE_FACTOR * sol.contact_eps:
             return Classification.CANDIDATE_B
         return Classification.CLASS_C
     return Classification.UNDETERMINED

@@ -32,6 +32,7 @@ from ._dop853 import solve_ivp
 from .asymptotics import predict_expansion
 from .equation import (
     dense_from_origin,
+    f_from_F,
     interface_series,
     launch_distance,
     origin_series,
@@ -46,19 +47,15 @@ from .solution import Classification, ProfileSolution, StopReason
 #: value, it only keeps overshooting trial stages finite.
 _F_FLOOR = 1e-280
 
-
-@dataclass(frozen=True)
-class MatchOptions:
-    """Knobs for the two-sided matching stage."""
-
-    rtol: float = 1e-12
-    atol: float = 1e-16
-    delta0: float = 1e-6        # forward Taylor launch offset
-    launch_f: float = 1e-6      # profile height at the interface-side launch
-    tail_f: float = 1e-9        # height of the last stored interface sample
-    mid_frac: float = 0.5       # matching point as a fraction of xi0
-    max_step_frac: float = 1.0 / 256.0
-    xtol: float = 1e-13
+#: DOP853 tolerances of both legs.
+RTOL = 1e-12
+ATOL = 1e-16
+DELTA0 = 1e-6               # forward Taylor launch offset
+LAUNCH_F = 1e-6             # profile height at the interface-side launch
+TAIL_F = 1e-9               # height of the last stored interface sample
+MID_FRAC = 0.5              # matching point as a fraction of xi0
+MAX_STEP_FRAC = 1.0 / 256.0  # step cap of the dense legs, relative to xi
+XTOL = 1e-13                # hybr tolerance on (beta, xi0)
 
 
 @dataclass
@@ -73,20 +70,17 @@ class MatchResult:
     profile: Optional[ProfileSolution] = None
 
 
-def _forward_run(
-    p: Params, beta: float, xi_mid: float, opts: MatchOptions, dense=False
-):
-    """Series launch at delta0, integrated out to the matching point."""
-    d0 = opts.delta0
+def _forward_run(p: Params, beta: float, xi_mid: float, dense=False):
+    """Series launch at DELTA0, integrated out to the matching point."""
     sol = solve_ivp(
         profile_rhs(p, beta, _F_FLOOR),
-        (d0, xi_mid),
-        origin_series(p, beta, d0),
+        (DELTA0, xi_mid),
+        origin_series(p, beta, DELTA0),
         method="DOP853",
-        rtol=opts.rtol,
-        atol=opts.atol,
+        rtol=RTOL,
+        atol=ATOL,
         dense_output=dense,
-        max_step=xi_mid * opts.max_step_frac if dense else np.inf,
+        max_step=xi_mid * MAX_STEP_FRAC if dense else np.inf,
     )
     if not sol.success:
         raise StepFailureError(
@@ -95,15 +89,13 @@ def _forward_run(
     return sol
 
 
-def _backward_run(
-    p: Params, beta: float, xi0: float, opts: MatchOptions, dense=False
-):
+def _backward_run(p: Params, beta: float, xi0: float, dense=False):
     """Tangential-series launch at the interface, integrated to xi_mid."""
     e = exponents_from_beta(p, beta)
     expansion = predict_expansion(p, e, xi0)
-    d0 = launch_distance(expansion, opts.launch_f)
+    d0 = launch_distance(expansion, LAUNCH_F)
     xi_start = xi0 - d0
-    xi_mid = opts.mid_frac * xi0
+    xi_mid = MID_FRAC * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
             f"interface launch {xi_start} inside matching point {xi_mid}"
@@ -113,10 +105,10 @@ def _backward_run(
         (xi_start, xi_mid),
         interface_series(p, expansion, d0),
         method="DOP853",
-        rtol=opts.rtol,
-        atol=opts.atol,
+        rtol=RTOL,
+        atol=ATOL,
         dense_output=dense,
-        max_step=xi0 * opts.max_step_frac if dense else np.inf,
+        max_step=xi0 * MAX_STEP_FRAC if dense else np.inf,
     )
     if not sol.success:
         raise StepFailureError(
@@ -178,20 +170,16 @@ def interface_samples(
             f"interface sampling failed at beta={beta!r}, xi0={xi0!r}: "
             f"{sol.message}"
         )
-    F = np.clip(sol.y[0], 0.0, None)
-    Fp = sol.y[1]
-    f = F ** (1.0 / p.m)
-    fp = Fp * np.where(f > 0.0, f, 1.0) ** (1.0 - p.m) / p.m
-    return sol.t, f, fp
+    return sol.t, *f_from_F(p.m, sol.y[0], sol.y[1])
 
 
-def _residuals(p: Params, x, opts: MatchOptions):
+def _residuals(p: Params, x):
     beta, xi0 = float(x[0]), float(x[1])
     if beta <= 0.0 or xi0 <= 0.0:
         return np.array([1e3, 1e3])
     try:
-        fwd = _forward_run(p, beta, opts.mid_frac * xi0, opts)
-        bwd, _, _ = _backward_run(p, beta, xi0, opts)
+        fwd = _forward_run(p, beta, MID_FRAC * xi0)
+        bwd, _, _ = _backward_run(p, beta, xi0)
     except (BracketFailure, StepFailureError):
         return np.array([1e3, 1e3])
     return np.array(
@@ -202,22 +190,17 @@ def _residuals(p: Params, x, opts: MatchOptions):
     )
 
 
-def match_profile(
-    p: Params,
-    beta_guess: float,
-    xi0_guess: float,
-    opts: MatchOptions = MatchOptions(),
-) -> MatchResult:
+def match_profile(p: Params, beta_guess: float, xi0_guess: float) -> MatchResult:
     """Solve the continuity conditions for (beta, xi0) and build the profile.
 
     ``beta_guess`` and ``xi0_guess`` come from the forward bisection
     stage; convergence is quadratic from any reasonable neighbourhood.
     """
     res = root(
-        lambda x: _residuals(p, x, opts),
+        lambda x: _residuals(p, x),
         x0=np.array([beta_guess, xi0_guess]),
         method="hybr",
-        options={"xtol": opts.xtol},
+        options={"xtol": XTOL},
     )
     beta_star, xi0 = float(res.x[0]), float(res.x[1])
     residual = float(np.max(np.abs(res.fun)))
@@ -230,32 +213,30 @@ def match_profile(
         success=success,
     )
     if success:
-        result.profile = _assemble_profile(p, beta_star, xi0, opts)
+        result.profile = _assemble_profile(p, beta_star, xi0)
     return result
 
 
-def _assemble_profile(
-    p: Params, beta: float, xi0: float, opts: MatchOptions
-) -> ProfileSolution:
+def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
     """Dense profile at the matched parameters, tangential at xi0."""
-    xi_mid = opts.mid_frac * xi0
-    fwd = _forward_run(p, beta, xi_mid, opts, dense=True)
-    bwd, expansion, d0 = _backward_run(p, beta, xi0, opts, dense=True)
+    xi_mid = MID_FRAC * xi0
+    fwd = _forward_run(p, beta, xi_mid, dense=True)
+    bwd, expansion, d0 = _backward_run(p, beta, xi0, dense=True)
     e = exponents_from_beta(p, beta)
 
     # stitch: forward nodes, backward nodes reversed, then log-spaced
-    # tangential-series samples down to tail_f at the interface
+    # tangential-series samples down to TAIL_F at the interface
     grid_f, F_f, Fp_f = fwd.t, fwd.y[0], fwd.y[1]
     grid_b = bwd.t[::-1]
     keep = grid_b > grid_f[-1]
     F_b, Fp_b = bwd.y[0, ::-1][keep], bwd.y[1, ::-1][keep]
     grid_b = grid_b[keep]
-    d_tail = launch_distance(expansion, opts.tail_f)
+    d_tail = launch_distance(expansion, TAIL_F)
     d_ext = np.exp(np.linspace(np.log(d0), np.log(d_tail), 40))[1:]
-    ext = np.array([interface_series(p, expansion, d) for d in d_ext])
+    F_ext, Fp_ext = interface_series(p, expansion, d_ext)
     grid = np.concatenate([grid_f, grid_b, xi0 - d_ext])
-    F_values = np.concatenate([F_f, F_b, ext[:, 0]])
-    Fp_values = np.concatenate([Fp_f, Fp_b, ext[:, 1]])
+    F_values = np.concatenate([F_f, F_b, F_ext])
+    Fp_values = np.concatenate([Fp_f, Fp_b, Fp_ext])
 
     delta0 = float(grid_f[0])
     xi_launch = float(bwd.t[0])
@@ -273,12 +254,9 @@ def _assemble_profile(
             F[fpart], Fp[fpart] = dense_f(xi[fpart])
         if bpart.any():
             F[bpart], Fp[bpart] = dense_b(xi[bpart])
-        if outer.any():
-            d = np.clip(xi0 - xi[outer], 0.0, None)
-            for i, di in zip(np.flatnonzero(outer), d):
-                F[i], Fp[i] = (
-                    interface_series(p, expansion, di) if di > 0 else (0.0, 0.0)
-                )
+        F[outer] = Fp[outer] = 0.0
+        inside = outer & (xi < xi0)
+        F[inside], Fp[inside] = interface_series(p, expansion, xi0 - xi[inside])
         return F, Fp
 
     return ProfileSolution(
@@ -292,7 +270,7 @@ def _assemble_profile(
         xi_max=float(grid[-1]),
         classification=Classification.CANDIDATE_B,
         stop_reason=StopReason.CONTACT_ZERO,
-        contact_eps=opts.tail_f,
+        contact_eps=TAIL_F,
         delta0=delta0,
         dense=dense,
     )

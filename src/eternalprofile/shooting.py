@@ -17,18 +17,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BracketFailure, DomainError, ProfileError
-from .integrate import ClassifyTolerances, IntegratorOptions, integrate_profile
-from .matching import MatchOptions, MatchResult, match_profile
+from .integrate import IntegratorOptions, integrate_profile
+from .matching import MatchResult, match_profile
 from .model import Params, exponents_from_beta
 from .solution import Classification, ProfileSolution
 
 #: Geometric scan range for the initial bracket, in powers of two.
 SCAN_EXP_LIMIT = 40
-
-#: Tolerance-tightening tiers applied when a midpoint classifies
-#: Undetermined.
-TIGHTEN_FACTOR = 1e-2
-TIGHTEN_TIERS = 3
 
 @dataclass
 class ShootingResult:
@@ -62,27 +57,15 @@ class MonotonicityReport:
 
 
 def _classify_at(
-    p: Params,
-    beta: float,
-    opts: IntegratorOptions,
-    tol: ClassifyTolerances,
+    p: Params, beta: float, opts: IntegratorOptions
 ) -> ProfileSolution:
-    """Integrate at beta, tightening tolerances while Undetermined."""
-    cur = opts
-    e = exponents_from_beta(p, beta)
-    sol = integrate_profile(p, e, cur, tol)
-    for _ in range(TIGHTEN_TIERS):
-        if sol.classification is not Classification.UNDETERMINED:
-            break
-        cur = cur.tightened(TIGHTEN_FACTOR)
-        sol = integrate_profile(p, e, cur, tol)
-    return sol
+    """One forward integration at beta, classified by its stop event."""
+    return integrate_profile(p, exponents_from_beta(p, beta), opts)
 
 
 def bracket_beta(
     p: Params,
     opts: IntegratorOptions = IntegratorOptions(),
-    tol: ClassifyTolerances = ClassifyTolerances(),
 ) -> Tuple[float, float]:
     """Geometric scan for a (ClassC, ClassA) bracket around beta*.
 
@@ -92,7 +75,7 @@ def bracket_beta(
     hi = None
     beta = 1.0
     for _ in range(SCAN_EXP_LIMIT + 1):
-        sol = _classify_at(p, beta, opts, tol)
+        sol = _classify_at(p, beta, opts)
         if sol.classification in (Classification.CLASS_A, Classification.CANDIDATE_B):
             hi = beta
             break
@@ -104,7 +87,7 @@ def bracket_beta(
     lo = None
     beta = min(1.0, hi / 2.0)
     for _ in range(SCAN_EXP_LIMIT + 1):
-        sol = _classify_at(p, beta, opts, tol)
+        sol = _classify_at(p, beta, opts)
         if sol.classification is Classification.CLASS_C:
             lo = beta
             break
@@ -121,7 +104,6 @@ def bisect_beta(
     bracket: Tuple[float, float],
     beta_tol: float = 1e-8,
     opts: IntegratorOptions = IntegratorOptions(),
-    tol: ClassifyTolerances = ClassifyTolerances(),
 ) -> ShootingResult:
     """Bisect the (ClassC, ClassA) bracket down to relative width beta_tol.
 
@@ -138,7 +120,7 @@ def bisect_beta(
     beta_star = 0.5 * (lo + hi)
     while hi - lo > beta_tol * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
-        sol = _classify_at(p, mid, opts, tol)
+        sol = _classify_at(p, mid, opts)
         cls = sol.classification
         history.append((mid, cls))
         iterations += 1
@@ -148,11 +130,10 @@ def bisect_beta(
             hi = mid
         else:
             raise ProfileError(
-                f"classification stayed Undetermined at beta={mid!r} "
-                f"after {TIGHTEN_TIERS} tolerance tiers"
+                f"classification is Undetermined at beta={mid!r}"
             )
         beta_star = 0.5 * (lo + hi)
-    final = _classify_at(p, beta_star, opts, tol)
+    final = _classify_at(p, beta_star, opts)
     return ShootingResult(
         beta_star=beta_star,
         alpha_star=2.0 * beta_star / (p.m - 1.0),
@@ -168,8 +149,6 @@ def solve(
     p: Params,
     beta_tol: float = 1e-8,
     opts: IntegratorOptions = IntegratorOptions(),
-    tol: ClassifyTolerances = ClassifyTolerances(),
-    match_opts: MatchOptions = MatchOptions(),
 ) -> ShootingResult:
     """Full pipeline: bracket, bisect, and match to tangential contact.
 
@@ -178,12 +157,12 @@ def solve(
     exactly, so the final profile is tangential at the interface by
     construction.
     """
-    bracket = bracket_beta(p, opts, tol)
-    result = bisect_beta(p, bracket, beta_tol, opts, tol)
+    bracket = bracket_beta(p, opts)
+    result = bisect_beta(p, bracket, beta_tol, opts)
     prof = result.final_profile
     stop = prof.xi1 if prof.xi1 is not None else float(prof.grid[-1])
     # the forward stop point undershoots the interface by a few percent
-    matched = match_profile(p, result.beta_star, stop * 1.02, match_opts)
+    matched = match_profile(p, result.beta_star, stop * 1.02)
     if not matched.success or matched.profile is None:
         raise BracketFailure(
             f"matching stage failed for {p}: residual {matched.residual:.3e} "

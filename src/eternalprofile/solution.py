@@ -8,6 +8,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from .equation import f_from_F
+
 if TYPE_CHECKING:
     from .model import Exponents, Params
 
@@ -53,14 +55,12 @@ class ProfileSolution:
 
     @property
     def f_values(self) -> np.ndarray:
-        return np.clip(self.F_values, 0.0, None) ** (1.0 / self.params.m)
+        return f_from_F(self.params.m, self.F_values, self.Fprime_values)[0]
 
     @property
     def fprime_values(self) -> np.ndarray:
         """f' recovered from F' via f' = F' / (m f^{m-1})."""
-        m = self.params.m
-        f = self.f_values
-        return self.Fprime_values * np.where(f > 0, f, 1.0) ** (1.0 - m) / m
+        return f_from_F(self.params.m, self.F_values, self.Fprime_values)[1]
 
     def eval_F(self, xi):
         """Evaluate (F, F') at ``xi``; zero beyond the support endpoint."""

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from eternalprofile import integrate_limit_profile, make_params
-from eternalprofile.equation import origin_series, profile_rhs
+from eternalprofile import (
+    exponents_from_beta,
+    integrate_limit_profile,
+    make_params,
+    predict_expansion,
+)
+from eternalprofile.equation import interface_series, origin_series, profile_rhs
 
 #: (q, N) on the critical line m = 2 - q.
 CRITICAL = [(0.5, 2), (0.3, 1), (0.7, 3), (0.2, 2)]
@@ -71,3 +76,19 @@ def test_limit_profile_launches_from_origin_series():
     H_ser, Hp_ser = origin_series(p, 0.0, xi)
     np.testing.assert_array_equal(H, H_ser)
     np.testing.assert_array_equal(Hp, Hp_ser)
+
+
+@pytest.mark.parametrize(
+    "m, q, N, beta, xi0",
+    [(2.0, 0.5, 1, 0.5138, 3.2), (1.2, 0.3, 1, 0.1413, 1.52)],
+)
+def test_interface_series_array_equals_scalar_calls(m, q, N, beta, xi0):
+    # the matched profile's tail samples come from one array call, its
+    # backward launch from a scalar call; both must round alike
+    p = make_params(m, q, N)
+    expn = predict_expansion(p, exponents_from_beta(p, beta), xi0)
+    d = np.geomspace(1e-9, 1e-2, 257)
+    F, Fp = interface_series(p, expn, d)
+    ref = np.array([interface_series(p, expn, float(x)) for x in d])
+    np.testing.assert_array_equal(F, ref[:, 0])
+    np.testing.assert_array_equal(Fp, ref[:, 1])

@@ -5,15 +5,14 @@ import pytest
 
 from eternalprofile import (
     Classification,
-    MatchOptions,
     StopReason,
     exponents_from_beta,
     make_params,
     match_profile,
     predict_expansion,
 )
-from eternalprofile.equation import interface_series
-from eternalprofile.matching import _residuals, interface_samples
+from eternalprofile.equation import interface_series, launch_distance
+from eternalprofile.matching import LAUNCH_F, _residuals, interface_samples
 
 
 def test_match_from_rough_guess():
@@ -39,7 +38,7 @@ def test_far_off_trial_returns_sentinel(x):
     # or an interface launch inside the matching point; both give the
     # sentinel, never an exception
     p = make_params(2.0, 0.5, 1)
-    np.testing.assert_array_equal(_residuals(p, x, MatchOptions()), [1e3, 1e3])
+    np.testing.assert_array_equal(_residuals(p, x), [1e3, 1e3])
 
 
 def test_matched_profile_is_tangential(solved):
@@ -60,6 +59,22 @@ def test_matched_profile_dense_is_continuous(solved):
         left = sol.eval_F(x * (1.0 - 1e-9))
         right = sol.eval_F(x * (1.0 + 1e-9))
         assert left[0] == pytest.approx(right[0], rel=1e-6, abs=1e-12)
+
+
+def test_matched_profile_dense_tail_is_interface_series(solved):
+    # between the backward launch and xi0 the dense closure evaluates the
+    # tangential series point by point; at and beyond xi0 it is zero
+    for case in [(2.0, 0.5, 1), (1.2, 0.3, 1)]:
+        sol = solved[case].final_profile
+        p, xi0 = sol.params, sol.xi0
+        expn = predict_expansion(p, sol.exps, xi0)
+        d0 = launch_distance(expn, LAUNCH_F)
+        xi = np.append(xi0 - d0 * np.geomspace(1e-4, 0.5, 50), [xi0, 1.01 * xi0])
+        F, Fp = sol.dense(xi)
+        ref = np.array([interface_series(p, expn, xi0 - x) for x in xi[:-2]])
+        np.testing.assert_array_equal(F[:-2], ref[:, 0])
+        np.testing.assert_array_equal(Fp[:-2], ref[:, 1])
+        assert np.all(F[-2:] == 0.0) and np.all(Fp[-2:] == 0.0)
 
 
 def test_matched_grid_is_increasing(solved):
@@ -106,11 +121,11 @@ def test_interface_samples_reject_shallow_launch(solved):
         )
 
 
-def test_match_options_are_honored():
+def test_assembled_profile_ends_at_tail_height():
+    # the stored interface samples run down to f = 1e-9
     p = make_params(1.5, 0.5, 2)
-    opts = MatchOptions(tail_f=1e-8)
-    result = match_profile(p, 0.5, 2.45, opts)
+    result = match_profile(p, 0.5, 2.45)
     assert result.success
     sol = result.profile
-    assert sol.contact_eps == 1e-8
-    assert float(sol.f_values[-1]) == pytest.approx(1e-8, rel=0.05)
+    assert sol.contact_eps == 1e-9
+    assert float(sol.f_values[-1]) == pytest.approx(1e-9, rel=0.05)

@@ -1,8 +1,12 @@
 """Bracketing, bisection and the full solve pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import eternalprofile
+from eternalprofile import shooting
 from eternalprofile import (
     BracketFailure,
     Classification,
@@ -100,6 +104,57 @@ def test_solve_has_no_seed_switch():
     # solve always brackets, bisects and matches
     with pytest.raises(TypeError):
         solve(make_params(2.0, 0.5, 1), use_seeds=False)
+
+
+@pytest.mark.parametrize("case", [(3.0, 0.5, 1), (5.0, 0.1, 4)])
+def test_unbracketable_case_fails_without_warning(case):
+    # each Undetermined sample is integrated once at the default rtol,
+    # never below the kernel's rtol floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(BracketFailure):
+            solve(make_params(*case))
+
+
+def _count_integrations(monkeypatch):
+    betas = []
+    integrate = shooting.integrate_profile
+
+    def counting(p, e, *args, **kwargs):
+        betas.append(e.beta)
+        return integrate(p, e, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate_profile", counting)
+    return betas
+
+
+def test_bracket_scan_integrates_each_beta_once(monkeypatch):
+    betas = _count_integrations(monkeypatch)
+    with pytest.raises(BracketFailure):
+        bracket_beta(make_params(3.0, 0.5, 1))
+    assert len(betas) == shooting.SCAN_EXP_LIMIT + 1
+    assert len(set(betas)) == len(betas)
+
+
+def test_bisection_integrates_each_beta_once(monkeypatch):
+    betas = _count_integrations(monkeypatch)
+    result = bisect_beta(make_params(2.0, 0.5, 1), (0.25, 1.0), beta_tol=1e-6)
+    # one integration per midpoint, plus the final profile
+    assert len(betas) == result.iterations + 1
+    assert len(set(betas)) == len(betas)
+
+
+@pytest.mark.parametrize("kwarg", ["tol", "match_opts"])
+def test_solve_has_no_tolerance_records(kwarg):
+    with pytest.raises(TypeError):
+        solve(make_params(2.0, 0.5, 1), **{kwarg: None})
+
+
+def test_option_records_are_not_exported():
+    assert "IntegratorOptions" in eternalprofile.__all__
+    for name in ("ClassifyTolerances", "MatchOptions"):
+        assert name not in eternalprofile.__all__
+        assert not hasattr(eternalprofile, name)
 
 
 def test_monotonicity_in_beta():
