@@ -8,7 +8,7 @@ below and unknown keys are rejected with their line number.
     mode             solve | classify | asymptotics | phase | verify |
                      sweep
     beta             exponent for classify (optional elsewhere)
-    beta_tol         relative bisection width target     (default 1e-8)
+    beta_tol         relative width of the reported bracket (default 1e-8)
     rtol, atol       integrator tolerances               (1e-10, 1e-16)
     delta0           series launch offset                (default 1e-6)
     contact_eps      contact threshold in f units        (default 1e-7)

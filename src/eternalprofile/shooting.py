@@ -4,9 +4,12 @@ For small beta the slope of the profile turns upward before the profile
 reaches zero (set C); for large beta the profile crosses zero with a
 strictly negative slope (set A).  The boundary value beta* carries the
 tangential contact.  This module brackets beta* by a geometric scan,
-bisects down to beta_tol in double precision, and hands the resulting
-estimates to the two-sided matching stage, which pins down (beta*, xi0)
-to near machine precision.
+bisects only coarsely, and hands the resulting estimates to the
+two-sided matching stage, which pins down (beta*, xi0) to near machine
+precision.  Two forward classifications just below and just above the
+matched beta* then certify a bracket of relative width beta_tol around
+it; should either disagree, the coarse bracket is bisected down to
+beta_tol instead.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ from .solution import Classification, ProfileSolution
 
 #: Geometric scan range for the initial bracket, in powers of two.
 SCAN_EXP_LIMIT = 40
+
+#: Relative width of the bisection bracket that seeds the matching stage.
+COARSE_TOL = 1e-3
+
+#: Classes on the A side of beta*; CandidateB grazing counts with them.
+_A_SIDE = (Classification.CLASS_A, Classification.CANDIDATE_B)
+
 
 @dataclass
 class ShootingResult:
@@ -70,13 +80,14 @@ def bracket_beta(
     """Geometric scan for a (ClassC, ClassA) bracket around beta*.
 
     Scans up by factors of two from beta = 1 until a ClassA sample is
-    found and down until a ClassC sample is found.
+    found, then down until a ClassC sample is found, lowering the A end
+    at every ClassA sample on the way down.
     """
     hi = None
     beta = 1.0
     for _ in range(SCAN_EXP_LIMIT + 1):
         sol = _classify_at(p, beta, opts)
-        if sol.classification in (Classification.CLASS_A, Classification.CANDIDATE_B):
+        if sol.classification in _A_SIDE:
             hi = beta
             break
         beta *= 2.0
@@ -87,10 +98,12 @@ def bracket_beta(
     lo = None
     beta = min(1.0, hi / 2.0)
     for _ in range(SCAN_EXP_LIMIT + 1):
-        sol = _classify_at(p, beta, opts)
-        if sol.classification is Classification.CLASS_C:
+        cls = _classify_at(p, beta, opts).classification
+        if cls is Classification.CLASS_C:
             lo = beta
             break
+        if cls in _A_SIDE:
+            hi = beta
         beta /= 2.0
     if lo is None:
         raise BracketFailure(
@@ -126,7 +139,7 @@ def bisect_beta(
         iterations += 1
         if cls is Classification.CLASS_C:
             lo = mid
-        elif cls in (Classification.CLASS_A, Classification.CANDIDATE_B):
+        elif cls in _A_SIDE:
             hi = mid
         else:
             raise ProfileError(
@@ -145,38 +158,83 @@ def bisect_beta(
     )
 
 
+def _certified_bracket(beta_star: float, beta_tol: float) -> Tuple[float, float]:
+    """[beta*(1 - beta_tol/2), beta*(1 + beta_tol/2)], pulled in by ulps
+    until its computed relative width is at most beta_tol."""
+    lo = beta_star * (1.0 - 0.5 * beta_tol)
+    hi = beta_star * (1.0 + 0.5 * beta_tol)
+    while (hi - lo) / beta_star > beta_tol:
+        lo, hi = np.nextafter(lo, beta_star), np.nextafter(hi, beta_star)
+    return float(lo), float(hi)
+
+
+def _certify(
+    p: Params,
+    beta_star: float,
+    beta_tol: float,
+    opts: IntegratorOptions,
+    history: List[Tuple[float, Classification]],
+) -> Optional[Tuple[float, float]]:
+    """The beta_tol-wide bracket around beta* if its ends classify as
+    (ClassC, ClassA or CandidateB), else None.
+
+    The low end is integrated first; the high end only when the low end
+    holds.  Each classification is appended to ``history``.
+    """
+    lo, hi = _certified_bracket(beta_star, beta_tol)
+    for beta, side in ((lo, (Classification.CLASS_C,)), (hi, _A_SIDE)):
+        cls = _classify_at(p, beta, opts).classification
+        history.append((beta, cls))
+        if cls not in side:
+            return None
+    return lo, hi
+
+
 def solve(
     p: Params,
     beta_tol: float = 1e-8,
     opts: IntegratorOptions = IntegratorOptions(),
 ) -> ShootingResult:
-    """Full pipeline: bracket, bisect, and match to tangential contact.
+    """Full pipeline: bracket, coarse bisection, matching, certification.
 
-    The double-precision bisection localizes beta* to the forward noise
-    floor; the two-sided matching stage then solves for (beta*, xi0)
-    exactly, so the final profile is tangential at the interface by
-    construction.
+    Bisection to COARSE_TOL (or beta_tol, when wider) only supplies the
+    starting guess; the two-sided matching stage then solves for
+    (beta*, xi0) exactly, so the final profile is tangential at the
+    interface by construction.  Two forward classifications at
+    beta*(1 -+ beta_tol/2) certify a (ClassC, ClassA) bracket of relative
+    width beta_tol around the matched beta*.  If either fails, the
+    coarse bracket is bisected down to beta_tol instead.  ``iterations``
+    and ``history`` count every classification after the scan.
     """
     bracket = bracket_beta(p, opts)
-    result = bisect_beta(p, bracket, beta_tol, opts)
-    prof = result.final_profile
+    coarse = bisect_beta(p, bracket, max(COARSE_TOL, beta_tol), opts)
+    prof = coarse.final_profile
     stop = prof.xi1 if prof.xi1 is not None else float(prof.grid[-1])
     # the forward stop point undershoots the interface by a few percent
-    matched = match_profile(p, result.beta_star, stop * 1.02)
+    matched = match_profile(p, coarse.beta_star, stop * 1.02)
     if not matched.success or matched.profile is None:
         raise BracketFailure(
             f"matching stage failed for {p}: residual {matched.residual:.3e} "
             f"after {matched.nfev} evaluations"
         )
     beta_star = matched.beta_star
+    history = coarse.history
+    reported = _certify(p, beta_star, beta_tol, opts, history)
+    if reported is None:
+        fine = bisect_beta(
+            p, (coarse.bracket_lo, coarse.bracket_hi), beta_tol, opts
+        )
+        history.extend(fine.history)
+        reported = fine.bracket_lo, fine.bracket_hi
+    lo, hi = reported
     return ShootingResult(
         beta_star=beta_star,
         alpha_star=2.0 * beta_star / (p.m - 1.0),
-        bracket_lo=result.bracket_lo,
-        bracket_hi=result.bracket_hi,
-        iterations=result.iterations,
+        bracket_lo=lo,
+        bracket_hi=hi,
+        iterations=len(history),
         final_profile=matched.profile,
-        history=result.history,
+        history=history,
         match=matched,
     )
 

@@ -1,5 +1,6 @@
 """Bracketing, bisection and the full solve pipeline."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -39,6 +40,11 @@ def test_bracket_beta_orders_classes():
     lo, hi = bracket_beta(p)
     assert 0 < lo < hi
     assert lo < BETA_STAR[(2.0, 0.5, 1)] < hi
+
+
+def test_bracket_scan_lowers_hi_at_every_a_sample():
+    # beta = 1, 0.5 and 0.25 all classify ClassA, 0.125 ClassC
+    assert bracket_beta(make_params(1.2, 0.3, 1)) == (0.125, 0.25)
 
 
 def test_bisect_beta_narrows_to_tolerance():
@@ -142,6 +148,82 @@ def test_bisection_integrates_each_beta_once(monkeypatch):
     # one integration per midpoint, plus the final profile
     assert len(betas) == result.iterations + 1
     assert len(set(betas)) == len(betas)
+
+
+@pytest.mark.parametrize("case", sorted(BETA_STAR))
+def test_solve_needs_few_forward_integrations(monkeypatch, case):
+    # scan, coarse bisection, its final profile and two certification
+    # samples; bisecting to beta_tol before matching took 29-35
+    betas = _count_integrations(monkeypatch)
+    solve(make_params(*case))
+    assert len(betas) <= 17
+
+
+@pytest.mark.parametrize("case", [(1.26, 0.24, 2), (1.3, 0.2, 3), (1.21, 0.21, 1)])
+def test_certified_bracket_contains_matched_beta_star(case):
+    # a bracket bisected before matching excluded the matched beta* here
+    result = solve(make_params(*case))
+    assert result.bracket_lo < result.beta_star < result.bracket_hi
+    assert (result.bracket_hi - result.bracket_lo) / result.beta_star <= 1e-8
+    assert len(result.history) == result.iterations
+
+
+def test_certified_bracket_width_is_exact():
+    rng = np.random.default_rng(7)
+    for beta in rng.uniform(0.01, 10.0, 2000):
+        for tol in (1e-8, 1e-10, 3e-6):
+            lo, hi = shooting._certified_bracket(beta, tol)
+            assert lo < beta < hi
+            assert (hi - lo) / beta <= tol
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_failed_certification_falls_back_to_fine_bisection(
+    monkeypatch, solved, side
+):
+    case = (1.2, 0.3, 1)
+    after_match = []
+    bisections = []
+    classify, match, bisect = (
+        shooting._classify_at, shooting.match_profile, shooting.bisect_beta
+    )
+
+    # the wrong class on the low (0) or the high (1) certification side
+    wrong = (Classification.CLASS_A, Classification.CLASS_C)[side]
+
+    def flipping_classify(p, beta, opts):
+        sol = classify(p, beta, opts)
+        if after_match:
+            if len(after_match) == side + 1:
+                sol = dataclasses.replace(sol, classification=wrong)
+            after_match.append(beta)
+        return sol
+
+    def marking_match(*args):
+        after_match.append(None)
+        return match(*args)
+
+    def recording_bisect(p, bracket, beta_tol, opts):
+        bisections.append((beta_tol, bisect(p, bracket, beta_tol, opts)))
+        return bisections[-1][1]
+
+    monkeypatch.setattr(shooting, "_classify_at", flipping_classify)
+    monkeypatch.setattr(shooting, "match_profile", marking_match)
+    monkeypatch.setattr(shooting, "bisect_beta", recording_bisect)
+    result = solve(make_params(*case))
+    assert [tol for tol, _ in bisections] == [shooting.COARSE_TOL, 1e-8]
+    (_, coarse), (_, fine) = bisections
+    assert (fine.bracket_lo, fine.bracket_hi) == (
+        result.bracket_lo, result.bracket_hi
+    )
+    assert (result.bracket_hi - result.bracket_lo) / result.beta_star <= 1e-8
+    assert len(result.history) == result.iterations
+    # coarse midpoints, the certification samples up to the failed one,
+    # then the fine midpoints
+    assert result.iterations == coarse.iterations + side + 1 + fine.iterations
+    assert result.beta_star == pytest.approx(
+        solved[case].beta_star, rel=1e-13, abs=0.0
+    )
 
 
 @pytest.mark.parametrize("kwarg", ["tol", "match_opts"])
