@@ -4,13 +4,17 @@ The profile ODE has two components, and its integrations are dominated
 by per-step overhead: scipy's DOP853 spends most of each step in numpy
 calls on length-2 arrays, not in the right-hand side.  This module runs
 the same method on Python floats.  The tableau, the initial step
-selection, the step-size controller, the 7-term dense interpolant and
-the event handling all follow ``scipy.integrate.solve_ivp`` with
-``method="DOP853"`` (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5
-and II.10), so both take the same steps up to rounding in the order of
-summation.
+selection, the step-size controller and the 7-term dense interpolant
+follow ``scipy.integrate.solve_ivp`` with ``method="DOP853"`` (Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.5 and II.10), so both take the
+same steps up to rounding in the order of summation.
 
-``solve_ivp`` is a drop-in for scipy's: every other method is passed to
+Every event here is terminal, as in the shooting argument, where the
+first of "f reaches zero" and "f' turns non-negative" decides the class
+of beta.  Within a step, the first root in the direction of integration
+ends the run, which is what scipy does when all events are terminal.
+
+``solve_ivp`` keeps scipy's signature: every other method is passed to
 scipy unchanged.
 """
 
@@ -64,9 +68,13 @@ def solve_ivp(fun, t_span, y0, method="RK45", dense_output=False, events=None,
               **options):
     """``scipy.integrate.solve_ivp``, with DOP853 run by this module.
 
-    For DOP853 the system must have two components and the options are
-    ``rtol``, ``atol`` and ``max_step``.  ``fun(t, y)`` and the events
-    receive ``y`` as a tuple of two floats; the results are scipy's.
+    For DOP853 the system must have two components, the options are
+    ``rtol``, ``atol`` and ``max_step``, and ``events`` is a sequence of
+    callables that each set ``terminal = True`` (otherwise ValueError).
+    ``fun(t, y)`` and the events receive ``y`` as a tuple of two floats.
+    The result has scipy's fields except ``y_events``: the end point of
+    an event run is ``t[-1]``, ``y[:, -1]``.  Every other method is
+    passed to scipy.
     """
     if method != "DOP853":
         return _scipy_solve_ivp(fun, t_span, y0, method=method,
@@ -126,8 +134,7 @@ class _Interpolant(DenseOutput):
         return tuple(_nested(c, x) + y for c, y in zip(self.coef, self.y_old))
 
     def _call_impl(self, t):
-        x = (t - self.t_old) / self.h
-        return np.array([_nested(c, x) + y for c, y in zip(self.coef, self.y_old)])
+        return np.array(self.at(t))
 
 
 def _nested(c, x):
@@ -139,29 +146,6 @@ def _nested(c, x):
     y = (y + c[2]) * x
     y = (y + c[1]) * (1 - x)
     return (y + c[0]) * x
-
-
-def _handle_events(sol, events, active, event_count, max_events, t_old, t):
-    """scipy's ``handle_events``: roots of the active events in the step.
-
-    Returns (active, roots, terminate); after a terminal event the lists
-    end at the first root, in the direction of integration, that
-    terminates.
-    """
-    roots = [
-        brentq(lambda s, ev=events[i]: ev(s, sol.at(s)), t_old, t,
-               xtol=4 * EPS, rtol=4 * EPS)
-        for i in active
-    ]
-    if not any(event_count[i] >= max_events[i] for i in active):
-        return active, roots, False
-    sign = 1.0 if t > t_old else -1.0
-    order = sorted(range(len(active)), key=lambda k: sign * roots[k])
-    active = [active[k] for k in order]
-    roots = [roots[k] for k in order]
-    stop = next(k for k, i in enumerate(active)
-                if event_count[i] >= max_events[i])
-    return active[:stop + 1], roots[:stop + 1], True
 
 
 def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
@@ -215,23 +199,11 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
         return _Interpolant(t_old, t, (ya_old, yb_old), (ca, cb))
 
     if events is not None:
-        if callable(events):
-            events = (events,)
-        max_events = []
-        for ev in events:
-            terminal = getattr(ev, "terminal", None)
-            if terminal is None or terminal == 0:
-                max_events.append(math.inf)
-            elif int(terminal) == terminal and terminal > 0:
-                max_events.append(terminal)
-            else:
-                raise ValueError("The `terminal` attribute of each event "
-                                 "must be a boolean or positive integer.")
+        if not all(getattr(ev, "terminal", False) is True for ev in events):
+            raise ValueError("Each event must set `terminal = True`.")
         event_dir = [getattr(ev, "direction", 0) for ev in events]
-        event_count = [0] * len(events)
         g = [ev(t0, (ya, yb)) for ev in events]
         t_events = [[] for _ in events]
-        y_events = [[] for _ in events]
 
     ts, Y0, Y1 = [t0], [ya], [yb]
     interpolants = []
@@ -332,23 +304,22 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
             g_new = [ev(t, y) for ev in events]
             active = [
                 i for i, (go, gn, dr) in enumerate(zip(g, g_new, event_dir))
-                if (go <= 0 <= gn and (dr > 0 or dr == 0))
-                or (go >= 0 >= gn and (dr < 0 or dr == 0))
+                if (go <= 0 <= gn and dr >= 0) or (go >= 0 >= gn and dr <= 0)
             ]
             if active:
                 if sol is None:
                     sol = interpolant(t_old, h, ya_old, yb_old)
-                for i in active:
-                    event_count[i] += 1
-                active, roots, terminate = _handle_events(
-                    sol, events, active, event_count, max_events, t_old, t)
-                for i, te in zip(active, roots):
-                    t_events[i].append(te)
-                    y_events[i].append(sol(te))
-                if terminate:
-                    status = 1
-                    t = roots[-1]
-                    y = sol.at(t)
+                roots = [
+                    brentq(lambda s, ev=events[i]: ev(s, sol.at(s)), t_old, t,
+                           xtol=4 * EPS, rtol=4 * EPS)
+                    for i in active
+                ]
+                # the first root in the direction of integration ends the run
+                k = min(range(len(active)), key=lambda k: direction * roots[k])
+                t = roots[k]
+                t_events[active[k]].append(t)
+                status = 1
+                y = sol.at(t)
             g = g_new
 
         if len(ts) > 1 and ts[-1] == t and dense_output:
@@ -361,18 +332,12 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
             Y0.append(y[0])
             Y1.append(y[1])
 
-    if events is not None:
-        t_events = [np.asarray(te) for te in t_events]
-        y_events = [np.asarray(ye) for ye in y_events]
-    else:
-        t_events = y_events = None
     ts = np.array(ts)
     return OptimizeResult(
         t=ts,
         y=np.array([Y0, Y1]),
         sol=OdeSolution(ts, interpolants) if dense_output else None,
-        t_events=t_events,
-        y_events=y_events,
+        t_events=None if events is None else [np.asarray(te) for te in t_events],
         nfev=nfev,
         status=status,
         message=MESSAGES[status],

@@ -122,9 +122,10 @@ def predict_expansion(p: Params, e: Exponents, xi0: float) -> InterfaceExpansion
 def extrapolate_xi0(
     sol: ProfileSolution, expansion: InterfaceExpansion
 ) -> float:
-    """Correct the contact location for the finite stopping threshold.
+    """The interface location, extrapolated from the end of the stored grid.
 
-    The integrator stops at f = contact_eps, a distance
+    The grid ends at f_stop > 0 (``contact_eps`` for a forward contact,
+    ``matching.TAIL_F`` for a matched profile), a distance
     (f_stop / A)^{1/theta} short of the true interface.
     """
     if sol.xi0 is None:
@@ -132,7 +133,7 @@ def extrapolate_xi0(
     f_stop = float(sol.f_values[-1])
     if f_stop <= 0.0:
         return float(sol.xi0)
-    return float(sol.xi0) + launch_distance(expansion, f_stop)
+    return float(sol.grid[-1]) + launch_distance(expansion, f_stop)
 
 
 #: Default fit depths as fractions of xi0.  The leading-order window sits

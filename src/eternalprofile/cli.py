@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import asymptotics, pdecheck, phasespace, shooting
-from .config import MODES, RunConfig, load_config
+from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config
 from .errors import ProfileError
 from .integrate import IntegratorOptions, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
@@ -35,12 +35,7 @@ from .svgplot import line_chart
 
 def _integrator_options(cfg: RunConfig) -> IntegratorOptions:
     return IntegratorOptions(
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        delta0=cfg.delta0,
-        contact_eps=cfg.contact_eps,
-        horizon=cfg.horizon,
-        slope_tol=cfg.slope_tol,
+        **{key: getattr(cfg, key) for key in INTEGRATOR_KEYS}
     )
 
 
@@ -253,8 +248,7 @@ def _run_sweep(cfg: RunConfig, out: Path, plots: bool) -> dict:
     else:
         results = dict(map(_sweep_job, jobs))
     # deterministic merge by job key
-    table = [results[key] for key in sorted(results)]
-    return {"jobs": table, "workers": workers}
+    return {"jobs": [results[key] for key in sorted(results)]}
 
 
 _RUNNERS = {

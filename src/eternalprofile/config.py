@@ -2,18 +2,22 @@
 
 Grammar: one ``key = value`` pair per line; blank lines and lines
 starting with ``#`` are ignored.  Keys are validated against the table
-below and unknown keys are rejected with their line number.
+below and unknown keys are rejected with their line number.  The
+integrator keys (``INTEGRATOR_KEYS``) take their defaults from
+``integrate.IntegratorOptions``.
 
     m, q, N          problem parameters (N a positive integer)
     mode             solve | classify | asymptotics | phase | verify |
                      sweep
     beta             exponent for classify (optional elsewhere)
-    beta_tol         relative width of the reported bracket (default 1e-8)
-    rtol, atol       integrator tolerances               (1e-10, 1e-16)
-    delta0           series launch offset                (default 1e-6)
-    contact_eps      contact threshold in f units        (default 1e-7)
-    slope_tol        tangency tolerance                  (default 1e-4)
-    horizon          integration cap (default: derived)
+    beta_tol         relative width of the reported bracket
+                     (default shooting.BETA_TOL, at least
+                     shooting.MIN_BETA_TOL)
+    rtol, atol       integrator tolerances
+    delta0           series launch offset
+    contact_eps      contact threshold in f units
+    slope_tol        tangency tolerance
+    horizon          integration cap, > delta0 (default: derived)
     output_dir       artifact directory                  (default ".")
     emit_plots       true | false                        (default false)
     sweep_betas      comma-separated beta list (sweep mode)
@@ -27,8 +31,15 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .errors import ConfigError
+from .integrate import IntegratorOptions
+from .shooting import BETA_TOL, MIN_BETA_TOL
 
 MODES = ("solve", "classify", "asymptotics", "phase", "verify", "sweep")
+
+#: Keys passed on to ``IntegratorOptions`` under the same names.
+INTEGRATOR_KEYS = (
+    "rtol", "atol", "delta0", "contact_eps", "slope_tol", "horizon"
+)
 
 
 @dataclass
@@ -40,13 +51,13 @@ class RunConfig:
     N: int = 0
     mode: str = "solve"
     beta: Optional[float] = None
-    beta_tol: float = 1e-8
-    rtol: float = 1e-10
-    atol: float = 1e-16
-    delta0: float = 1e-6
-    contact_eps: float = 1e-7
-    slope_tol: float = 1e-4
-    horizon: Optional[float] = None
+    beta_tol: float = BETA_TOL
+    rtol: float = IntegratorOptions.rtol
+    atol: float = IntegratorOptions.atol
+    delta0: float = IntegratorOptions.delta0
+    contact_eps: float = IntegratorOptions.contact_eps
+    slope_tol: float = IntegratorOptions.slope_tol
+    horizon: Optional[float] = IntegratorOptions.horizon
     output_dir: str = "."
     emit_plots: bool = False
     sweep_betas: List[float] = field(default_factory=list)
@@ -138,8 +149,7 @@ def load_config(path) -> RunConfig:
             cfg.mode = raw
         elif key == "beta":
             cfg.beta = _parse_float(key, raw, lineno)
-        elif key in ("beta_tol", "rtol", "atol", "delta0", "contact_eps",
-                     "slope_tol", "horizon"):
+        elif key == "beta_tol" or key in INTEGRATOR_KEYS:
             setattr(cfg, key, _parse_float(key, raw, lineno))
         elif key == "output_dir":
             cfg.output_dir = raw
@@ -173,6 +183,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("classify mode requires beta")
     if cfg.beta is not None and cfg.beta <= 0:
         raise ConfigError(f"beta must be > 0, got {cfg.beta}")
-    for key in ("beta_tol", "rtol", "atol", "delta0", "contact_eps", "slope_tol"):
+    if not cfg.beta_tol >= MIN_BETA_TOL:
+        raise ConfigError(
+            f"beta_tol must be >= {MIN_BETA_TOL!r} (4 eps), got {cfg.beta_tol}"
+        )
+    for key in ("rtol", "atol", "delta0", "contact_eps", "slope_tol"):
         if not getattr(cfg, key) > 0:
             raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")

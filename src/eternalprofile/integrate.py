@@ -16,7 +16,7 @@ import numpy as np
 
 from ._dop853 import solve_ivp
 from .equation import dense_from_origin, origin_series, profile_rhs
-from .errors import ProfileError
+from .errors import DomainError, ProfileError
 from .model import Exponents, Params
 from .solution import Classification, LimitProfile, ProfileSolution, StopReason
 
@@ -62,6 +62,10 @@ def integrate_profile(
     horizon = opts.horizon
     if horizon is None:
         horizon = HORIZON_FACTOR * absorption_scale(p)
+    elif not horizon > delta0:
+        raise DomainError(
+            f"horizon must be > delta0 = {delta0!r}, got {horizon!r}"
+        )
     F_contact = opts.contact_eps**p.m
 
     def ev_contact(xi, y):

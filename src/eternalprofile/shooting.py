@@ -28,6 +28,13 @@ from .solution import Classification, ProfileSolution
 #: Geometric scan range for the initial bracket, in powers of two.
 SCAN_EXP_LIMIT = 40
 
+#: Relative width of the reported bracket around beta*, when none is given.
+BETA_TOL = 1e-8
+
+#: Smallest beta_tol: four spacings of doubles keep the certified bracket
+#: ends strictly inside it, and bisection stops at adjacent floats.
+MIN_BETA_TOL = 4 * float(np.finfo(float).eps)
+
 #: Relative width of the bisection bracket that seeds the matching stage.
 COARSE_TOL = 1e-3
 
@@ -64,6 +71,13 @@ class MonotonicityReport:
     gap: np.ndarray
     min_gap: float
     passed: bool
+
+
+def _check_beta_tol(beta_tol: float) -> None:
+    if not beta_tol >= MIN_BETA_TOL:
+        raise DomainError(
+            f"beta_tol must be >= {MIN_BETA_TOL!r} (4 eps), got {beta_tol!r}"
+        )
 
 
 def _classify_at(
@@ -115,7 +129,7 @@ def bracket_beta(
 def bisect_beta(
     p: Params,
     bracket: Tuple[float, float],
-    beta_tol: float = 1e-8,
+    beta_tol: float = BETA_TOL,
     opts: IntegratorOptions = IntegratorOptions(),
 ) -> ShootingResult:
     """Bisect the (ClassC, ClassA) bracket down to relative width beta_tol.
@@ -125,6 +139,7 @@ def bisect_beta(
     narrowing to the requested width.  The returned final_profile is
     re-integrated at the terminal midpoint.
     """
+    _check_beta_tol(beta_tol)
     lo, hi = bracket
     if not 0 < lo < hi:
         raise DomainError(f"invalid bracket {bracket}")
@@ -192,7 +207,7 @@ def _certify(
 
 def solve(
     p: Params,
-    beta_tol: float = 1e-8,
+    beta_tol: float = BETA_TOL,
     opts: IntegratorOptions = IntegratorOptions(),
 ) -> ShootingResult:
     """Full pipeline: bracket, coarse bisection, matching, certification.
@@ -206,6 +221,7 @@ def solve(
     coarse bracket is bisected down to beta_tol instead.  ``iterations``
     and ``history`` count every classification after the scan.
     """
+    _check_beta_tol(beta_tol)
     bracket = bracket_beta(p, opts)
     coarse = bisect_beta(p, bracket, max(COARSE_TOL, beta_tol), opts)
     prof = coarse.final_profile

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from eternalprofile import (
+    Classification,
     InterfaceCase,
     exponents_from_beta,
     fit_interface,
+    integrate_profile,
     interface_case,
     make_params,
     predict_expansion,
@@ -100,13 +102,30 @@ def test_amplitude_closed_forms(solved):
 
 
 def test_extrapolate_xi0_adds_stop_distance(solved):
-    sol = solved[(2.0, 0.5, 1)].final_profile
+    # a forward ClassA run stops at f = contact_eps, short of the interface
+    case = (2.0, 0.5, 1)
+    p = make_params(*case)
+    sol = integrate_profile(
+        p, exponents_from_beta(p, 1.01 * solved[case].beta_star)
+    )
+    assert sol.classification is Classification.CLASS_A
     expn = predict_expansion(sol.params, sol.exps, sol.xi0)
     corrected = extrapolate_xi0(sol, expn)
     f_stop = float(sol.f_values[-1])
     gap = (f_stop / expn.amplitude) ** (1.0 / expn.theta)
     assert corrected == pytest.approx(sol.xi0 + gap, rel=1e-12)
     assert 0 < corrected - sol.xi0 < 1e-3
+
+
+def test_extrapolate_xi0_keeps_matched_interface(solved):
+    # a matched profile's grid ends a tail distance inside its exact xi0
+    for case, result in solved.items():
+        sol = result.final_profile
+        assert float(sol.grid[-1]) < sol.xi0
+        expn = predict_expansion(sol.params, sol.exps, sol.xi0)
+        assert extrapolate_xi0(sol, expn) == pytest.approx(
+            sol.xi0, rel=1e-6, abs=0.0
+        ), case
 
 
 def test_fit_interface_recovers_theta_and_amplitude(solved):

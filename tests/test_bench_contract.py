@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from eternalprofile import make_params, shooting
+from eternalprofile import asymptotics, integrate, make_params, matching, shooting
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,18 +30,41 @@ def test_every_traced_name_resolves(targets):
         assert callable(fn), f"{mod_name}.{attr} ({layer}) is gone"
 
 
+def _record(monkeypatch, targets, module, name, calls):
+    """Rebind module.name to a wrapper that appends its name to calls."""
+    assert (module.__name__, name) in {t[:2] for t in targets}
+    fn = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((module.__name__, name))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+
+
 @pytest.mark.parametrize(
     "name", ["bracket_beta", "bisect_beta", "integrate_profile", "match_profile"]
 )
 def test_solve_calls_through_shooting_globals(targets, monkeypatch, name):
-    assert ("eternalprofile.shooting", name) in {t[:2] for t in targets}
     calls = []
-    fn = getattr(shooting, name)
-
-    def recording(*args, **kwargs):
-        calls.append(name)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(shooting, name, recording)
+    _record(monkeypatch, targets, shooting, name, calls)
     shooting.solve(make_params(1.2, 0.3, 1))
     assert calls, f"shooting.solve never called shooting.{name}"
+
+
+def test_solve_calls_the_integrator_through_both_bindings(targets, monkeypatch):
+    calls = []
+    for module in (integrate, matching):
+        _record(monkeypatch, targets, module, "solve_ivp", calls)
+    shooting.solve(make_params(1.2, 0.3, 1))
+    for module in (integrate, matching):
+        assert (module.__name__, "solve_ivp") in calls, module.__name__
+
+
+def test_fit_interface_calls_through_interface_samples(
+    targets, monkeypatch, solved
+):
+    calls = []
+    _record(monkeypatch, targets, matching, "interface_samples", calls)
+    asymptotics.fit_interface(solved[(2.0, 0.5, 1)].final_profile)
+    assert calls == [("eternalprofile.matching", "interface_samples")]

@@ -87,12 +87,17 @@ def test_verify_mode(tmp_path):
 
 
 def test_sweep_mode_and_worker_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("ETERNAL_PROFILE_THREADS", "1")
+    # the worker count must not leak into the artifacts
     cfg = write_cfg(tmp_path, BASE + "sweep_betas = 0.05, 1, 8\n")
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ETERNAL_PROFILE_THREADS", threads)
+        out = tmp_path / f"out{threads}"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
     res = read_report(out)["results"]
-    assert res["workers"] == 1
+    assert "workers" not in res
     classes = [j["classification"] for j in res["jobs"]]
     assert classes == ["ClassC", "ClassA", "ClassA"]
 
@@ -146,6 +151,16 @@ def test_module_error_serialized_as_failure(tmp_path):
     report = read_report(out)
     assert report["status"] == "failed"
     assert "CaseError" in report["results"]["error"]
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_horizon_below_launch_point_fails(tmp_path, horizon):
+    cfg = write_cfg(tmp_path, BASE + f"beta = 0.5\nhorizon = {horizon}\n")
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 1
+    report = read_report(out)
+    assert report["status"] == "failed"
+    assert "DomainError" in report["results"]["error"]
 
 
 def test_report_echoes_full_config(tmp_path):

@@ -2,8 +2,10 @@
 
 import pytest
 
-from eternalprofile.config import MODES, load_config
+from eternalprofile.config import INTEGRATOR_KEYS, MODES, RunConfig, load_config
 from eternalprofile.errors import ConfigError
+from eternalprofile.integrate import IntegratorOptions
+from eternalprofile.shooting import BETA_TOL
 
 
 def write(tmp_path, text):
@@ -60,12 +62,21 @@ def test_sweep_params_triples(tmp_path):
         ("mode = sweep\n", "sweep"),
         ("m = 2\nq = 0.5\nN = 1\nbeta = -1\n", "beta"),
         ("m = 2\nq = 0.5\nN = 1\nrtol = 0\n", "rtol"),
+        ("m = 2\nq = 0.5\nN = 1\nbeta_tol = 1e-17\n", "beta_tol"),
         ("m = 2\nq = 0.5\nN = 1\nsweep_params = 2:0.5\nmode = sweep\n", "m:q:N"),
     ],
 )
 def test_malformed_config_rejected(tmp_path, body, fragment):
     with pytest.raises(ConfigError, match="(?i)" + fragment):
         load_config(write(tmp_path, body))
+
+
+def test_defaults_come_from_the_solver():
+    cfg = RunConfig()
+    opts = IntegratorOptions()
+    assert cfg.beta_tol == BETA_TOL
+    for key in INTEGRATOR_KEYS:
+        assert getattr(cfg, key) == getattr(opts, key), key
 
 
 def test_missing_file():

@@ -114,21 +114,46 @@ def test_terminal_events_match_scipy(event, dense):
     assert ours.nfev == ref.nfev
     assert len(ours.t) == len(ref.t)
     assert ours.t_events[0].shape == ref.t_events[0].shape == (1,)
-    assert ours.y_events[0].shape == ref.y_events[0].shape == (1, 2)
     np.testing.assert_allclose(ours.t_events[0], ref.t_events[0], rtol=1e-12)
-    np.testing.assert_allclose(ours.y_events[0], ref.y_events[0], rtol=0,
-                               atol=1e-12)
     assert ours.t[-1] == ours.t_events[0][0]
+    # the run ends on the event, so its end point is scipy's y_events
+    np.testing.assert_allclose(ours.y[:, -1], ref.y_events[0][0], rtol=0,
+                               atol=1e-12)
 
 
-def test_non_terminal_events_are_recorded():
+@pytest.mark.parametrize("t_span", [(0.0, 10.0), (10.0, 0.0)])
+def test_first_root_in_the_direction_of_integration_ends_the_run(t_span):
+    # in both directions y0 passes 1e-3 just before 0, within one step,
+    # so the event listed second ends the run: at the smaller root going
+    # forward and at the larger one going backward
+    def near(t, y):
+        return y[0] - 1e-3
+
+    near.terminal = True
+    near.direction = 0
+    alone = [solve_ivp(oscillator, t_span, [1.0, 0.5], method="DOP853",
+                       events=[ev], **TOL) for ev in (crossing, near)]
+    assert len(alone[0].t) == len(alone[1].t)
+    ref, ours = both(oscillator, t_span, [1.0, 0.5],
+                     events=[crossing, near], **TOL)
+    assert ours.status == ref.status == 1
+    assert [len(te) for te in ours.t_events] == [len(te) for te in ref.t_events]
+    assert sum(len(te) for te in ours.t_events) == 1
+    for te, te_ref in zip(ours.t_events, ref.t_events):
+        np.testing.assert_allclose(te, te_ref, rtol=1e-12)
+    assert ours.t[-1] == pytest.approx(ref.t[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("terminal", [None, False, 2])
+def test_non_terminal_events_raise(terminal):
     def ev(t, y):
         return y[0]
 
-    ref, ours = both(oscillator, (0.0, 10.0), [1.0, 0.5], events=ev, **TOL)
-    assert ours.status == ref.status == 0
-    assert len(ours.t_events[0]) == len(ref.t_events[0]) > 3
-    np.testing.assert_allclose(ours.t_events[0], ref.t_events[0], rtol=1e-12)
+    if terminal is not None:
+        ev.terminal = terminal
+    with pytest.raises(ValueError, match="terminal"):
+        solve_ivp(oscillator, (0.0, 10.0), [1.0, 0.5], method="DOP853",
+                  events=[ev], **TOL)
 
 
 @pytest.mark.parametrize("t_span, T", [((0.0, 4.0), 1.0), ((4.0, 0.0), 3.0)])

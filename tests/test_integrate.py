@@ -5,6 +5,7 @@ import pytest
 
 from eternalprofile import (
     Classification,
+    DomainError,
     IntegratorOptions,
     StopReason,
     exponents_from_beta,
@@ -42,6 +43,14 @@ def test_large_beta_classifies_A():
     assert sol.stop_reason is StopReason.CONTACT_ZERO
     assert sol.xi0 is not None
     assert float(sol.Fprime_values[-1]) < 0
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, 1e-6])
+def test_horizon_at_or_below_launch_point_raises(horizon):
+    p = make_params(2.0, 0.5, 1)
+    opts = IntegratorOptions(horizon=horizon)
+    with pytest.raises(DomainError, match="horizon"):
+        integrate_profile(p, exponents_from_beta(p, 0.5), opts)
 
 
 def test_small_beta_classifies_C():

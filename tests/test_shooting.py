@@ -1,6 +1,7 @@
 """Bracketing, bisection and the full solve pipeline."""
 
 import dataclasses
+import types
 import warnings
 
 import numpy as np
@@ -70,6 +71,43 @@ def test_bisect_beta_rejects_bad_bracket():
     p = make_params(2.0, 0.5, 1)
     with pytest.raises(DomainError):
         bisect_beta(p, (1.0, 0.25))
+
+
+def test_bisection_stops_at_the_smallest_beta_tol(monkeypatch):
+    # a deterministic stand-in: ClassC below `boundary`, ClassA from it on
+    boundary = 1.0 / 3.0
+    calls = []
+
+    def step_classify(p, beta, opts):
+        calls.append(beta)
+        assert len(calls) < 200, "bisection does not terminate"
+        cls = (Classification.CLASS_C if beta < boundary
+               else Classification.CLASS_A)
+        return types.SimpleNamespace(classification=cls)
+
+    monkeypatch.setattr(shooting, "_classify_at", step_classify)
+    tol = shooting.MIN_BETA_TOL
+    assert tol == 4 * np.finfo(float).eps
+    result = bisect_beta(make_params(2.0, 0.5, 1), (0.25, 1.0), beta_tol=tol)
+    assert result.bracket_lo < boundary <= result.bracket_hi
+    assert (result.bracket_hi - result.bracket_lo) / result.beta_star <= tol
+    lo, hi = shooting._certified_bracket(result.beta_star, tol)
+    assert lo < result.beta_star < hi
+
+
+@pytest.mark.parametrize("entry", [solve, bisect_beta])
+@pytest.mark.parametrize("beta_tol", [1e-17, 0.0, float("nan")])
+def test_beta_tol_below_double_spacing_raises(monkeypatch, entry, beta_tol):
+    def no_integration(*args):
+        raise AssertionError("integrated before rejecting beta_tol")
+
+    monkeypatch.setattr(shooting, "_classify_at", no_integration)
+    monkeypatch.setattr(shooting, "integrate_profile", no_integration)
+    args = (make_params(2.0, 0.5, 1),)
+    if entry is bisect_beta:
+        args += ((0.25, 1.0),)
+    with pytest.raises(DomainError, match="beta_tol"):
+        entry(*args, beta_tol=beta_tol)
 
 
 def test_unbracketable_case_raises_bracket_failure():
