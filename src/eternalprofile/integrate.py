@@ -202,9 +202,11 @@ def integrate_limit_profile(
     H is strictly increasing; integration stops early if H reaches the
     overflow ``guard``.
     """
-    if not horizon > 0:
-        raise ProfileError(f"horizon must be > 0, got {horizon}")
     delta0 = 1e-8
+    if not horizon > delta0:
+        raise DomainError(
+            f"horizon must be > delta0 = {delta0!r}, got {horizon!r}"
+        )
     H0, Hp0 = origin_series(p, 0.0, delta0)
 
     def ev_guard(xi, y):

@@ -14,10 +14,12 @@ and solves the continuity conditions
     F_forward(xi_mid) = F_backward(xi_mid),
     F'_forward(xi_mid) = F'_backward(xi_mid),      xi_mid = xi0 / 2,
 
-for the pair (beta, xi0) with a quasi-Newton root finder.  Every
+for the pair (beta, xi0) with a damped Newton iteration.  Every
 residual evaluation is a well-conditioned double-precision integration,
 and the resulting profile is tangential at the interface by
-construction.
+construction.  The xi0-column of the Jacobian follows in closed form
+from the rescaling family of the profile equation, so each Newton step
+costs one residual evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import root
 
 from ._dop853 import solve_ivp
 from .asymptotics import predict_expansion
@@ -55,7 +56,10 @@ LAUNCH_F = 1e-6             # profile height at the interface-side launch
 TAIL_F = 1e-9               # height of the last stored interface sample
 MID_FRAC = 0.5              # matching point as a fraction of xi0
 MAX_STEP_FRAC = 1.0 / 256.0  # step cap of the dense legs, relative to xi
-XTOL = 1e-13                # hybr tolerance on (beta, xi0)
+XTOL = 1e-13                # Newton stops once each step is <= XTOL |x|
+FD_REL_STEP = 1.5e-8        # forward-difference step of the first beta-column
+MIN_STEP_FACTOR = 1e-3      # damping below which a Newton step gives up
+MAX_NFEV = 100              # residual evaluations per matching solve
 
 
 @dataclass
@@ -174,20 +178,90 @@ def interface_samples(
 
 
 def _residuals(p: Params, x):
+    """Continuity residual r and its exact xi0-column dr/dxi0, or None
+    when a leg fails.
+
+    Because sigma = sigma_c, the rescaling family
+    f_A(xi) = A f_1(A^{-(m-1)/2} xi) maps the backward leg with its
+    interface at xi0 onto the one with its interface at 1:
+    F_b(xi; xi0) = xi0^P F_b(xi / xi0; 1) with P = 2m / (m - 1).  At
+    xi_mid = MID_FRAC xi0 this gives dF_b/dxi0 = P F_b / xi0 and
+    dF'_b/dxi0 = (P - 1) F'_b / xi0, while the forward end state moves
+    along its own trajectory at rate MID_FRAC.  Only the fixed launch
+    height LAUNCH_F breaks the symmetry, by ~1e-5 relative in the column.
+    """
     beta, xi0 = float(x[0]), float(x[1])
     if beta <= 0.0 or xi0 <= 0.0:
-        return np.array([1e3, 1e3])
+        return None
+    xi_mid = MID_FRAC * xi0
     try:
-        fwd = _forward_run(p, beta, MID_FRAC * xi0)
+        fwd = _forward_run(p, beta, xi_mid)
         bwd, _, _ = _backward_run(p, beta, xi0)
     except (BracketFailure, StepFailureError):
-        return np.array([1e3, 1e3])
-    return np.array(
-        [
-            float(fwd.y[0, -1]) - float(bwd.y[0, -1]),
-            float(fwd.y[1, -1]) - float(bwd.y[1, -1]),
-        ]
-    )
+        return None
+    F_f, Fp_f = float(fwd.y[0, -1]), float(fwd.y[1, -1])
+    F_b, Fp_b = float(bwd.y[0, -1]), float(bwd.y[1, -1])
+    Fpp_f = profile_rhs(p, beta, _F_FLOOR)(xi_mid, (F_f, Fp_f))[1]
+    P = 2.0 * p.m / (p.m - 1.0)
+    r = np.array([F_f - F_b, Fp_f - Fp_b])
+    dr_dxi0 = np.array([
+        MID_FRAC * Fp_f - P * F_b / xi0,
+        MID_FRAC * Fpp_f - (P - 1.0) * Fp_b / xi0,
+    ])
+    return r, dr_dxi0
+
+
+def _newton(p: Params, beta: float, xi0: float):
+    """Damped Newton iteration on (beta, xi0) for the continuity residual.
+
+    The xi0-column of the Jacobian is the closed form of ``_residuals``;
+    the beta-column starts as one forward difference and is then updated
+    by a secant rule on each accepted step that moves beta enough to
+    carry information about it (Dennis & Schnabel 1996, ch. 6 and 8).
+    A trial that fails or does not lower max|r| halves the step.
+
+    Returns (x, r, nfev, converged).
+    """
+    x = np.array([beta, xi0])
+    nfev = 1
+    out = _residuals(p, x)
+    if out is None:
+        return x, None, nfev, False
+    r, j_xi0 = out
+    h = FD_REL_STEP * beta
+    nfev += 1
+    out_h = _residuals(p, (beta + h, xi0))
+    if out_h is None:
+        return x, r, nfev, False
+    j_beta = (out_h[0] - r) / h
+    while True:
+        try:
+            step = -np.linalg.solve(np.column_stack([j_beta, j_xi0]), r)
+        except np.linalg.LinAlgError:
+            return x, r, nfev, False
+        norm = np.max(np.abs(r))
+        t = 1.0
+        while True:
+            dx = t * step
+            if np.all(np.abs(dx) <= XTOL * np.abs(x)):
+                return x, r, nfev, True
+            if t < MIN_STEP_FACTOR or nfev >= MAX_NFEV:
+                return x, r, nfev, False
+            x_new = x + dx
+            nfev += 1
+            out = _residuals(p, x_new)
+            if out is not None and np.max(np.abs(out[0])) < norm:
+                break
+            t *= 0.5
+        r_new, j_xi0_new = out
+        d_beta, d_xi0 = dx
+        # a step that hardly moves beta says little about dr/dbeta
+        if (
+            abs(d_beta / x[0]) >= 0.1 * abs(d_xi0 / x[1])
+            and abs(d_beta) > 1e-11 * x[0]
+        ):
+            j_beta = (r_new - r - 0.5 * (j_xi0 + j_xi0_new) * d_xi0) / d_beta
+        x, r, j_xi0 = x_new, r_new, j_xi0_new
 
 
 def match_profile(p: Params, beta_guess: float, xi0_guess: float) -> MatchResult:
@@ -196,20 +270,15 @@ def match_profile(p: Params, beta_guess: float, xi0_guess: float) -> MatchResult
     ``beta_guess`` and ``xi0_guess`` come from the forward bisection
     stage; convergence is quadratic from any reasonable neighbourhood.
     """
-    res = root(
-        lambda x: _residuals(p, x),
-        x0=np.array([beta_guess, xi0_guess]),
-        method="hybr",
-        options={"xtol": XTOL},
-    )
-    beta_star, xi0 = float(res.x[0]), float(res.x[1])
-    residual = float(np.max(np.abs(res.fun)))
-    success = bool(res.success) and residual < 1e-6
+    x, r, nfev, converged = _newton(p, float(beta_guess), float(xi0_guess))
+    beta_star, xi0 = float(x[0]), float(x[1])
+    residual = float(np.max(np.abs(r))) if r is not None else np.inf
+    success = converged and residual < 1e-6
     result = MatchResult(
         beta_star=beta_star,
         xi0=xi0,
         residual=residual,
-        nfev=int(res.nfev),
+        nfev=nfev,
         success=success,
     )
     if success:

@@ -107,6 +107,13 @@ def test_limit_profile_increasing_and_matches_series():
     np.testing.assert_allclose(H, 1.0 + c * xi ** (p.sigma + 2.0), rtol=1e-8)
 
 
+@pytest.mark.parametrize("horizon", [1e-9, 1e-8])
+def test_limit_profile_horizon_at_or_below_launch_point_raises(horizon):
+    # the limit problem launches at xi = 1e-8
+    with pytest.raises(DomainError, match="horizon"):
+        integrate_limit_profile(make_params(2.0, 0.5, 1), horizon=horizon)
+
+
 def test_absorption_scale_positive_and_cached():
     p = make_params(2.0, 0.5, 1)
     s1 = absorption_scale(p)

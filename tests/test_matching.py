@@ -10,6 +10,7 @@ from eternalprofile import (
     make_params,
     match_profile,
     predict_expansion,
+    solve,
 )
 from eternalprofile.equation import interface_series, launch_distance
 from eternalprofile.matching import LAUNCH_F, _residuals, interface_samples
@@ -34,11 +35,45 @@ def test_match_failure_reported_not_raised():
 
 @pytest.mark.parametrize("x", [(50.0, 3.2), (0.51, 1e-3), (1e6, 1e3)])
 def test_far_off_trial_returns_sentinel(x):
-    # far-off hybr trials end in a step-size underflow of the forward leg
-    # or an interface launch inside the matching point; both give the
+    # far-off Newton trials end in a step-size underflow of the forward
+    # leg or an interface launch inside the matching point; both give the
     # sentinel, never an exception
     p = make_params(2.0, 0.5, 1)
-    np.testing.assert_array_equal(_residuals(p, x), [1e3, 1e3])
+    assert _residuals(p, x) is None
+
+
+@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.5, 0.5, 2), (1.2, 0.3, 1)])
+def test_closed_form_xi0_column_matches_central_difference(solved, case):
+    # super-critical, critical and sub-critical; only the fixed launch
+    # height breaks the rescaling symmetry, by ~1e-5 relative
+    match = solved[case].match
+    p, beta, xi0 = make_params(*case), match.beta_star, match.xi0
+    _, column = _residuals(p, (beta, xi0))
+    h = 1e-5 * xi0
+    r_plus, _ = _residuals(p, (beta, xi0 + h))
+    r_minus, _ = _residuals(p, (beta, xi0 - h))
+    np.testing.assert_allclose(column, (r_plus - r_minus) / (2.0 * h), rtol=1e-4)
+
+
+def test_newton_needs_few_residual_evaluations(solved):
+    for case, result in solved.items():
+        assert result.match.nfev <= 10, case
+
+
+def test_near_singular_start_converges():
+    # the first Newton step from the solve's guess moves almost only xi0;
+    # a secant update of the beta-column from it would stall the solve
+    result = solve(make_params(1.211, 0.216, 1))
+    assert result.match.success
+    assert result.match.residual < 1e-10
+
+
+def test_converged_match_is_not_reported_as_failure():
+    # a root finder that judged success by its rate of progress stopped
+    # here at residual 8.9e-15 and reported failure
+    result = solve(make_params(1.274, 0.283, 2))
+    assert result.match.success
+    assert result.bracket_lo < result.beta_star < result.bracket_hi
 
 
 def test_matched_profile_is_tangential(solved):
