@@ -45,7 +45,6 @@ from .model import (
 )
 from .pdecheck import (
     eval_solution,
-    family_member,
     launch_curvature,
     pde_residual,
     profile_ode_residual,
@@ -85,7 +84,6 @@ __all__ = [
     "bracket_beta",
     "eval_solution",
     "exponents_from_beta",
-    "family_member",
     "fit_interface",
     "integrate_limit_profile",
     "integrate_profile",

@@ -124,14 +124,16 @@ def extrapolate_xi0(
 ) -> float:
     """The interface location, extrapolated from the end of the stored grid.
 
-    The grid ends at f_stop > 0 (``contact_eps`` for a forward contact,
-    ``matching.TAIL_F`` for a matched profile), a distance
-    (f_stop / A)^{1/theta} short of the true interface.
+    A forward contact's grid ends at f_stop = ``contact_eps`` > 0, a
+    distance (f_stop / A)^{1/theta} short of the true interface.  A
+    matched profile's ``xi0`` lies beyond its stored tail and is returned
+    unchanged: where that tail carries a second-order term (m + q < 2),
+    the leading term alone would extrapolate the interface inward.
     """
     if sol.xi0 is None:
         raise ProfileError("extrapolate_xi0 requires a contact event")
     f_stop = float(sol.f_values[-1])
-    if f_stop <= 0.0:
+    if sol.xi0 > sol.grid[-1] or f_stop <= 0.0:
         return float(sol.xi0)
     return float(sol.grid[-1]) + launch_distance(expansion, f_stop)
 
@@ -142,6 +144,9 @@ def extrapolate_xi0(
 #: powers can be separated.
 LEAD_WINDOW = (1e-5, 1e-4)
 SECOND_WINDOW = (3e-6, 1e-3)
+
+#: Log-spaced sample distances per fit window.
+FIT_POINTS = 80
 
 
 def default_fit_window(
@@ -158,12 +163,13 @@ def fit_interface(
     sol: ProfileSolution,
     window: Optional[Tuple[float, float]] = None,
     with_second_order: bool = False,
-    n_points: int = 80,
 ) -> InterfaceFit:
     """Fit the interface expansion against fresh near-contact samples.
 
-    The samples are produced by re-integrating the equation outward from
-    a launch point far below the fit window (see
+    FIT_POINTS log-spaced samples span ``window`` (default
+    ``default_fit_window``); the second-order fit adds as many across
+    SECOND_WINDOW.  The samples are produced by re-integrating the
+    equation outward from a launch point far below the fit window (see
     ``matching.interface_samples``), anchored at the profile's (beta,
     xi0); stored grids cannot reach these depths.  The leading order is
     a linear least-squares fit of log f against log(xi0 - xi).  The
@@ -187,20 +193,17 @@ def fit_interface(
         raise WindowError(f"window ({lo}, {hi}) not inside (0, {xi0})")
     d_hi, d_lo = xi0 - lo, xi0 - hi
     beta = sol.exps.beta
-    d_grid = np.exp(np.linspace(np.log(d_lo), np.log(d_hi), n_points))
+    d_grid = np.exp(np.linspace(np.log(d_lo), np.log(d_hi), FIT_POINTS))
     if with_second_order:
         d_second = np.exp(
             np.linspace(
                 np.log(SECOND_WINDOW[0] * xi0),
                 np.log(SECOND_WINDOW[1] * xi0),
-                n_points,
+                FIT_POINTS,
             )
         )
         d_grid = np.unique(np.concatenate([d_grid, d_second]))
-    launch_f = min(1e-13, 0.01 * expansion.amplitude * d_grid[0] ** expansion.theta)
-    d, f, _ = interface_samples(
-        sol.params, beta, xi0, d_grid, launch_f=launch_f
-    )
+    d, f, _ = interface_samples(sol.params, beta, xi0, d_grid)
     good = f > 0.0
     d, f = d[good], f[good]
     lead = (d >= d_lo) & (d <= d_hi)

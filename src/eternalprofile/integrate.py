@@ -106,16 +106,14 @@ def integrate_profile(
     else:
         stop = StopReason.STEP_FAILURE
 
-    grid = sol.t
     prof = ProfileSolution(
         params=p,
         exps=e,
-        grid=grid,
+        grid=sol.t,
         F_values=sol.y[0],
         Fprime_values=sol.y[1],
         xi0=None,
         xi1=None,
-        xi_max=float(grid[-1]),
         classification=Classification.UNDETERMINED,
         stop_reason=stop,
         contact_eps=opts.contact_eps,
@@ -163,13 +161,14 @@ def classify_beta(
     return Classification.UNDETERMINED
 
 
-def interface_slope_integral(sol: ProfileSolution, n: int = 4097) -> float:
+def interface_slope_integral(sol: ProfileSolution) -> float:
     """F'(xi0) from the integral identity
 
         F'(xi0) = xi0^{1-N} int_0^{xi0} s^{N-1} [s^sigma f^q - (alpha+N beta) f] ds,
 
-    evaluated by composite Simpson quadrature on the dense output plus the
-    closed-form contribution of the series launch segment [0, delta0].
+    evaluated by composite Simpson quadrature on 4097 nodes of the dense
+    output plus the closed-form contribution of the series launch segment
+    [0, delta0].
     """
     if sol.xi0 is None:
         raise ProfileError("interface_slope_integral requires a finite xi0")
@@ -177,7 +176,7 @@ def interface_slope_integral(sol: ProfileSolution, n: int = 4097) -> float:
     N, sigma = p.N, p.sigma
     coef = e.alpha + N * e.beta
     end = float(sol.grid[-1])
-    xi = np.linspace(sol.delta0, end, n)
+    xi = np.linspace(sol.delta0, end, 4097)
     f = sol.eval_f(xi)
     integrand = xi ** (N - 1) * (xi**sigma * f**p.q - coef * f)
     from scipy.integrate import simpson
@@ -230,7 +229,6 @@ def integrate_limit_profile(
         grid=sol.t,
         H_values=sol.y[0],
         Hprime_values=sol.y[1],
-        horizon=float(sol.t[-1]),
         dense=dense_from_origin(p, 0.0, delta0, sol.sol),
     )
 

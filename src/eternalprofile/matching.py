@@ -122,14 +122,7 @@ def _backward_run(p: Params, beta: float, xi0: float, dense=False):
     return sol, expansion, d0
 
 
-def interface_samples(
-    p: Params,
-    beta: float,
-    xi0: float,
-    d_values: np.ndarray,
-    launch_f: float = 1e-13,
-    rtol: float = 1e-12,
-):
+def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
     """Profile samples f(xi0 - d) at prescribed distances from the interface.
 
     Integrates in the shifted variable s = xi0 - xi, which keeps the step
@@ -137,20 +130,24 @@ def interface_samples(
     and with a stiff solver: the mode that separates forward trajectories
     decays in this direction, but its rate ~ s^{-3/2} still caps explicit
     steps.  Samples are taken on the way out, so they are produced by the
-    equation rather than by the launch series (the launch sits at
-    f = launch_f, well below any reasonable d_values).
+    equation rather than by the launch series: the launch sits at
+    f = min(1e-13, 0.01 A d_min^theta), a hundredth of the leading term
+    at the smallest requested distance d_min.
 
-    Returns (d, f, fprime_wrt_xi) restricted to d > launch distance.
+    Returns (d, f, fprime_wrt_xi) restricted to 2 d_launch < d < xi0.
     """
     e = exponents_from_beta(p, beta)
     expansion = predict_expansion(p, e, xi0)
-    d0 = launch_distance(expansion, launch_f)
     d_values = np.sort(np.asarray(d_values, dtype=float))
+    launch_f = min(
+        1e-13, 0.01 * expansion.amplitude * d_values[0] ** expansion.theta
+    )
+    d0 = launch_distance(expansion, launch_f)
     keep = (d_values > 2.0 * d0) & (d_values < xi0)
     d_eval = d_values[keep]
     if d_eval.size == 0:
         raise BracketFailure(
-            f"no sample distances above the launch distance {d0:.3e}"
+            f"no sample distance inside ({2.0 * d0:.3e}, {xi0!r})"
         )
     rhs_xi = profile_rhs(p, beta, _F_FLOOR)
 
@@ -165,7 +162,7 @@ def interface_samples(
             (d0, float(d_eval[-1])),
             y0,
             method="LSODA",
-            rtol=rtol,
+            rtol=RTOL,
             atol=0.0,
             t_eval=d_eval,
         )
@@ -336,7 +333,6 @@ def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
         Fprime_values=Fp_values,
         xi0=xi0,
         xi1=xi0,
-        xi_max=float(grid[-1]),
         classification=Classification.CANDIDATE_B,
         stop_reason=StopReason.CONTACT_ZERO,
         contact_eps=TAIL_F,

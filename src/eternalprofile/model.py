@@ -89,10 +89,10 @@ def exponents_from_beta(p: Params, beta: float) -> Exponents:
     return Exponents(beta=beta, alpha=2.0 * beta / (p.m - 1.0))
 
 
-def interface_case(p: Params, case_eps: float = CASE_EPS) -> InterfaceCase:
-    """Branch on the sign of m + q - 2 with tolerance ``case_eps``."""
+def interface_case(p: Params) -> InterfaceCase:
+    """Branch on the sign of m + q - 2 with tolerance CASE_EPS."""
     s = p.m + p.q - 2.0
-    if abs(s) <= case_eps:
+    if abs(s) <= CASE_EPS:
         return InterfaceCase.CRITICAL
     return InterfaceCase.SUPER_CRITICAL if s > 0 else InterfaceCase.SUB_CRITICAL
 
@@ -123,7 +123,6 @@ def rescale_profile(profile: ProfileSolution, a: float) -> ProfileSolution:
         Fprime_values=am * s * profile.Fprime_values,
         xi0=None if profile.xi0 is None else profile.xi0 / s,
         xi1=None if profile.xi1 is None else profile.xi1 / s,
-        xi_max=profile.xi_max / s,
         f0=a * profile.f0,
         dense=dense,
     )

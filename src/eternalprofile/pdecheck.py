@@ -11,13 +11,12 @@ finite differences of u itself in t and r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, RegionError
-from .model import rescale_profile
 from .solution import ProfileSolution
 
 
@@ -91,11 +90,7 @@ def profile_ode_residual(
     return np.abs(residual) / scale
 
 
-def launch_curvature(
-    sol: ProfileSolution,
-    window: Tuple[float, float] = (2e-6, 1e-3),
-    n_points: int = 64,
-) -> float:
+def launch_curvature(sol: ProfileSolution) -> float:
     """Measured F''(0) from the dense output above the launch offset.
 
     Near the origin F = 1 + (F''(0)/2) xi^2 plus corrections.  The
@@ -104,15 +99,15 @@ def launch_curvature(
     when sigma is small, so it is subtracted in closed form; the
     remaining corrections (powers 4, sigma+4, 2 sigma+2) are separated
     from xi^2 by at least min(2, sigma+2) and enter a least-squares fit
-    on a log-spaced window.  The window must start at or above the
-    launch offset delta0 so the fit sees the integrated solution, not
-    the launch series itself.
+    on 64 log-spaced points of the window [2e-6, 1e-3].  The window
+    starts at or above the launch offset delta0 so the fit sees the
+    integrated solution, not the launch series itself.
     """
     sigma, N = sol.params.sigma, sol.params.N
-    lo, hi = max(window[0], sol.delta0), window[1]
+    lo, hi = max(2e-6, sol.delta0), 1e-3
     if not lo < hi:
         raise DomainError(f"empty curvature window ({lo}, {hi})")
-    xi = np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
+    xi = np.exp(np.linspace(math.log(lo), math.log(hi), 64))
     F, _ = sol.eval_F(xi)
     dev = F - 1.0 - xi ** (sigma + 2.0) / ((sigma + 2.0) * (sigma + N))
     powers = [2.0, 4.0, sigma + 4.0, 2.0 * sigma + 2.0]
@@ -143,14 +138,13 @@ def pde_residual(
     t_grid: Sequence[float],
     r_grid: Sequence[float],
     h: float,
-    refinements: int = 2,
-    margin_stencils: float = 5.0,
 ) -> ResidualReport:
     """Finite-difference residual of the PDE at the given space-time grid.
 
     Approximates d_t u - Lap(u^m) + r^sigma u^q with second-order central
-    differences; also reruns at h/2, h/4, ... to estimate the empirical
-    convergence order of the maximum residual.
+    differences; also reruns at h/2 and h/4 to estimate the empirical
+    convergence order of the maximum residual.  Every point must keep
+    five stencil widths from the interface.
     """
     if profile.xi0 is None:
         raise DomainError("pde_residual requires a compactly supported profile")
@@ -167,9 +161,9 @@ def pde_residual(
                     raise RegionError(
                         f"stencil at r={r} straddles the origin (h={step})"
                     )
-                if r + margin_stencils * step > sr:
+                if r + 5.0 * step > sr:
                     raise RegionError(
-                        f"stencil at r={r} within {margin_stencils} widths "
+                        f"stencil at r={r} within 5 widths "
                         f"of the interface r={sr} at t={t}"
                     )
                 u_t = (
@@ -194,7 +188,7 @@ def pde_residual(
     orders = []
     prev = max0
     step = h
-    for _ in range(refinements):
+    for _ in range(2):
         step /= 2.0
         cur, _, _ = sweep(step)
         orders.append(math.log2(prev / cur) if cur > 0 else float("inf"))
@@ -208,31 +202,22 @@ def pde_residual(
     )
 
 
-def family_member(profile: ProfileSolution, A: float) -> ProfileSolution:
-    """Profile of the family member with central height A."""
-    if not A > 0:
-        raise DomainError(f"family parameter must be > 0, got {A}")
-    member = rescale_profile(profile, A)
-    return replace(member, label=f"f_A(A={A:g})")
-
-
 def eternal_trace(
     profile: ProfileSolution,
     t_range: Tuple[float, float],
     n: int,
-    n_radii: int = 201,
 ) -> List[SolutionSample]:
     """Radial snapshots of the eternal solution across ``t_range``.
 
-    The radial grid spans slightly past the support at each time so the
-    vanishing beyond the interface is part of the record.
+    The radial grid of 201 points spans slightly past the support at
+    each time so the vanishing beyond the interface is part of the record.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
     samples = []
     for t in np.linspace(t_range[0], t_range[1], n):
         sr = support_radius(profile, float(t))
-        radii = np.linspace(0.0, 1.05 * sr, n_radii)
+        radii = np.linspace(0.0, 1.05 * sr, 201)
         u = eval_solution(profile, float(t), radii)
         samples.append(
             SolutionSample(
@@ -245,7 +230,7 @@ def eternal_trace(
     return samples
 
 
-def radial_mass(sample: SolutionSample, N: int = 1) -> float:
-    """Quadrature of r^{N-1} u(t, r) over the radial grid."""
+def radial_mass(sample: SolutionSample, N: int) -> float:
+    """Quadrature of r^{N-1} u(t, r) over the radial grid in dimension N."""
     weight = sample.x_radii ** (N - 1) if N > 1 else np.ones_like(sample.x_radii)
     return float(np.trapezoid(weight * sample.u_values, sample.x_radii))

@@ -38,6 +38,9 @@ START_CUTOFF = 0.01
 #: stored grid resolution, so the ratio is measured on fresh samples.
 TAIL_DEPTHS = (1e-9, 1e-7)
 
+#: Log-spaced sample depths across TAIL_DEPTHS.
+TAIL_POINTS = 17
+
 
 @dataclass
 class PhasePortrait:
@@ -190,11 +193,7 @@ def linearize_at_origin(p: Params) -> Linearization:
     return Linearization(matrix=M, eigenvalues=lam, eigenvectors=(E1, E2, E3))
 
 
-def stable_manifold_ratio(
-    sol: ProfileSolution,
-    depth_window: Tuple[float, float] = TAIL_DEPTHS,
-    n_points: int = 17,
-) -> TailReport:
+def stable_manifold_ratio(sol: ProfileSolution) -> TailReport:
     """Estimate of W/Z near the interface against (m-1)/(2+m+q).
 
     W is the small translated coordinate Y + sqrt(2/(m+q)); its ratio to
@@ -202,12 +201,11 @@ def stable_manifold_ratio(
     correction decays like a sub-unit power of the depth).  The profile
     is therefore re-integrated outward from deep inside the contact
     region (see ``matching.interface_samples``), anchored at the
-    profile's (beta, xi0), and the ratio is averaged over log-spaced
-    depths d = xi0 - xi in depth_window (fractions of xi0).  X/Z is
-    reported at both ends of the window: X is a higher-order term and
-    must fade relative to Z.
+    profile's (beta, xi0), and the ratio is averaged over TAIL_POINTS
+    log-spaced depths d = xi0 - xi in TAIL_DEPTHS (fractions of xi0).
+    X/Z is reported at both ends of the window: X is a higher-order term
+    and must fade relative to Z.
     """
-    from .asymptotics import predict_expansion
     from .matching import interface_samples
 
     p, e = sol.params, sol.exps
@@ -216,15 +214,11 @@ def stable_manifold_ratio(
         raise ProfileError("stable_manifold_ratio requires contact")
     m, q = p.m, p.q
     xi0 = float(sol.xi0)
-    lo, hi = depth_window
-    if not 0.0 < lo < hi < 1.0:
-        raise TailError(f"depth window {depth_window} not inside (0, 1)")
-    d_grid = np.exp(np.linspace(np.log(lo * xi0), np.log(hi * xi0), n_points))
-    expansion = predict_expansion(p, e, xi0)
-    launch_f = 0.01 * expansion.amplitude * d_grid[0] ** expansion.theta
-    d, f, fp = interface_samples(
-        p, e.beta, xi0, d_grid, launch_f=launch_f
+    lo, hi = TAIL_DEPTHS
+    d_grid = np.exp(
+        np.linspace(np.log(lo * xi0), np.log(hi * xi0), TAIL_POINTS)
     )
+    d, f, fp = interface_samples(p, e.beta, xi0, d_grid)
     good = f > 0.0
     d, f, fp = d[good], f[good], fp[good]
     if len(d) < 3:

@@ -81,10 +81,9 @@ def _jsonable(obj):
     return obj
 
 
-def dumps(obj, indent: int = 0) -> str:
+def dumps(obj) -> str:
     """Serialize with sorted keys and fixed float formatting."""
-    obj = _jsonable(obj)
-    return _dumps_norm(obj, indent)
+    return _dumps_norm(_jsonable(obj), 0)
 
 
 def _dumps_norm(obj, indent: int) -> str:

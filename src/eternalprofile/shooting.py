@@ -47,13 +47,21 @@ class ShootingResult:
     """Converged shooting run: bracket, exponent pair and final profile."""
 
     beta_star: float
-    alpha_star: float
     bracket_lo: float
     bracket_hi: float
-    iterations: int
     final_profile: ProfileSolution
     history: List[Tuple[float, Classification]] = field(default_factory=list)
     match: Optional[MatchResult] = None
+
+    @property
+    def alpha_star(self) -> float:
+        """alpha* = 2 beta* / (m - 1)."""
+        return 2.0 * self.beta_star / (self.final_profile.params.m - 1.0)
+
+    @property
+    def iterations(self) -> int:
+        """Number of classifications recorded in ``history``."""
+        return len(self.history)
 
     @property
     def beta_star_str(self) -> str:
@@ -144,14 +152,12 @@ def bisect_beta(
     if not 0 < lo < hi:
         raise DomainError(f"invalid bracket {bracket}")
     history: List[Tuple[float, Classification]] = []
-    iterations = 0
     beta_star = 0.5 * (lo + hi)
     while hi - lo > beta_tol * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
         sol = _classify_at(p, mid, opts)
         cls = sol.classification
         history.append((mid, cls))
-        iterations += 1
         if cls is Classification.CLASS_C:
             lo = mid
         elif cls in _A_SIDE:
@@ -164,10 +170,8 @@ def bisect_beta(
     final = _classify_at(p, beta_star, opts)
     return ShootingResult(
         beta_star=beta_star,
-        alpha_star=2.0 * beta_star / (p.m - 1.0),
         bracket_lo=lo,
         bracket_hi=hi,
-        iterations=iterations,
         final_profile=final,
         history=history,
     )
@@ -234,7 +238,7 @@ def solve(
             f"after {matched.nfev} evaluations"
         )
     beta_star = matched.beta_star
-    history = coarse.history
+    history = list(coarse.history)
     reported = _certify(p, beta_star, beta_tol, opts, history)
     if reported is None:
         fine = bisect_beta(
@@ -245,10 +249,8 @@ def solve(
     lo, hi = reported
     return ShootingResult(
         beta_star=beta_star,
-        alpha_star=2.0 * beta_star / (p.m - 1.0),
         bracket_lo=lo,
         bracket_hi=hi,
-        iterations=len(history),
         final_profile=matched.profile,
         history=history,
         match=matched,
@@ -259,15 +261,13 @@ def monotonicity_check(
     p: Params,
     beta1: float,
     beta2: float,
-    grid_points: int = 200,
-    interp_tol: float = 1e-9,
     opts: IntegratorOptions = IntegratorOptions(),
 ) -> MonotonicityReport:
     """Verify that profiles decrease pointwise as beta increases.
 
-    Integrates both profiles and compares f on a shared grid over
-    (0, min of the two slope-breakdown points); the smaller beta must
-    dominate up to the interpolation tolerance.
+    Integrates both profiles and compares f on a shared grid of 200
+    points over (0, min of the two slope-breakdown points); the smaller
+    beta must dominate up to an interpolation tolerance of 1e-9.
     """
     if not 0 < beta1 < beta2:
         raise DomainError(
@@ -279,7 +279,7 @@ def monotonicity_check(
         sol1.xi1 if sol1.xi1 is not None else float(sol1.grid[-1]),
         sol2.xi1 if sol2.xi1 is not None else float(sol2.grid[-1]),
     )
-    xi = np.linspace(0.0, end, grid_points + 1)[1:]
+    xi = np.linspace(0.0, end, 201)[1:]
     gap = sol1.eval_f(xi) - sol2.eval_f(xi)
     min_gap = float(gap.min())
     return MonotonicityReport(
@@ -288,5 +288,5 @@ def monotonicity_check(
         xi_grid=xi,
         gap=gap,
         min_gap=min_gap,
-        passed=min_gap >= -interp_tol,
+        passed=min_gap >= -1e-9,
     )

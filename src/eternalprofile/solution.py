@@ -33,8 +33,9 @@ class ProfileSolution:
     """Dense numerical profile in the F = f^m variables.
 
     ``grid`` starts at the launch offset delta0 and ends at the stopping
-    event.  ``dense`` evaluates (F, F') anywhere in [0, grid[-1]]; beyond
-    the support endpoint the profile is extended by zero.
+    event, or, for a matched profile, a tail distance short of ``xi0``.
+    ``dense`` evaluates (F, F') anywhere in [0, xi0], or in [0, grid[-1]]
+    when ``xi0`` is unknown; beyond that the profile is extended by zero.
     """
 
     params: "Params"
@@ -44,14 +45,17 @@ class ProfileSolution:
     Fprime_values: np.ndarray
     xi0: Optional[float]
     xi1: Optional[float]
-    xi_max: float
     classification: Classification
     stop_reason: StopReason
     contact_eps: float
     delta0: float
     dense: Callable = field(repr=False, compare=False)
     f0: float = 1.0
-    label: str = "f"
+
+    @property
+    def xi_max(self) -> float:
+        """End of the stored grid."""
+        return float(self.grid[-1])
 
     @property
     def f_values(self) -> np.ndarray:
@@ -67,9 +71,10 @@ class ProfileSolution:
         xi = np.asarray(xi, dtype=float)
         scalar = xi.ndim == 0
         xi = np.atleast_1d(xi)
-        F, Fp = self.dense(np.clip(xi, 0.0, self.grid[-1]))
+        end = self.grid[-1] if self.xi0 is None else self.xi0
+        F, Fp = self.dense(np.clip(xi, 0.0, end))
         F, Fp = np.asarray(F, float).copy(), np.asarray(Fp, float).copy()
-        outside = xi > (self.grid[-1] if self.xi0 is None else self.xi0)
+        outside = xi > end
         F[outside] = 0.0
         Fp[outside] = 0.0
         np.clip(F, 0.0, None, out=F)
@@ -104,8 +109,12 @@ class LimitProfile:
     grid: np.ndarray
     H_values: np.ndarray
     Hprime_values: np.ndarray
-    horizon: float
     dense: Callable = field(repr=False, compare=False)
+
+    @property
+    def horizon(self) -> float:
+        """End of the integration: the horizon or the overflow guard."""
+        return float(self.grid[-1])
 
     def eval_H(self, xi):
         H, Hp = self.dense(np.asarray(xi, dtype=float))

@@ -118,14 +118,13 @@ def test_extrapolate_xi0_adds_stop_distance(solved):
 
 
 def test_extrapolate_xi0_keeps_matched_interface(solved):
-    # a matched profile's grid ends a tail distance inside its exact xi0
+    # a matched profile's grid ends a tail distance inside its exact xi0,
+    # which extrapolation must return bit for bit
     for case, result in solved.items():
         sol = result.final_profile
         assert float(sol.grid[-1]) < sol.xi0
         expn = predict_expansion(sol.params, sol.exps, sol.xi0)
-        assert extrapolate_xi0(sol, expn) == pytest.approx(
-            sol.xi0, rel=1e-6, abs=0.0
-        ), case
+        assert extrapolate_xi0(sol, expn) == sol.xi0, case
 
 
 def test_fit_interface_recovers_theta_and_amplitude(solved):

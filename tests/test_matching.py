@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eternalprofile import (
+    BracketFailure,
     Classification,
     StopReason,
     exponents_from_beta,
@@ -13,7 +14,12 @@ from eternalprofile import (
     solve,
 )
 from eternalprofile.equation import interface_series, launch_distance
-from eternalprofile.matching import LAUNCH_F, _residuals, interface_samples
+from eternalprofile.matching import (
+    LAUNCH_F,
+    TAIL_F,
+    _residuals,
+    interface_samples,
+)
 
 
 def test_match_from_rough_guess():
@@ -137,23 +143,37 @@ def test_interface_samples_match_series_at_depth(solved):
     p, xi0 = sol.params, sol.xi0
     expn = predict_expansion(p, sol.exps, xi0)
     d = np.array([1e-6, 1e-5]) * xi0
-    dd, f, fp = interface_samples(
-        p, result.beta_star, xi0, d, launch_f=1e-16
-    )
+    dd, f, fp = interface_samples(p, result.beta_star, xi0, d)
     lead = expn.amplitude * dd**expn.theta
     np.testing.assert_allclose(f, lead, rtol=1e-3)
     assert np.all(fp < 0)
 
 
-def test_interface_samples_reject_shallow_launch(solved):
+def test_interface_samples_reject_unusable_distances(solved):
+    # no requested distance lies inside the support
     result = solved[(1.2, 0.3, 1)]
     sol = result.final_profile
-    with pytest.raises(Exception):
-        # all requested depths sit below the launch distance
+    with pytest.raises(BracketFailure, match="no sample distance inside"):
         interface_samples(
             sol.params, result.beta_star, sol.xi0,
-            np.array([1e-12]), launch_f=1e-3,
+            np.array([1.0, 2.0]) * sol.xi0,
         )
+
+
+@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.2, 0.3, 1)])
+def test_eval_f_follows_series_beyond_stored_tail(solved, case):
+    # between the last stored node (f = TAIL_F) and xi0 the profile is
+    # the interface series, not a flat TAIL_F followed by a jump to zero
+    sol = solved[case].final_profile
+    expn = predict_expansion(sol.params, sol.exps, sol.xi0)
+    d_tail = launch_distance(expn, TAIL_F)
+    assert sol.xi0 - float(sol.grid[-1]) == pytest.approx(d_tail, rel=1e-9)
+    xi = sol.xi0 - np.array([0.5, 0.1, 0.01]) * d_tail
+    F, _ = interface_series(sol.params, expn, sol.xi0 - xi)
+    np.testing.assert_allclose(
+        sol.eval_f(xi), F ** (1.0 / sol.params.m), rtol=1e-12
+    )
+    assert sol.eval_f(sol.xi0) == 0.0
 
 
 def test_assembled_profile_ends_at_tail_height():

@@ -1,0 +1,57 @@
+"""Every parameter with a default in the package's public functions.
+
+Each such parameter is a setting that tests and benchmarks must cover.
+A value no caller changes belongs in the code as a constant, and one the
+code can work out from its inputs is computed.  A new option edits this
+list, and CHANGES.md names the caller that needs a value other than the
+default.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import eternalprofile
+
+OPTIONS = {
+    "asymptotics.fit_interface": ["window", "with_second_order"],
+    "cli.run": ["out_dir", "plots"],
+    "cli.main": ["argv"],
+    "integrate.integrate_profile": ["opts"],
+    "integrate.classify_beta": ["opts"],
+    "integrate.integrate_limit_profile": ["guard", "rtol", "atol"],
+    "pdecheck.profile_ode_residual": ["delta"],
+    "shooting.bracket_beta": ["opts"],
+    "shooting.bisect_beta": ["beta_tol", "opts"],
+    "shooting.solve": ["beta_tol", "opts"],
+    "shooting.monotonicity_check": ["opts"],
+    "svgplot.line_chart": ["title", "xlabel", "ylabel", "logy"],
+}
+
+
+def _options():
+    """{"module.function": [parameters with defaults]} over the package."""
+    found = {}
+    for info in pkgutil.iter_modules(eternalprofile.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"eternalprofile.{info.name}")
+        for name, fn in vars(module).items():
+            if (
+                name.startswith("_")
+                or not inspect.isfunction(fn)
+                or fn.__module__ != module.__name__
+            ):
+                continue
+            params = inspect.signature(fn).parameters.values()
+            with_default = [
+                p.name for p in params if p.default is not inspect.Parameter.empty
+            ]
+            if with_default:
+                found[f"{info.name}.{name}"] = with_default
+    return found
+
+
+def test_public_options_are_pinned():
+    assert _options() == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 21

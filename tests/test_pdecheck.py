@@ -9,12 +9,12 @@ from eternalprofile import (
     DomainError,
     exponents_from_beta,
     eval_solution,
-    family_member,
     integrate_profile,
     launch_curvature,
     make_params,
     pde_residual,
     profile_ode_residual,
+    rescale_profile,
 )
 from eternalprofile.errors import RegionError
 from eternalprofile.pdecheck import (
@@ -86,14 +86,14 @@ def test_launch_curvature_matches_initial_condition():
         assert launch_curvature(sol) == pytest.approx(target, rel=1e-6)
 
 
-def test_family_member_scales_ode_consistently(solved):
+def test_rescale_profile_scales_ode_consistently(solved):
     sol = solved[(2.0, 0.5, 1)].final_profile
-    g = family_member(sol, 2.0)
+    g = rescale_profile(sol, 2.0)
     assert g.f0 == 2.0
     xi = np.linspace(0.05 * g.xi0, 0.95 * g.xi0, 100)
     assert profile_ode_residual(g, xi).max() <= 1e-6
     with pytest.raises(DomainError):
-        family_member(sol, -1.0)
+        rescale_profile(sol, -1.0)
 
 
 def test_eternal_trace_support_and_mass(solved):

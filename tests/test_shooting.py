@@ -264,6 +264,16 @@ def test_failed_certification_falls_back_to_fine_bisection(
     )
 
 
+@pytest.mark.xfail(
+    strict=True, reason="the fine-bisection fallback bracket can exclude beta*"
+)
+def test_fallback_bracket_contains_matched_beta():
+    # beta*(1 - beta_tol/2) grazes (CandidateB), so certification fails and
+    # the fine bisection of the coarse bracket stops 5.4e-10 below beta*
+    result = solve(make_params(1.202, 0.202, 1))
+    assert result.bracket_lo < result.beta_star < result.bracket_hi
+
+
 @pytest.mark.parametrize("kwarg", ["tol", "match_opts"])
 def test_solve_has_no_tolerance_records(kwarg):
     with pytest.raises(TypeError):
