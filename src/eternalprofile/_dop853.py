@@ -9,6 +9,12 @@ follow ``scipy.integrate.solve_ivp`` with ``method="DOP853"`` (Hairer,
 Norsett & Wanner, *Solving ODEs I*, II.5 and II.10), so both take the
 same steps up to rounding in the order of summation.
 
+Each trial step runs ``_step``, which is generated at import from
+scipy's tableau as straight-line code on local floats.  A dense run
+records each accepted step and builds its interpolant, which costs
+three more evaluations of the right-hand side, when the segment is
+first read; only the step on which an event fires builds it at once.
+
 Every event here is terminal, as in the shooting argument, where the
 first of "f reaches zero" and "f' turns non-negative" decides the class
 of beta.  Within a step, the first root in the direction of integration
@@ -48,20 +54,50 @@ def _nonzero(row):
 
 
 _C = tuple(float(c) for c in _dop.C)
-#: (stage, node, row) for stages 1..11 of a step and 13..15 of the interpolant
-_STAGES = tuple((s, _C[s], _nonzero(_dop.A[s, :s])) for s in range(1, _dop.N_STAGES))
+#: (stage, node, row) for stages 13..15, which only the interpolant uses
 _EXTRA = tuple(
     (s, _C[s], _nonzero(_dop.A[s, :s]))
     for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
 )
-_B = _nonzero(_dop.B)
-#: (stage, E5, E3) over the stages either error estimator weights
-_E = tuple(
-    (j, float(e5), float(e3))
-    for j, (e5, e3) in enumerate(zip(_dop.E5, _dop.E3))
-    if e5 != 0.0 or e3 != 0.0
-)
 _D = tuple(_nonzero(row) for row in _dop.D)
+
+
+def _generate_step():
+    """``_step``, one DOP853 trial step compiled as straight-line code.
+
+    ``_step(fun, t, h, ya, yb, fa, fb)`` evaluates stages 1..11 at
+    ``t + c h``, and returns the new state, the stages 0..11 of each
+    component and the two components' E5 and E3 error sums, not yet
+    scaled.  Each row of the tableau is summed left to right from 0.0
+    over its nonzero entries, written as literals, so every float
+    rounds as in a loop over the row.  An exception raised by ``fun``
+    propagates.
+    """
+    k = [("fa", "fb")] + [(f"a{s}", f"b{s}") for s in range(1, _dop.N_STAGES)]
+
+    def dot(i, row):
+        return " + ".join(["0.0"] + [f"{k[j][i]} * {w!r}" for j, w in row])
+
+    lines = ["def _step(fun, t, h, ya, yb, fa, fb):"]
+    for s in range(1, _dop.N_STAGES):
+        row = _nonzero(_dop.A[s, :s])
+        lines.append(f"    a{s}, b{s} = fun(t + {_C[s]!r} * h, "
+                     f"(ya + ({dot(0, row)}) * h, yb + ({dot(1, row)}) * h))")
+    B = _nonzero(_dop.B)
+    E5, E3 = _nonzero(_dop.E5), _nonzero(_dop.E3)
+    lines += [
+        f"    na = ya + h * ({dot(0, B)})",
+        f"    nb = yb + h * ({dot(1, B)})",
+        f"    return (na, nb, ({', '.join(a for a, _ in k)}), "
+        f"({', '.join(b for _, b in k)}), {dot(0, E5)}, {dot(1, E5)}, "
+        f"{dot(0, E3)}, {dot(1, E3)})",
+    ]
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", "<dop853 step>", "exec"), namespace)
+    return namespace["_step"]
+
+
+_step = _generate_step()
 
 
 def solve_ivp(fun, t_span, y0, method="RK45", dense_output=False, events=None,
@@ -148,12 +184,64 @@ def _nested(c, x):
     return (y + c[0]) * x
 
 
+def _interpolant(fun, t_old, t, ya_old, yb_old, ya, yb, fa, fb, k0, k1):
+    """The interpolant of the step from (t_old, y_old) to (t, y).
+
+    ``fa, fb`` is fun(t, y) and ``k0, k1`` are the step's stages 0..11
+    per component.  The three extra stages cost three calls of ``fun``.
+    """
+    h = t - t_old
+    K0 = [*k0, fa, 0.0, 0.0, 0.0]
+    K1 = [*k1, fb, 0.0, 0.0, 0.0]
+    for s, c, row in _EXTRA:
+        d0 = d1 = 0.0
+        for j, a in row:
+            d0 += K0[j] * a
+            d1 += K1[j] * a
+        K0[s], K1[s] = _eval(fun, t_old + c * h, ya_old + d0 * h,
+                             yb_old + d1 * h)
+    da, db = ya - ya_old, yb - yb_old
+    ca = [da, h * K0[0] - da, 2 * da - h * (fa + K0[0])]
+    cb = [db, h * K1[0] - db, 2 * db - h * (fb + K1[0])]
+    for row in _D:
+        d0 = d1 = 0.0
+        for j, d in row:
+            d0 += d * K0[j]
+            d1 += d * K1[j]
+        ca.append(h * d0)
+        cb.append(h * d1)
+    return _Interpolant(t_old, t, (ya_old, yb_old), (ca, cb))
+
+
+class _Segments:
+    """The interpolants of a dense run, each built on its first read.
+
+    DOP853's dense output is built from a step's stages after the step
+    (Hairer, Norsett & Wanner, II.6), so a run records each step's
+    ``_interpolant`` arguments and builds a segment only when it is read.
+    ``items`` holds built interpolants and step records.
+    """
+
+    def __init__(self, fun):
+        self.fun = fun
+        self.items = []
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        item = self.items[i]
+        if not isinstance(item, _Interpolant):
+            item = self.items[i] = _interpolant(self.fun, *item)
+        return item
+
+
 def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
             max_step=np.inf):
     """scipy's solve_ivp loop for DOP853, on two float components.
 
-    The step is written out inline: otherwise the controller state it
-    reads and writes would cross a function call on every step.
+    A dense run counts in ``nfev`` the three calls per step that scipy
+    makes to build every interpolant at once, whether or not it is read.
     """
     t0, tf = map(float, t_span)
     ya, yb = map(float, y0)
@@ -172,31 +260,6 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
     h_abs, nfev = _initial_step(fun, t0, ya, yb, fa, fb, tf, max_step,
                                 direction, rtol, atol)
     nfev += 1
-    K0 = [0.0] * _dop.N_STAGES_EXTENDED
-    K1 = [0.0] * _dop.N_STAGES_EXTENDED
-
-    def interpolant(t_old, h, ya_old, yb_old):
-        """Dense output of the step from t_old to t; K holds its stages."""
-        nonlocal nfev
-        nfev += len(_EXTRA)
-        for s, c, row in _EXTRA:
-            d0 = d1 = 0.0
-            for j, a in row:
-                d0 += K0[j] * a
-                d1 += K1[j] * a
-            K0[s], K1[s] = _eval(fun, t_old + c * h, ya_old + d0 * h,
-                                 yb_old + d1 * h)
-        da, db = ya - ya_old, yb - yb_old
-        ca = [da, h * K0[0] - da, 2 * da - h * (fa + K0[0])]
-        cb = [db, h * K1[0] - db, 2 * db - h * (fb + K1[0])]
-        for row in _D:
-            d0 = d1 = 0.0
-            for j, d in row:
-                d0 += d * K0[j]
-                d1 += d * K1[j]
-            ca.append(h * d0)
-            cb.append(h * d1)
-        return _Interpolant(t_old, t, (ya_old, yb_old), (ca, cb))
 
     if events is not None:
         if not all(getattr(ev, "terminal", False) is True for ev in events):
@@ -206,17 +269,18 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
         t_events = [[] for _ in events]
 
     ts, Y0, Y1 = [t0], [ya], [yb]
-    interpolants = []
+    segments = _Segments(fun)
     t = t0
     status = None
     while status is None:
         t_old = t
+        sol = None
         if t == tf:
             # zero-length span: scipy finishes without taking a step
             status = 0
             sol = _Interpolant(t, t, (ya, yb), ((0.0,) * 7,) * 2)
             if dense_output:
-                interpolants.append(sol)
+                segments.items.append(sol)
         else:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             if h_abs > max_step:
@@ -233,36 +297,18 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
                     t_new = tf
                 h = t_new - t
                 h_abs = abs(h)
-                K0[0], K1[0] = fa, fb
                 nfev += _dop.N_STAGES
                 try:
-                    for s, c, row in _STAGES:
-                        d0 = d1 = 0.0
-                        for j, a in row:
-                            d0 += K0[j] * a
-                            d1 += K1[j] * a
-                        K0[s], K1[s] = fun(t + c * h, (ya + d0 * h, yb + d1 * h))
-                    d0 = d1 = 0.0
-                    for j, b in _B:
-                        d0 += K0[j] * b
-                        d1 += K1[j] * b
-                    na, nb = ya + h * d0, yb + h * d1
+                    na, nb, k0, k1, e50, e51, e30, e31 = _step(
+                        fun, t, h, ya, yb, fa, fb)
                     ga, gb = fun(t_new, (na, nb))
                 except (OverflowError, ZeroDivisionError):
                     # where these raise on floats, numpy returns inf or
                     # nan, and the error norm rejects the step
                     error_norm = math.inf
                 else:
-                    K0[_dop.N_STAGES], K1[_dop.N_STAGES] = ga, gb
                     s0 = atol + max(abs(ya), abs(na)) * rtol
                     s1 = atol + max(abs(yb), abs(nb)) * rtol
-                    e50 = e51 = e30 = e31 = 0.0
-                    for j, e5, e3 in _E:
-                        k0, k1 = K0[j], K1[j]
-                        e50 += k0 * e5
-                        e51 += k1 * e5
-                        e30 += k0 * e3
-                        e31 += k1 * e3
                     e50 /= s0
                     e51 /= s1
                     e30 /= s0
@@ -274,7 +320,7 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
                     else:
                         error_norm = h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 2)
                     if not (math.isfinite(ga) and math.isfinite(gb)):
-                        # scipy's error sums include K[12] with weight 0
+                        # scipy's error sums include f(t_new) with weight 0
                         error_norm = math.nan
                 if error_norm < 1:
                     if error_norm == 0:
@@ -290,14 +336,13 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
                 rejected = True
             if status == -1:
                 break
-            ya_old, yb_old = ya, yb
+            step = (t, t_new, ya, yb, na, nb, ga, gb, k0, k1)
             t, ya, yb, fa, fb = t_new, na, nb, ga, gb
             if direction * (t - tf) >= 0:
                 status = 0
-            sol = None
             if dense_output:
-                sol = interpolant(t_old, h, ya_old, yb_old)
-                interpolants.append(sol)
+                nfev += len(_EXTRA)
+                segments.items.append(step)
 
         y = (ya, yb)
         if events is not None:
@@ -307,8 +352,11 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
                 if (go <= 0 <= gn and dr >= 0) or (go >= 0 >= gn and dr <= 0)
             ]
             if active:
-                if sol is None:
-                    sol = interpolant(t_old, h, ya_old, yb_old)
+                if sol is None and dense_output:
+                    sol = segments[-1]      # recorded and counted above
+                elif sol is None:
+                    nfev += len(_EXTRA)
+                    sol = _interpolant(fun, *step)
                 roots = [
                     brentq(lambda s, ev=events[i]: ev(s, sol.at(s)), t_old, t,
                            xtol=4 * EPS, rtol=4 * EPS)
@@ -325,8 +373,8 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
         if len(ts) > 1 and ts[-1] == t and dense_output:
             # a terminal event on the previous step end: drop the
             # zero-length segment that would follow it
-            if interpolants:
-                interpolants.pop()
+            if segments.items:
+                segments.items.pop()
         else:
             ts.append(t)
             Y0.append(y[0])
@@ -336,7 +384,7 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
     return OptimizeResult(
         t=ts,
         y=np.array([Y0, Y1]),
-        sol=OdeSolution(ts, interpolants) if dense_output else None,
+        sol=OdeSolution(ts, segments) if dense_output else None,
         t_events=None if events is None else [np.asarray(te) for te in t_events],
         nfev=nfev,
         status=status,

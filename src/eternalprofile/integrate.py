@@ -34,10 +34,13 @@ class IntegratorOptions:
     """Tolerances, launch/stop configuration and the tangency threshold.
 
     ``contact_eps`` is the stopping threshold in f units.  ``atol`` is
-    deliberately far below ``contact_eps ** m`` so the contact event is
-    resolved in relative terms.  ``slope_tol`` is in F' units and is
-    rescaled by xi0^sigma at contact; a slope event within
-    ``GRAZE_FACTOR * contact_eps`` of zero also counts as tangential.
+    meant to lie far below the contact level ``contact_eps ** m``, so
+    that the contact event is resolved in relative terms.  With the
+    defaults (``atol`` = 1e-16, ``contact_eps`` = 1e-7) that holds only
+    for m < 16/7; for larger m the contact level falls below ``atol``.
+    ``slope_tol`` is in F' units and is rescaled by xi0^sigma at
+    contact; a slope event within ``GRAZE_FACTOR * contact_eps`` of zero
+    also counts as tangential.
     """
 
     rtol: float = 1e-10

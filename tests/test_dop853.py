@@ -1,4 +1,4 @@
-"""The scalar DOP853 kernel against scipy's DOP853.
+"""The scalar DOP853 kernel against scipy's DOP853 and its own loop form.
 
 Both run the same method, but they sum the tableau products in a
 different order.  The error estimate is a difference of nearly equal
@@ -8,7 +8,13 @@ step counts stay equal.  The element-wise comparisons therefore cap the
 step at ``max_step = 1/64``, below every step the controller would pick
 here, so that both take identical steps and every other difference is
 rounding in the stages and the interpolant.
+
+The generated straight-line step and the deferred interpolants are held
+to the loops they replaced, copied below as the reference, bit for bit.
 """
+
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +28,8 @@ from eternalprofile import (
     integrate_profile,
     make_params,
 )
-from eternalprofile._dop853 import solve_ivp
+from eternalprofile._dop853 import _step, solve_ivp
+from eternalprofile.equation import origin_series, profile_rhs
 from eternalprofile.solution import StopReason
 
 H = 1.0 / 64.0
@@ -245,3 +252,235 @@ def test_integrate_profile_classifies_as_with_scipy(monkeypatch, case, factor):
             else StopReason.CONTACT_ZERO)
     assert ours.stop_reason is stop
     assert ours.xi_max == pytest.approx(ref.xi_max, rel=1e-9)
+
+
+# --- the loop form of the step and the interpolant, as the reference ---
+
+def _nonzero(row):
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+_DOP = dop853_coefficients
+_C = tuple(float(c) for c in _DOP.C)
+_STAGES = tuple((s, _C[s], _nonzero(_DOP.A[s, :s]))
+                for s in range(1, _DOP.N_STAGES))
+_EXTRA = tuple((s, _C[s], _nonzero(_DOP.A[s, :s]))
+               for s in range(_DOP.N_STAGES + 1, _DOP.N_STAGES_EXTENDED))
+_B = _nonzero(_DOP.B)
+_E = tuple((j, float(e5), float(e3))
+           for j, (e5, e3) in enumerate(zip(_DOP.E5, _DOP.E3))
+           if e5 != 0.0 or e3 != 0.0)
+_D = tuple(_nonzero(row) for row in _DOP.D)
+
+
+def loop_step(fun, t, h, ya, yb, fa, fb):
+    """One trial step summed over the tableau rows in loops."""
+    K0 = [0.0] * _DOP.N_STAGES_EXTENDED
+    K1 = [0.0] * _DOP.N_STAGES_EXTENDED
+    K0[0], K1[0] = fa, fb
+    for s, c, row in _STAGES:
+        d0 = d1 = 0.0
+        for j, a in row:
+            d0 += K0[j] * a
+            d1 += K1[j] * a
+        K0[s], K1[s] = fun(t + c * h, (ya + d0 * h, yb + d1 * h))
+    d0 = d1 = 0.0
+    for j, b in _B:
+        d0 += K0[j] * b
+        d1 += K1[j] * b
+    na, nb = ya + h * d0, yb + h * d1
+    e50 = e51 = e30 = e31 = 0.0
+    for j, e5, e3 in _E:
+        k0, k1 = K0[j], K1[j]
+        e50 += k0 * e5
+        e51 += k1 * e5
+        e30 += k0 * e3
+        e31 += k1 * e3
+    n = _DOP.N_STAGES
+    return na, nb, tuple(K0[:n]), tuple(K1[:n]), e50, e51, e30, e31
+
+
+def loop_coefficients(fun, t_old, h, ya_old, yb_old, ya, yb, fa, fb, k0, k1):
+    """The interpolant's coefficients per component, built in loops."""
+    K0 = [*k0, fa, 0.0, 0.0, 0.0]
+    K1 = [*k1, fb, 0.0, 0.0, 0.0]
+    for s, c, row in _EXTRA:
+        d0 = d1 = 0.0
+        for j, a in row:
+            d0 += K0[j] * a
+            d1 += K1[j] * a
+        K0[s], K1[s] = fun(t_old + c * h, (ya_old + d0 * h, yb_old + d1 * h))
+    da, db = ya - ya_old, yb - yb_old
+    ca = [da, h * K0[0] - da, 2 * da - h * (fa + K0[0])]
+    cb = [db, h * K1[0] - db, 2 * db - h * (fb + K1[0])]
+    for row in _D:
+        d0 = d1 = 0.0
+        for j, d in row:
+            d0 += d * K0[j]
+            d1 += d * K1[j]
+        ca.append(h * d0)
+        cb.append(h * d1)
+    return ca, cb
+
+
+def bits(x):
+    """x, nested in tuples and lists, with every float as its 8 bytes."""
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return struct.pack("<d", x)
+
+
+def profile_draws(case, rng, n):
+    """n (fun, t, h, y) draws on a forward run at 0.9 beta* and a backward
+    run from its end, with steps of either sign up to twice the local one."""
+    p = make_params(*case)
+    beta = 0.9 * BETA_STAR[case]
+    fun = profile_rhs(p, beta, (0.1 * 1e-7) ** p.m)
+    fwd = solve_ivp(fun, (1e-6, 1e3), origin_series(p, beta, 1e-6),
+                    method="DOP853", events=[turning], **TOL)
+    assert fwd.status == 1
+    xi_end = fwd.t[-1]
+    bwd = solve_ivp(fun, (xi_end, 0.25 * xi_end), fwd.y[:, -1],
+                    method="DOP853", **TOL)
+    assert bwd.status == 0
+    draws = []
+    for run in (fwd, bwd):
+        for _ in range(n // 2):
+            i = rng.randrange(len(run.t) - 1)
+            t = float(run.t[i])
+            local = float(run.t[i + 1]) - t
+            h = local * rng.uniform(0.05, 2.0)
+            if abs(h) > 0.5 * t:
+                h = 0.5 * t * (1.0 if h > 0 else -1.0)
+            draws.append((fun, t, h, tuple(map(float, run.y[:, i]))))
+    return draws
+
+
+def oscillator_draws(rng, n):
+    return [(oscillator, rng.uniform(0.0, 10.0),
+             rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 0.5),
+             (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+            for _ in range(n)]
+
+
+def test_generated_step_matches_the_loop_bit_for_bit():
+    rng = random.Random(20261018)
+    draws = (oscillator_draws(rng, 400)
+             + profile_draws((2.0, 0.5, 1), rng, 400)
+             + profile_draws((1.2, 0.3, 1), rng, 400))
+    assert len(draws) >= 1000
+    assert sum(h < 0 for _, _, h, _ in draws) > 300
+    for fun, t, h, (ya, yb) in draws:
+        fa, fb = fun(t, (ya, yb))
+        ref = loop_step(fun, t, h, ya, yb, fa, fb)
+        ours = _step(fun, t, h, ya, yb, fa, fb)
+        assert bits(ours) == bits(ref), (t, h, ya, yb)
+
+
+def test_overflow_in_a_middle_stage_rejects_the_trial():
+    # stage 6 of the first trial step raises; numpy would give
+    # inf there instead, and either way the trial is rejected and the
+    # step shrinks by MIN_FACTOR, so both runs take the same steps
+    def faulty(value):
+        calls = {"n": 0}
+
+        def fun(t, y):
+            calls["n"] += 1
+            if calls["n"] == 2 + 6:     # after f(t0) and the initial step's call
+                if value is None:
+                    raise OverflowError("math range error")
+                return (value, value)
+            return oscillator(t, y)
+
+        return fun
+
+    clean = solve_ivp(oscillator, (0.0, 4.0), [1.0, 0.5], method="DOP853",
+                      **TOL)
+    raising = solve_ivp(faulty(None), (0.0, 4.0), [1.0, 0.5],
+                        method="DOP853", **TOL)
+    inf = solve_ivp(faulty(np.inf), (0.0, 4.0), [1.0, 0.5],
+                    method="DOP853", **TOL)
+    assert raising.status == inf.status == 0
+    np.testing.assert_array_equal(raising.t, inf.t)
+    np.testing.assert_array_equal(raising.y, inf.y)
+    assert raising.nfev == inf.nfev
+    # the clean run accepts its first trial; the faulty runs retry it at
+    # a fifth of its length
+    assert raising.t[1] == pytest.approx(0.2 * clean.t[1], rel=1e-12)
+
+
+class Counting:
+    """A right-hand side that counts its calls."""
+
+    def __init__(self, fun):
+        self.fun = fun
+        self.calls = 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        return self.fun(t, y)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 4.0), (4.0, 0.0)])
+def test_dense_segments_are_built_on_first_read(t_span):
+    plain_fun, dense_fun = Counting(oscillator), Counting(oscillator)
+    plain = solve_ivp(plain_fun, t_span, [1.0, 0.5], method="DOP853", **TOL)
+    dense = solve_ivp(dense_fun, t_span, [1.0, 0.5], method="DOP853",
+                      dense_output=True, **TOL)
+    np.testing.assert_array_equal(dense.t, plain.t)
+    # no interpolant stage runs until a segment is read, but nfev counts
+    # the three per step that scipy spends
+    assert dense_fun.calls == plain_fun.calls == plain.nfev
+    assert dense.nfev == plain.nfev + 3 * (len(dense.t) - 1)
+    t = 0.5 * (dense.t[5] + dense.t[6])
+    first = dense.sol(t)
+    assert dense_fun.calls == plain_fun.calls + 3
+    np.testing.assert_array_equal(dense.sol(t), first)
+    dense.sol(0.25 * dense.t[5] + 0.75 * dense.t[6])
+    assert dense_fun.calls == plain_fun.calls + 3
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 4.0), (4.0, 0.0)])
+def test_dense_segments_equal_the_loop_interpolants(t_span):
+    ours = solve_ivp(oscillator, t_span, [1.0, 0.5], method="DOP853",
+                     dense_output=True, **TOL)
+    segments = ours.sol.interpolants
+    order = list(range(len(segments)))
+    random.Random(7).shuffle(order)
+    for i in order:
+        t_old, t = float(ours.t[i]), float(ours.t[i + 1])
+        ya_old, yb_old = map(float, ours.y[:, i])
+        h = t - t_old
+        step = loop_step(oscillator, t_old, h, ya_old, yb_old,
+                         *oscillator(t_old, (ya_old, yb_old)))
+        ya, yb, k0, k1 = step[:4]
+        assert bits((ya, yb)) == bits(tuple(map(float, ours.y[:, i + 1])))
+        coef = loop_coefficients(oscillator, t_old, h, ya_old, yb_old, ya, yb,
+                                 *oscillator(t, (ya, yb)), k0, k1)
+        segment = segments[i]
+        assert bits(segment.coef) == bits(coef)
+        mid = t_old + 0.375 * h
+        assert bits(segment.at(mid)) == bits(tuple(ours.sol(mid)))
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 10.0), (10.0, 0.0)])
+@pytest.mark.parametrize("event", [crossing, turning])
+def test_event_step_interpolant_is_built_at_once(event, t_span):
+    plain_fun, dense_fun = Counting(oscillator), Counting(oscillator)
+    plain = solve_ivp(plain_fun, t_span, [1.0, 0.5], method="DOP853",
+                      events=[event], **TOL)
+    dense = solve_ivp(dense_fun, t_span, [1.0, 0.5], method="DOP853",
+                      events=[event], dense_output=True, **TOL)
+    ref = scipy.integrate.solve_ivp(oscillator, t_span, [1.0, 0.5],
+                                    method="DOP853", events=[event],
+                                    dense_output=True, **TOL)
+    assert dense.status == plain.status == ref.status == 1
+    np.testing.assert_array_equal(dense.t, plain.t)
+    # the run ends on scipy's root
+    assert dense.t[-1] == dense.t_events[0][0]
+    np.testing.assert_allclose(dense.t_events[0], ref.t_events[0], rtol=1e-12)
+    # both runs built the event step's interpolant to find the root
+    assert dense_fun.calls == plain_fun.calls
+    end = dense.sol(dense.t[-1])
+    assert dense_fun.calls == plain_fun.calls
+    np.testing.assert_array_equal(end, dense.y[:, -1])
