@@ -8,7 +8,9 @@ tolerance.  Integrating toward the interface is ill-conditioned, but
 integrating *away* from it is not: the same separation rate becomes
 damping.  This module therefore shoots from both regular endpoints --
 forward from the origin with the Taylor launch, and backward from the
-interface with the known tangential expansion f ~ A (xi0 - xi)^theta --
+interface with the high-order tangential series
+f = A (xi0 - xi)^theta g((xi0 - xi) / xi0) of ``equation.InterfaceSeries``,
+launched as far out as the truncated series is exact to ~1e-14 in xi0 --
 and solves the continuity conditions
 
     F_forward(xi_mid) = F_backward(xi_mid),
@@ -30,11 +32,10 @@ from typing import Optional
 import numpy as np
 
 from ._dop853 import solve_ivp
-from .asymptotics import predict_expansion
 from .equation import (
+    InterfaceSeries,
     dense_from_origin,
     f_from_F,
-    interface_series,
     launch_distance,
     origin_series,
     profile_rhs,
@@ -52,7 +53,7 @@ _F_FLOOR = 1e-280
 RTOL = 1e-12
 ATOL = 1e-16
 DELTA0 = 1e-6               # forward Taylor launch offset
-LAUNCH_F = 1e-6             # profile height at the interface-side launch
+LAUNCH_F = 1e-6             # floor of the interface-side launch, in A d^theta
 TAIL_F = 1e-9               # height of the last stored interface sample
 MID_FRAC = 0.5              # matching point as a fraction of xi0
 MAX_STEP_FRAC = 1.0 / 256.0  # step cap of the dense legs, relative to xi
@@ -94,11 +95,12 @@ def _forward_run(p: Params, beta: float, xi_mid: float, dense=False):
 
 
 def _backward_run(p: Params, beta: float, xi0: float, dense=False):
-    """Tangential-series launch at the interface, integrated to xi_mid."""
-    e = exponents_from_beta(p, beta)
-    expansion = predict_expansion(p, e, xi0)
-    d0 = launch_distance(expansion, LAUNCH_F)
-    xi_start = xi0 - d0
+    """Interface-series launch at d0 = u0 xi0, integrated back to xi_mid.
+
+    Returns the run and the ``InterfaceSeries`` it launched from.
+    """
+    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    xi_start = xi0 - series.d0
     xi_mid = MID_FRAC * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
@@ -107,7 +109,7 @@ def _backward_run(p: Params, beta: float, xi0: float, dense=False):
     sol = solve_ivp(
         profile_rhs(p, beta, _F_FLOOR),
         (xi_start, xi_mid),
-        interface_series(p, expansion, d0),
+        series(series.d0),
         method="DOP853",
         rtol=RTOL,
         atol=ATOL,
@@ -119,7 +121,7 @@ def _backward_run(p: Params, beta: float, xi0: float, dense=False):
             f"backward integration failed at beta={beta!r}, xi0={xi0!r}: "
             f"{sol.message}"
         )
-    return sol, expansion, d0
+    return sol, series
 
 
 def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
@@ -132,17 +134,17 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
     steps.  Samples are taken on the way out, so they are produced by the
     equation rather than by the launch series: the launch sits at
     f = min(1e-13, 0.01 A d_min^theta), a hundredth of the leading term
-    at the smallest requested distance d_min.
+    at the smallest requested distance d_min, and its state is the
+    interface series truncated as for the backward leg.
 
     Returns (d, f, fprime_wrt_xi) restricted to 2 d_launch < d < xi0.
     """
-    e = exponents_from_beta(p, beta)
-    expansion = predict_expansion(p, e, xi0)
+    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
     d_values = np.sort(np.asarray(d_values, dtype=float))
     launch_f = min(
-        1e-13, 0.01 * expansion.amplitude * d_values[0] ** expansion.theta
+        1e-13, 0.01 * series.amplitude * d_values[0] ** series.theta
     )
-    d0 = launch_distance(expansion, launch_f)
+    d0 = launch_distance(series, launch_f)
     keep = (d_values > 2.0 * d0) & (d_values < xi0)
     d_eval = d_values[keep]
     if d_eval.size == 0:
@@ -155,7 +157,7 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
         Fp, Fpp = rhs_xi(xi0 - s, y)
         return (-Fp, -Fpp)
 
-    y0 = interface_series(p, expansion, d0)
+    y0 = series(d0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sol = solve_ivp(
             rhs_s,
@@ -184,8 +186,12 @@ def _residuals(p: Params, x):
     F_b(xi; xi0) = xi0^P F_b(xi / xi0; 1) with P = 2m / (m - 1).  At
     xi_mid = MID_FRAC xi0 this gives dF_b/dxi0 = P F_b / xi0 and
     dF'_b/dxi0 = (P - 1) F'_b / xi0, while the forward end state moves
-    along its own trajectory at rate MID_FRAC.  Only the fixed launch
-    height LAUNCH_F breaks the symmetry, by ~1e-5 relative in the column.
+    along its own trajectory at rate MID_FRAC.  The backward launch sits
+    at a fixed u0 = d0 / xi0 with a series exact to ~1e-14, so the leg
+    follows the family and the column agrees with a central difference
+    to the latter's own error.  Where the launch rests on its floor
+    (A d^theta = LAUNCH_F, super-critical with gamma below ~0.5), the
+    truncation error of the series breaks the symmetry instead.
     """
     beta, xi0 = float(x[0]), float(x[1])
     if beta <= 0.0 or xi0 <= 0.0:
@@ -193,7 +199,7 @@ def _residuals(p: Params, x):
     xi_mid = MID_FRAC * xi0
     try:
         fwd = _forward_run(p, beta, xi_mid)
-        bwd, _, _ = _backward_run(p, beta, xi0)
+        bwd, _ = _backward_run(p, beta, xi0)
     except (BracketFailure, StepFailureError):
         return None
     F_f, Fp_f = float(fwd.y[0, -1]), float(fwd.y[1, -1])
@@ -287,19 +293,22 @@ def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
     """Dense profile at the matched parameters, tangential at xi0."""
     xi_mid = MID_FRAC * xi0
     fwd = _forward_run(p, beta, xi_mid, dense=True)
-    bwd, expansion, d0 = _backward_run(p, beta, xi0, dense=True)
+    bwd, series = _backward_run(p, beta, xi0, dense=True)
     e = exponents_from_beta(p, beta)
 
-    # stitch: forward nodes, backward nodes reversed, then log-spaced
-    # tangential-series samples down to TAIL_F at the interface
+    # stitch: forward nodes, backward nodes reversed, then interface-series
+    # samples down to TAIL_F at the interface, log-spaced and no sparser
+    # than the dense legs
     grid_f, F_f, Fp_f = fwd.t, fwd.y[0], fwd.y[1]
     grid_b = bwd.t[::-1]
     keep = grid_b > grid_f[-1]
     F_b, Fp_b = bwd.y[0, ::-1][keep], bwd.y[1, ::-1][keep]
     grid_b = grid_b[keep]
-    d_tail = launch_distance(expansion, TAIL_F)
-    d_ext = np.exp(np.linspace(np.log(d0), np.log(d_tail), 40))[1:]
-    F_ext, Fp_ext = interface_series(p, expansion, d_ext)
+    d_tail = launch_distance(series, TAIL_F)
+    d_log = np.exp(np.linspace(np.log(series.d0), np.log(d_tail), 40))[1:]
+    d_lin = series.d0 - xi0 * MAX_STEP_FRAC * np.arange(1.0, 256.0)
+    d_ext = np.unique(np.concatenate([d_log, d_lin[d_lin > d_tail]]))[::-1]
+    F_ext, Fp_ext = series(d_ext)
     grid = np.concatenate([grid_f, grid_b, xi0 - d_ext])
     F_values = np.concatenate([F_f, F_b, F_ext])
     Fp_values = np.concatenate([Fp_f, Fp_b, Fp_ext])
@@ -322,7 +331,7 @@ def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
             F[bpart], Fp[bpart] = dense_b(xi[bpart])
         F[outer] = Fp[outer] = 0.0
         inside = outer & (xi < xi0)
-        F[inside], Fp[inside] = interface_series(p, expansion, xi0 - xi[inside])
+        F[inside], Fp[inside] = series(xi0 - xi[inside])
         return F, Fp
 
     return ProfileSolution(

