@@ -13,7 +13,8 @@ integrator keys (``INTEGRATOR_KEYS``) take their defaults from
     beta_tol         relative width of the reported bracket
                      (default shooting.BETA_TOL, at least
                      shooting.MIN_BETA_TOL)
-    rtol, atol       integrator tolerances
+    rtol, atol       integrator tolerances (the coarse stage of a
+                     solve runs at rtol >= shooting.COARSE_TOL**2)
     delta0           series launch offset
     contact_eps      contact threshold in f units
     slope_tol        tangency tolerance

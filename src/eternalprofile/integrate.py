@@ -40,7 +40,9 @@ class IntegratorOptions:
     for m < 16/7; for larger m the contact level falls below ``atol``.
     ``slope_tol`` is in F' units and is rescaled by xi0^sigma at
     contact; a slope event within ``GRAZE_FACTOR * contact_eps`` of zero
-    also counts as tangential.
+    also counts as tangential.  ``shooting.solve`` runs its bracket scan
+    and coarse bisection at max(``rtol``, COARSE_TOL**2) and every other
+    integration at ``rtol``.
     """
 
     rtol: float = 1e-10

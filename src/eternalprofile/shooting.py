@@ -6,15 +6,18 @@ strictly negative slope (set A).  The boundary value beta* carries the
 tangential contact.  This module brackets beta* by a geometric scan,
 bisects only coarsely, and hands the resulting estimates to the
 two-sided matching stage, which pins down (beta*, xi0) to near machine
-precision.  Two forward classifications just below and just above the
-matched beta* then certify a bracket of relative width beta_tol around
-it; should either disagree, the coarse bracket is bisected down to
-beta_tol instead.
+precision.  The scan and the coarse bisection only have to resolve
+COARSE_TOL, so they run at rtol = max(rtol, COARSE_TOL**2); the one
+integration at the coarse estimate that seeds xi0, and every sample
+after matching, keep the caller's rtol.  Two forward classifications
+just below and just above the matched beta* then certify a bracket of
+relative width beta_tol around it; should either disagree, the coarse
+bracket is bisected down to beta_tol instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -145,7 +148,8 @@ def bisect_beta(
     CandidateB midpoints (grazing contact, which forward integration
     cannot split further) are treated as the A side so the bracket keeps
     narrowing to the requested width.  The returned final_profile is
-    re-integrated at the terminal midpoint.
+    the profile of the last midpoint classified, or of beta_star when
+    the bracket needed no midpoint.
     """
     _check_beta_tol(beta_tol)
     lo, hi = bracket
@@ -153,10 +157,11 @@ def bisect_beta(
         raise DomainError(f"invalid bracket {bracket}")
     history: List[Tuple[float, Classification]] = []
     beta_star = 0.5 * (lo + hi)
+    final = None
     while hi - lo > beta_tol * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
-        sol = _classify_at(p, mid, opts)
-        cls = sol.classification
+        final = _classify_at(p, mid, opts)
+        cls = final.classification
         history.append((mid, cls))
         if cls is Classification.CLASS_C:
             lo = mid
@@ -167,7 +172,8 @@ def bisect_beta(
                 f"classification is Undetermined at beta={mid!r}"
             )
         beta_star = 0.5 * (lo + hi)
-    final = _classify_at(p, beta_star, opts)
+    if final is None:
+        final = _classify_at(p, beta_star, opts)
     return ShootingResult(
         beta_star=beta_star,
         bracket_lo=lo,
@@ -217,18 +223,22 @@ def solve(
     """Full pipeline: bracket, coarse bisection, matching, certification.
 
     Bisection to COARSE_TOL (or beta_tol, when wider) only supplies the
-    starting guess; the two-sided matching stage then solves for
-    (beta*, xi0) exactly, so the final profile is tangential at the
-    interface by construction.  Two forward classifications at
+    starting guess, so the scan and the coarse bisection run at
+    rtol = max(opts.rtol, COARSE_TOL**2).  One integration at the coarse
+    estimate with the caller's opts seeds xi0 from its stop point; the
+    two-sided matching stage then solves for (beta*, xi0) exactly, so
+    final_profile, the matched profile, is tangential at the interface
+    by construction.  Two forward classifications at
     beta*(1 -+ beta_tol/2) certify a (ClassC, ClassA) bracket of relative
     width beta_tol around the matched beta*.  If either fails, the
     coarse bracket is bisected down to beta_tol instead.  ``iterations``
     and ``history`` count every classification after the scan.
     """
     _check_beta_tol(beta_tol)
-    bracket = bracket_beta(p, opts)
-    coarse = bisect_beta(p, bracket, max(COARSE_TOL, beta_tol), opts)
-    prof = coarse.final_profile
+    coarse_opts = replace(opts, rtol=max(opts.rtol, COARSE_TOL**2))
+    bracket = bracket_beta(p, coarse_opts)
+    coarse = bisect_beta(p, bracket, max(COARSE_TOL, beta_tol), coarse_opts)
+    prof = _classify_at(p, coarse.beta_star, opts)
     stop = prof.xi1 if prof.xi1 is not None else float(prof.grid[-1])
     # the forward stop point undershoots the interface by a few percent
     matched = match_profile(p, coarse.beta_star, stop * 1.02)

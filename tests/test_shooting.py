@@ -13,11 +13,13 @@ from eternalprofile import (
     BracketFailure,
     Classification,
     DomainError,
+    IntegratorOptions,
     bisect_beta,
     bracket_beta,
     make_params,
     solve,
 )
+from eternalprofile import _dop853
 from eternalprofile.shooting import monotonicity_check
 
 #: Frozen fixed points of the matching solve, cross-checked against an
@@ -154,7 +156,7 @@ def test_solve_has_no_seed_switch():
 
 @pytest.mark.parametrize("case", [(3.0, 0.5, 1), (5.0, 0.1, 4)])
 def test_unbracketable_case_fails_without_warning(case):
-    # each Undetermined sample is integrated once at the default rtol,
+    # each Undetermined sample is integrated once at the scan's rtol,
     # never below the kernel's rtol floor
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
@@ -185,18 +187,96 @@ def test_bracket_scan_integrates_each_beta_once(monkeypatch):
 def test_bisection_integrates_each_beta_once(monkeypatch):
     betas = _count_integrations(monkeypatch)
     result = bisect_beta(make_params(2.0, 0.5, 1), (0.25, 1.0), beta_tol=1e-6)
-    # one integration per midpoint, plus the final profile
-    assert len(betas) == result.iterations + 1
+    # one integration per midpoint; the last one is the final profile
+    assert len(betas) == result.iterations
     assert len(set(betas)) == len(betas)
 
 
 @pytest.mark.parametrize("case", sorted(BETA_STAR))
 def test_solve_needs_few_forward_integrations(monkeypatch, case):
-    # scan, coarse bisection, its final profile and two certification
-    # samples; bisecting to beta_tol before matching took 29-35
+    # scan, coarse bisection, the xi0 seed at the coarse estimate and two
+    # certification samples; bisecting to beta_tol before matching took
+    # 29-35
     betas = _count_integrations(monkeypatch)
     solve(make_params(*case))
     assert len(betas) <= 17
+
+
+def _record_classify_rtol(monkeypatch):
+    """(beta, rtol) of every forward classification, and None at matching."""
+    calls = []
+    classify, match = shooting._classify_at, shooting.match_profile
+
+    def recording_classify(p, beta, opts):
+        calls.append((beta, opts.rtol))
+        return classify(p, beta, opts)
+
+    def marking_match(*args):
+        calls.append(None)
+        return match(*args)
+
+    monkeypatch.setattr(shooting, "_classify_at", recording_classify)
+    monkeypatch.setattr(shooting, "match_profile", marking_match)
+    return calls
+
+
+def test_coarse_stage_runs_at_coarse_rtol(monkeypatch):
+    calls = _record_classify_rtol(monkeypatch)
+    result = solve(make_params(2.0, 0.5, 1))
+    coarse_rtol = shooting.COARSE_TOL**2
+    assert coarse_rtol == pytest.approx(1e-6)
+    # scan and coarse midpoints, the xi0 seed, matching, two certifications
+    i = calls.index(None)
+    coarse, seed, certify = calls[:i - 1], calls[i - 1], calls[i + 1:]
+    assert all(rtol == coarse_rtol for _, rtol in coarse)
+    assert seed[1] == 1e-10
+    assert certify == [(beta, 1e-10) for beta, _ in result.history[-2:]]
+    # the scan precedes the coarse midpoints, which open the history
+    midpoints = result.history[:-2]
+    assert len(coarse) > len(midpoints) > 0
+    assert coarse[-len(midpoints):] == [(beta, coarse_rtol)
+                                        for beta, _ in midpoints]
+
+
+def test_caller_rtol_above_coarse_rtol_runs_everywhere(monkeypatch):
+    calls = _record_classify_rtol(monkeypatch)
+    solve(make_params(2.0, 0.5, 1), opts=IntegratorOptions(rtol=1e-5))
+    rtols = {call[1] for call in calls if call is not None}
+    assert rtols == {1e-5}
+
+
+def _coarse_stage(p, rtol):
+    opts = IntegratorOptions(rtol=rtol)
+    bracket = bracket_beta(p, opts)
+    return bracket, bisect_beta(p, bracket, shooting.COARSE_TOL, opts).history
+
+
+@pytest.mark.parametrize(
+    "case", sorted(BETA_STAR) + [(1.3, 0.7, 1), (1.202, 0.202, 1)]
+)
+def test_coarse_rtol_keeps_the_coarse_history(case):
+    # a decade of margin: 10x the coarse rtol still classifies alike
+    p = make_params(*case)
+    exact = _coarse_stage(p, 1e-10)
+    for rtol in (shooting.COARSE_TOL**2, 10 * shooting.COARSE_TOL**2):
+        assert _coarse_stage(p, rtol) == exact
+
+
+def test_coarse_rtol_saves_trial_steps(monkeypatch):
+    steps = []
+    step = _dop853._step
+
+    def counting_step(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(_dop853, "_step", counting_step)
+    counts = []
+    for rtol in (1e-10, shooting.COARSE_TOL**2):
+        steps.clear()
+        _coarse_stage(make_params(1.5, 0.5, 2), rtol)
+        counts.append(len(steps))
+    assert counts[1] <= 0.6 * counts[0]
 
 
 @pytest.mark.parametrize("case", [(1.26, 0.24, 2), (1.3, 0.2, 3), (1.21, 0.21, 1)])
@@ -245,6 +325,13 @@ def test_failed_certification_falls_back_to_fine_bisection(
 
     def recording_bisect(p, bracket, beta_tol, opts):
         bisections.append((beta_tol, bisect(p, bracket, beta_tol, opts)))
+        # only the coarse stage runs at the coarse rtol
+        expected = IntegratorOptions()
+        if beta_tol == shooting.COARSE_TOL:
+            expected = dataclasses.replace(
+                expected, rtol=shooting.COARSE_TOL**2
+            )
+        assert opts == expected
         return bisections[-1][1]
 
     monkeypatch.setattr(shooting, "_classify_at", flipping_classify)
