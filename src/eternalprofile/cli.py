@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -55,92 +56,61 @@ def _profile_summary(sol: ProfileSolution) -> dict:
 
 def _solve(cfg: RunConfig) -> shooting.ShootingResult:
     p = make_params(cfg.m, cfg.q, cfg.N)
-    return shooting.solve(
-        p,
-        beta_tol=cfg.beta_tol,
-        opts=_integrator_options(cfg),
-    )
+    return shooting.solve(p, beta_tol=cfg.beta_tol, opts=_integrator_options(cfg))
 
 
-def _run_solve(cfg: RunConfig, out: Path, plots: bool) -> dict:
+def _profile_chart(sol: ProfileSolution, title: str) -> tuple:
+    xi = np.linspace(0.0, sol.xi_max, 400)
+    labels = dict(title=title, xlabel="xi", ylabel="f")
+    return "profile.svg", [("f", xi, sol.eval_f(xi))], labels
+
+
+# Each runner returns (profile for profile.csv or None, chart or None,
+# results); a chart is (file name, series, line_chart keywords).
+
+
+def _run_solve(cfg: RunConfig) -> tuple:
     result = _solve(cfg)
     sol = result.final_profile
-    export_profile_csv(sol, out / "profile.csv")
-    if plots:
-        xi = np.linspace(0.0, sol.xi_max, 400)
-        line_chart(
-            [("f", xi, sol.eval_f(xi))],
-            out / "profile.svg",
-            title="self-similar profile",
-            xlabel="xi",
-            ylabel="f",
-        )
-    slope_bound = (
-        None
-        if sol.xi0 is None
-        else cfg.slope_tol * sol.xi0 ** sol.params.sigma
-    )
-    return {
+    return sol, _profile_chart(sol, "self-similar profile"), {
         "beta_star": result.beta_star,
         "beta_star_str": result.beta_star_str,
         "alpha_star": result.alpha_star,
         "bracket_lo": result.bracket_lo,
         "bracket_hi": result.bracket_hi,
         "iterations": result.iterations,
-        "slope_bound": slope_bound,
-        "match_residual": (
-            None if result.match is None else result.match.residual
-        ),
-        "matched_xi0": None if result.match is None else result.match.xi0,
+        "slope_bound": cfg.slope_tol * sol.xi0 ** sol.params.sigma,
+        "match_residual": result.match.residual,
+        "matched_xi0": result.match.xi0,
         "history_length": len(result.history),
         "profile": _profile_summary(sol),
     }
 
 
-def _run_classify(cfg: RunConfig, out: Path, plots: bool) -> dict:
+def _run_classify(cfg: RunConfig) -> tuple:
     p = make_params(cfg.m, cfg.q, cfg.N)
     e = exponents_from_beta(p, cfg.beta)
     sol = integrate_profile(p, e, _integrator_options(cfg))
-    export_profile_csv(sol, out / "profile.csv")
-    if plots:
-        xi = np.linspace(0.0, sol.xi_max, 400)
-        line_chart(
-            [("f", xi, sol.eval_f(xi))],
-            out / "profile.svg",
-            title=f"profile at beta={cfg.beta:g}",
-            xlabel="xi",
-            ylabel="f",
-        )
-    return {"beta": cfg.beta, "profile": _profile_summary(sol)}
+    chart = _profile_chart(sol, f"profile at beta={cfg.beta:g}")
+    return sol, chart, {"beta": cfg.beta, "profile": _profile_summary(sol)}
 
 
-def _run_asymptotics(cfg: RunConfig, out: Path, plots: bool) -> dict:
+def _run_asymptotics(cfg: RunConfig) -> tuple:
     result = _solve(cfg)
     sol = result.final_profile
-    expansion = asymptotics.predict_expansion(
-        sol.params, sol.exps, float(sol.xi0)
-    )
-    xi0 = asymptotics.extrapolate_xi0(sol, expansion)
+    xi0 = float(sol.xi0)
     expansion = asymptotics.predict_expansion(sol.params, sol.exps, xi0)
     sub = interface_case(sol.params) is InterfaceCase.SUB_CRITICAL
     fit = asymptotics.fit_interface(sol, with_second_order=sub)
     bounds = asymptotics.upper_bounds_check(sol)
-    export_profile_csv(sol, out / "profile.csv")
-    if plots:
-        lo, hi = fit.fit_window
-        d = np.geomspace(xi0 - hi, xi0 - lo, 80)
-        line_chart(
-            [
-                ("computed", d, sol.eval_f(xi0 - d)),
-                ("predicted", d, expansion.amplitude * d**expansion.theta),
-            ],
-            out / "interface_fit.svg",
-            title="interface expansion (log-log)",
-            xlabel="xi0 - xi",
-            ylabel="log10 f",
-            logy=True,
-        )
-    return {
+    lo, hi = fit.fit_window
+    d = np.geomspace(xi0 - hi, xi0 - lo, 80)
+    chart = "interface_fit.svg", [
+        ("computed", d, sol.eval_f(xi0 - d)),
+        ("predicted", d, expansion.amplitude * d**expansion.theta),
+    ], dict(title="interface expansion (log-log)", xlabel="xi0 - xi",
+            ylabel="log10 f", logy=True)
+    return sol, chart, {
         "beta_star": result.beta_star,
         "xi0_corrected": xi0,
         "predicted": expansion,
@@ -149,24 +119,19 @@ def _run_asymptotics(cfg: RunConfig, out: Path, plots: bool) -> dict:
     }
 
 
-def _run_phase(cfg: RunConfig, out: Path, plots: bool) -> dict:
+def _run_phase(cfg: RunConfig) -> tuple:
+    # raises CaseError unless m + q < 2, before the costly solve
+    lin = phasespace.linearize_at_origin(make_params(cfg.m, cfg.q, cfg.N))
     result = _solve(cfg)
     sol = result.final_profile
     portrait = phasespace.to_phase_coords(sol)
-    lin = phasespace.linearize_at_origin(sol.params)
     tail = phasespace.stable_manifold_ratio(sol)
     limit = phasespace.limit_point_check(portrait)
     identity = phasespace.coordinate_identity_residual(portrait)
-    export_profile_csv(sol, out / "profile.csv")
-    if plots:
-        line_chart(
-            [("Y", portrait.eta_values, portrait.Y_values)],
-            out / "phase_trajectory.svg",
-            title="phase trajectory",
-            xlabel="eta",
-            ylabel="Y",
-        )
-    return {
+    chart = "phase_trajectory.svg", [
+        ("Y", portrait.eta_values, portrait.Y_values)
+    ], dict(title="phase trajectory", xlabel="eta", ylabel="Y")
+    return sol, chart, {
         "beta_star": result.beta_star,
         "eigenvalues": list(lin.eigenvalues),
         "eigenvectors": [v.tolist() for v in lin.eigenvectors],
@@ -177,7 +142,7 @@ def _run_phase(cfg: RunConfig, out: Path, plots: bool) -> dict:
     }
 
 
-def _run_verify(cfg: RunConfig, out: Path, plots: bool) -> dict:
+def _run_verify(cfg: RunConfig) -> tuple:
     result = _solve(cfg)
     sol = result.final_profile
     xi0 = float(sol.xi0)
@@ -189,17 +154,10 @@ def _run_verify(cfg: RunConfig, out: Path, plots: bool) -> dict:
     r_grid = np.linspace(0.05 * xi0, 0.5 * xi0, 6)
     pde = pdecheck.pde_residual(sol, [-0.5, 0.0, 0.5], r_grid, h=1e-2)
     trace = pdecheck.eternal_trace(sol, (-2.0, 2.0), 5)
-    export_profile_csv(sol, out / "profile.csv")
-    if plots:
-        line_chart(
-            [("relative ODE residual", xi, ode_res)],
-            out / "residual.svg",
-            title="profile ODE residual",
-            xlabel="xi",
-            ylabel="log10 residual",
-            logy=True,
-        )
-    return {
+    chart = "residual.svg", [("relative ODE residual", xi, ode_res)], dict(
+        title="profile ODE residual", xlabel="xi", ylabel="log10 residual", logy=True
+    )
+    return sol, chart, {
         "beta_star": result.beta_star,
         "ode_residual_max": float(ode_res.max()),
         "pde_residual": pde,
@@ -216,11 +174,9 @@ def _run_verify(cfg: RunConfig, out: Path, plots: bool) -> dict:
 
 
 def _sweep_job(args) -> tuple:
-    key, m, q, N, beta, cfg_dict = args
-    cfg = RunConfig(**cfg_dict)
+    key, m, q, N, beta, opts = args
     p = make_params(m, q, N)
-    e = exponents_from_beta(p, beta)
-    sol = integrate_profile(p, e, _integrator_options(cfg))
+    sol = integrate_profile(p, exponents_from_beta(p, beta), opts)
     return key, {
         "m": m,
         "q": q,
@@ -232,14 +188,15 @@ def _sweep_job(args) -> tuple:
     }
 
 
-def _run_sweep(cfg: RunConfig, out: Path, plots: bool) -> dict:
-    jobs = []
-    if cfg.sweep_betas:
-        for i, beta in enumerate(cfg.sweep_betas):
-            jobs.append((f"beta:{i:04d}", cfg.m, cfg.q, cfg.N, beta, cfg.to_dict()))
+def _run_sweep(cfg: RunConfig) -> tuple:
+    opts = _integrator_options(cfg)
+    jobs = [
+        (f"beta:{i:04d}", cfg.m, cfg.q, cfg.N, beta, opts)
+        for i, beta in enumerate(cfg.sweep_betas)
+    ]
+    beta = cfg.beta if cfg.beta is not None else 1.0
     for i, (m, q, N) in enumerate(cfg.sweep_params):
-        beta = cfg.beta if cfg.beta is not None else 1.0
-        jobs.append((f"params:{i:04d}", m, q, N, beta, cfg.to_dict()))
+        jobs.append((f"params:{i:04d}", m, q, N, beta, opts))
     workers = os.environ.get("ETERNAL_PROFILE_THREADS")
     workers = int(workers) if workers else min(4, os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
@@ -248,7 +205,7 @@ def _run_sweep(cfg: RunConfig, out: Path, plots: bool) -> dict:
     else:
         results = dict(map(_sweep_job, jobs))
     # deterministic merge by job key
-    return {"jobs": [results[key] for key in sorted(results)]}
+    return None, None, {"jobs": [results[key] for key in sorted(results)]}
 
 
 _RUNNERS = {
@@ -262,18 +219,27 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig, out_dir=None, plots: Optional[bool] = None) -> RunReport:
-    """Dispatch a validated configuration and write its artifacts."""
+    """Dispatch a validated configuration and write its artifacts.
+
+    The profile CSV and the chart are written once the analysis has
+    succeeded, so a failed run leaves only its report.
+    """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_plots = cfg.emit_plots if plots is None else plots
     report = RunReport(
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         mode=cfg.mode,
         versions=collect_versions(),
     )
     start = time.monotonic()
     try:
-        report.results = _RUNNERS[cfg.mode](cfg, out, emit_plots)
+        profile, chart, report.results = _RUNNERS[cfg.mode](cfg)
+        if profile is not None:
+            export_profile_csv(profile, out / "profile.csv")
+        if emit_plots and chart is not None:
+            name, series, labels = chart
+            line_chart(series, out / name, **labels)
     except ProfileError as exc:
         report.status = "failed"
         report.results = {"error": f"{type(exc).__name__}: {exc}"}

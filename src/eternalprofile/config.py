@@ -1,10 +1,13 @@
 """Flat key-value run configuration.
 
 Grammar: one ``key = value`` pair per line; blank lines and lines
-starting with ``#`` are ignored.  Keys are validated against the table
-below and unknown keys are rejected with their line number.  The
-integrator keys (``INTEGRATOR_KEYS``) take their defaults from
-``integrate.IntegratorOptions``.
+starting with ``#`` are ignored.  One table, ``_KEYS``, drives the
+grammar: it maps each key to the parser of its value and to the phrase
+that says what the value must be.  An unknown key, then a duplicate, is
+rejected with its line number; a value its parser refuses is reported
+as ``line {n}: {key} must be {expected}, got {raw!r}``.  The integrator
+keys (``INTEGRATOR_KEYS``) take their defaults from
+``integrate.IntegratorOptions``.  The keys:
 
     m, q, N          problem parameters (N a positive integer)
     mode             solve | classify | asymptotics | phase | verify |
@@ -27,7 +30,7 @@ integrator keys (``INTEGRATOR_KEYS``) take their defaults from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -64,53 +67,48 @@ class RunConfig:
     sweep_betas: List[float] = field(default_factory=list)
     sweep_params: List[Tuple[float, float, int]] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f_ in fields(self):
-            out[f_.name] = getattr(self, f_.name)
-        return out
-
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-def _parse_bool(key: str, raw: str, lineno: int) -> bool:
-    try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(
-            f"line {lineno}: {key} must be a boolean, got {raw!r}"
-        ) from None
+def _mode(raw: str) -> str:
+    if raw not in MODES:
+        raise ValueError(raw)
+    return raw
 
 
-def _parse_float(key: str, raw: str, lineno: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: {key} must be a number, got {raw!r}"
-        ) from None
+def _floats(raw: str) -> List[float]:
+    return [float(x) for x in raw.split(",") if x.strip()]
 
 
-def _parse_triples(raw: str, lineno: int) -> List[Tuple[float, float, int]]:
+def _triples(raw: str) -> List[Tuple[float, float, int]]:
     out = []
     for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk.strip():
             continue
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"line {lineno}: sweep_params entries must be m:q:N, got {chunk!r}"
-            )
-        try:
-            out.append((float(parts[0]), float(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: malformed sweep_params entry {chunk!r}"
-            ) from None
+        m, q, N = chunk.split(":")  # ValueError unless exactly three parts
+        out.append((float(m), float(q), int(N)))
     return out
+
+
+_NUMBER = (float, "a number")
+
+#: key -> (parser, what the value must be); a parser signals a bad value
+#: with ValueError or KeyError.
+_KEYS = {
+    "m": _NUMBER,
+    "q": _NUMBER,
+    "N": (int, "an integer"),
+    "mode": (_mode, f"one of {'|'.join(MODES)}"),
+    "beta": _NUMBER,
+    "beta_tol": _NUMBER,
+    **{key: _NUMBER for key in INTEGRATOR_KEYS},
+    "output_dir": (str, "a path"),
+    "emit_plots": (lambda raw: _BOOL[raw.lower()], "a boolean"),
+    "sweep_betas": (_floats, "comma-separated numbers"),
+    "sweep_params": (_triples, "semicolon-separated m:q:N triples"),
+}
 
 
 def load_config(path) -> RunConfig:
@@ -128,45 +126,18 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key == "m":
-            cfg.m = _parse_float(key, raw, lineno)
-        elif key == "q":
-            cfg.q = _parse_float(key, raw, lineno)
-        elif key == "N":
-            try:
-                cfg.N = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: N must be an integer, got {raw!r}"
-                ) from None
-        elif key == "mode":
-            if raw not in MODES:
-                raise ConfigError(
-                    f"line {lineno}: mode must be one of {'|'.join(MODES)}, got {raw!r}"
-                )
-            cfg.mode = raw
-        elif key == "beta":
-            cfg.beta = _parse_float(key, raw, lineno)
-        elif key == "beta_tol" or key in INTEGRATOR_KEYS:
-            setattr(cfg, key, _parse_float(key, raw, lineno))
-        elif key == "output_dir":
-            cfg.output_dir = raw
-        elif key == "emit_plots":
-            cfg.emit_plots = _parse_bool(key, raw, lineno)
-        elif key == "sweep_betas":
-            try:
-                cfg.sweep_betas = [float(x) for x in raw.split(",") if x.strip()]
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: sweep_betas must be comma-separated numbers"
-                ) from None
-        elif key == "sweep_params":
-            cfg.sweep_params = _parse_triples(raw, lineno)
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        parse, expected = _KEYS[key]
+        try:
+            setattr(cfg, key, parse(raw))
+        except (ValueError, KeyError):
+            raise ConfigError(
+                f"line {lineno}: {key} must be {expected}, got {raw!r}"
+            ) from None
     _validate(cfg)
     return cfg
 

@@ -8,7 +8,6 @@ f' turns non-negative, or the horizon cap is reached.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -49,7 +48,7 @@ class IntegratorOptions:
     atol: float = 1e-16
     delta0: float = 1e-6
     contact_eps: float = 1e-7
-    horizon: Optional[float] = None     # None: derived from the limit profile
+    horizon: Optional[float] = None  # None: HORIZON_FACTOR * absorption_scale
     #: stop when f' turns non-negative; disable to follow growing
     #: solutions (e.g. the small-beta regime) out to the horizon
     slope_event: bool = True
@@ -238,19 +237,13 @@ def integrate_limit_profile(
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _absorption_scale(m: float, q: float, N: int) -> float:
-    from .model import make_params
-
-    p = make_params(m, q, N)
-    prof = integrate_limit_profile(p, horizon=1e4, guard=2.0, rtol=1e-8, atol=1e-10)
-    return prof.horizon
-
-
 def absorption_scale(p: Params) -> float:
-    """Length scale at which absorption doubles the limit profile.
+    """Length scale at which absorption becomes of order one.
 
-    Used as the unit for the integration horizon cap: far from beta*,
-    profiles resolve their fate within a few of these lengths.
+    The absorption term xi^{sigma+2} / ((sigma+2)(sigma+N)) of
+    ``equation.origin_series`` reaches 1 at this xi.  Used as the unit
+    for the integration horizon cap: far from beta*, profiles resolve
+    their fate within a few of these lengths.
     """
-    return _absorption_scale(p.m, p.q, p.N)
+    sigma = p.sigma
+    return ((sigma + 2.0) * (sigma + p.N)) ** (1.0 / (sigma + 2.0))

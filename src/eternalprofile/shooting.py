@@ -239,9 +239,8 @@ def solve(
     bracket = bracket_beta(p, coarse_opts)
     coarse = bisect_beta(p, bracket, max(COARSE_TOL, beta_tol), coarse_opts)
     prof = _classify_at(p, coarse.beta_star, opts)
-    stop = prof.xi1 if prof.xi1 is not None else float(prof.grid[-1])
     # the forward stop point undershoots the interface by a few percent
-    matched = match_profile(p, coarse.beta_star, stop * 1.02)
+    matched = match_profile(p, coarse.beta_star, prof.xi_max * 1.02)
     if not matched.success or matched.profile is None:
         raise BracketFailure(
             f"matching stage failed for {p}: residual {matched.residual:.3e} "
@@ -285,11 +284,7 @@ def monotonicity_check(
         )
     sol1 = integrate_profile(p, exponents_from_beta(p, beta1), opts)
     sol2 = integrate_profile(p, exponents_from_beta(p, beta2), opts)
-    end = min(
-        sol1.xi1 if sol1.xi1 is not None else float(sol1.grid[-1]),
-        sol2.xi1 if sol2.xi1 is not None else float(sol2.grid[-1]),
-    )
-    xi = np.linspace(0.0, end, 201)[1:]
+    xi = np.linspace(0.0, min(sol1.xi_max, sol2.xi_max), 201)[1:]
     gap = sol1.eval_f(xi) - sol2.eval_f(xi)
     min_gap = float(gap.min())
     return MonotonicityReport(

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from eternalprofile import shooting
 from eternalprofile.cli import main
+from eternalprofile.config import MODES
 from eternalprofile.report import parse_profile_csv
 
 
@@ -16,6 +18,13 @@ def write_cfg(tmp_path, body, name="run.cfg"):
 
 BASE = "m = 2\nq = 0.5\nN = 1\n"
 SUB = "m = 1.2\nq = 0.3\nN = 1\n"
+CHARTS = {
+    "solve": "profile.svg",
+    "classify": "profile.svg",
+    "asymptotics": "interface_fit.svg",
+    "phase": "phase_trajectory.svg",
+    "verify": "residual.svg",
+}
 
 
 def read_report(out_dir):
@@ -123,17 +132,18 @@ def test_asymptotics_plot_where_no_grid_node_is_in_the_fit_window(tmp_path):
     assert "<polyline" in (out / "interface_fit.svg").read_text()
 
 
-def test_repeated_runs_byte_identical(tmp_path):
-    cfg = write_cfg(tmp_path, BASE)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for out in (out_a, out_b):
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    assert (out_a / "profile.csv").read_bytes() == (
-        out_b / "profile.csv"
-    ).read_bytes()
-    assert (out_a / "report.json").read_bytes() == (
-        out_b / "report.json"
-    ).read_bytes()
+@pytest.mark.parametrize("mode", MODES)
+def test_repeated_runs_byte_identical(tmp_path, mode):
+    cfg = write_cfg(tmp_path, SUB + "beta = 0.5\nsweep_betas = 0.05, 1\n")
+    artifacts = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main([mode, "--config", cfg, "--out", str(out), "--plots"]) == 0
+        artifacts.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert artifacts[0] == artifacts[1]
+    expected = {"report.json"}
+    if mode != "sweep":
+        expected |= {"profile.csv", CHARTS[mode]}
+    assert set(artifacts[0]) == expected
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -151,6 +161,18 @@ def test_module_error_serialized_as_failure(tmp_path):
     report = read_report(out)
     assert report["status"] == "failed"
     assert "CaseError" in report["results"]["error"]
+
+
+def test_phase_fails_before_it_solves(tmp_path, monkeypatch):
+    # phase analysis needs m + q < 2, which is known before any solve
+    calls = []
+    monkeypatch.setattr(shooting, "solve", lambda *a, **k: calls.append(a))
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["phase", "--config", cfg, "--out", str(out)]) == 1
+    assert "CaseError" in read_report(out)["results"]["error"]
+    assert calls == []
+    assert sorted(f.name for f in out.iterdir()) == ["report.json"]
 
 
 @pytest.mark.parametrize("horizon", ["0", "-1"])

@@ -1,5 +1,7 @@
 """Config grammar: parsing, defaults, and rejection of malformed input."""
 
+from dataclasses import asdict
+
 import pytest
 
 from eternalprofile.config import INTEGRATOR_KEYS, MODES, RunConfig, load_config
@@ -47,6 +49,24 @@ def test_sweep_params_triples(tmp_path):
     assert cfg.sweep_params == [(2.0, 0.5, 1), (1.5, 0.5, 2)]
 
 
+#: The whole message for one key of each parser kind.
+FULL_MESSAGES = {
+    "m = 2\nq = 0.5\nN = one\n": "line 3: N must be an integer, got 'one'",
+    "m = 2\nq = 0.5\nN = 1\nrtol = fast\n":
+        "line 4: rtol must be a number, got 'fast'",
+    "m = 2\nq = 0.5\nN = 1\nemit_plots = maybe\n":
+        "line 4: emit_plots must be a boolean, got 'maybe'",
+    "m = 2\nq = 0.5\nN = 1\nmode = fly\n":
+        "line 4: mode must be one of "
+        "solve|classify|asymptotics|phase|verify|sweep, got 'fly'",
+    "m = 2\nq = 0.5\nN = 1\nsweep_params = 2:0.5\nmode = sweep\n":
+        "line 4: sweep_params must be semicolon-separated m:q:N triples, "
+        "got '2:0.5'",
+    "m = 2\nq = 0.5\nN = 1\nsweep_betas = 0.1, x\nmode = sweep\n":
+        "line 4: sweep_betas must be comma-separated numbers, got '0.1, x'",
+}
+
+
 @pytest.mark.parametrize(
     "body, fragment",
     [
@@ -64,11 +84,14 @@ def test_sweep_params_triples(tmp_path):
         ("m = 2\nq = 0.5\nN = 1\nrtol = 0\n", "rtol"),
         ("m = 2\nq = 0.5\nN = 1\nbeta_tol = 1e-17\n", "beta_tol"),
         ("m = 2\nq = 0.5\nN = 1\nsweep_params = 2:0.5\nmode = sweep\n", "m:q:N"),
+        ("m = 2\nq = 0.5\nN = 1\nsweep_betas = 0.1, x\nmode = sweep\n", "comma"),
     ],
 )
 def test_malformed_config_rejected(tmp_path, body, fragment):
-    with pytest.raises(ConfigError, match="(?i)" + fragment):
+    with pytest.raises(ConfigError, match="(?i)" + fragment) as exc:
         load_config(write(tmp_path, body))
+    if body in FULL_MESSAGES:
+        assert str(exc.value) == FULL_MESSAGES[body]
 
 
 def test_defaults_come_from_the_solver():
@@ -86,6 +109,6 @@ def test_missing_file():
 
 def test_to_dict_round_trip(tmp_path):
     cfg = load_config(write(tmp_path, "m = 2\nq = 0.5\nN = 1\nrtol = 1e-9\n"))
-    d = cfg.to_dict()
+    d = asdict(cfg)
     assert d["rtol"] == 1e-9
     assert set(d) >= {"m", "q", "N", "mode", "beta_tol", "output_dir"}

@@ -114,11 +114,16 @@ def test_limit_profile_horizon_at_or_below_launch_point_raises(horizon):
         integrate_limit_profile(make_params(2.0, 0.5, 1), horizon=horizon)
 
 
-def test_absorption_scale_positive_and_cached():
-    p = make_params(2.0, 0.5, 1)
-    s1 = absorption_scale(p)
-    s2 = absorption_scale(make_params(2.0, 0.5, 1))
-    assert s1 == s2 > 0
+@pytest.mark.parametrize(
+    "triple",
+    [(2.0, 0.5, 1), (2.0, 0.5, 3), (1.5, 0.5, 2), (1.2, 0.3, 1), (1.1, 0.9, 3)],
+)
+def test_absorption_scale_is_where_the_limit_profile_doubles(triple):
+    # the closed form reads the scale off the origin series; the limit
+    # profile H reaches 2 within a few percent of it
+    p = make_params(*triple)
+    doubled = integrate_limit_profile(p, horizon=1e4, guard=2.0).horizon
+    assert absorption_scale(p) == pytest.approx(doubled, rel=0.05)
 
 
 def test_interface_slope_integral_agrees_with_contact_slope(solved):
