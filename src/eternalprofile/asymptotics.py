@@ -184,8 +184,9 @@ def fit_interface(
         raise ProfileError("fit_interface requires a profile with contact")
     expansion = predict_expansion(sol.params, sol.exps, float(sol.xi0))
     xi0 = extrapolate_xi0(sol, expansion)
-    # re-predict at the corrected interface location
-    expansion = predict_expansion(sol.params, sol.exps, xi0)
+    if xi0 != sol.xi0:
+        # re-predict at the corrected interface location
+        expansion = predict_expansion(sol.params, sol.exps, xi0)
     if window is None:
         window = default_fit_window(sol, expansion)
     lo, hi = window

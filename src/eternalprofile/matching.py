@@ -22,6 +22,13 @@ and the resulting profile is tangential at the interface by
 construction.  The xi0-column of the Jacobian follows in closed form
 from the rescaling family of the profile equation, so each Newton step
 costs one residual evaluation.
+
+The legs cost what their accuracy asks for, not what stiffness asks
+for, so Newton runs in two phases (an inexact Newton method: Dembo,
+Eisenstat & Steihaug 1982; Deuflhard 2004).  The loose phase integrates
+both legs at LOOSE_RTOL until a step is below LOOSE_XTOL; the tight
+phase continues from there at RTOL to the XTOL stop, so the converged
+point is the one a tight-only iteration finds.
 """
 
 from __future__ import annotations
@@ -59,6 +66,9 @@ MID_FRAC = 0.5              # matching point as a fraction of xi0
 MAX_STEP_FRAC = 1.0 / 256.0  # step cap of the dense legs, relative to xi
 XTOL = 1e-13                # Newton stops once each step is <= XTOL |x|
 FD_REL_STEP = 1.5e-8        # forward-difference step of the first beta-column
+LOOSE_RTOL = 1e-6           # rtol of both legs in the loose Newton phase
+LOOSE_XTOL = 1e-5           # the loose phase hands off once a step is <= this
+LOOSE_FD_REL_STEP = 1e-3    # sqrt(LOOSE_RTOL): its first beta-column's step
 MIN_STEP_FACTOR = 1e-3      # damping below which a Newton step gives up
 MAX_NFEV = 100              # residual evaluations per matching solve
 
@@ -70,19 +80,20 @@ class MatchResult:
     beta_star: float
     xi0: float
     residual: float
-    nfev: int
+    nfev: int               # residual evaluations of both Newton phases
     success: bool
     profile: Optional[ProfileSolution] = None
 
 
-def _forward_run(p: Params, beta: float, xi_mid: float, dense=False):
+def _forward_run(p: Params, beta: float, xi_mid: float, rtol=RTOL,
+                 dense=False):
     """Series launch at DELTA0, integrated out to the matching point."""
     sol = solve_ivp(
         profile_rhs(p, beta, _F_FLOOR),
         (DELTA0, xi_mid),
         origin_series(p, beta, DELTA0),
         method="DOP853",
-        rtol=RTOL,
+        rtol=rtol,
         atol=ATOL,
         dense_output=dense,
         max_step=xi_mid * MAX_STEP_FRAC if dense else np.inf,
@@ -94,7 +105,8 @@ def _forward_run(p: Params, beta: float, xi_mid: float, dense=False):
     return sol
 
 
-def _backward_run(p: Params, beta: float, xi0: float, dense=False):
+def _backward_run(p: Params, beta: float, xi0: float, rtol=RTOL,
+                  dense=False):
     """Interface-series launch at d0 = u0 xi0, integrated back to xi_mid.
 
     Returns the run and the ``InterfaceSeries`` it launched from.
@@ -111,7 +123,7 @@ def _backward_run(p: Params, beta: float, xi0: float, dense=False):
         (xi_start, xi_mid),
         series(series.d0),
         method="DOP853",
-        rtol=RTOL,
+        rtol=rtol,
         atol=ATOL,
         dense_output=dense,
         max_step=xi0 * MAX_STEP_FRAC if dense else np.inf,
@@ -176,7 +188,7 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
     return sol.t, *f_from_F(p.m, sol.y[0], sol.y[1])
 
 
-def _residuals(p: Params, x):
+def _residuals(p: Params, x, rtol=RTOL):
     """Continuity residual r and its exact xi0-column dr/dxi0, or None
     when a leg fails.
 
@@ -198,8 +210,8 @@ def _residuals(p: Params, x):
         return None
     xi_mid = MID_FRAC * xi0
     try:
-        fwd = _forward_run(p, beta, xi_mid)
-        bwd, _ = _backward_run(p, beta, xi0)
+        fwd = _forward_run(p, beta, xi_mid, rtol)
+        bwd, _ = _backward_run(p, beta, xi0, rtol)
     except (BracketFailure, StepFailureError):
         return None
     F_f, Fp_f = float(fwd.y[0, -1]), float(fwd.y[1, -1])
@@ -217,42 +229,72 @@ def _residuals(p: Params, x):
 def _newton(p: Params, beta: float, xi0: float):
     """Damped Newton iteration on (beta, xi0) for the continuity residual.
 
-    The xi0-column of the Jacobian is the closed form of ``_residuals``;
-    the beta-column starts as one forward difference and is then updated
-    by a secant rule on each accepted step that moves beta enough to
-    carry information about it (Dennis & Schnabel 1996, ch. 6 and 8).
-    A trial that fails or does not lower max|r| halves the step.
+    The loose phase starts at the guess with both legs at LOOSE_RTOL and
+    hands its iterate and beta-column to the tight phase once a step is
+    <= LOOSE_XTOL relative.  The tight phase runs at RTOL to the XTOL
+    stop; when the loose phase fails it starts from the guess instead.
+    Both phases draw on the one MAX_NFEV budget.
 
     Returns (x, r, nfev, converged).
     """
-    x = np.array([beta, xi0])
-    nfev = 1
-    out = _residuals(p, x)
-    if out is None:
-        return x, None, nfev, False
-    r, j_xi0 = out
-    h = FD_REL_STEP * beta
-    nfev += 1
-    out_h = _residuals(p, (beta + h, xi0))
-    if out_h is None:
+    guess = np.array([beta, xi0])
+    x, r, j_beta, nfev, handed_off = _newton_phase(
+        p, guess, None, 0, LOOSE_RTOL, LOOSE_XTOL, LOOSE_FD_REL_STEP
+    )
+    # the tight phase opens with one evaluation, or two from the guess
+    if nfev + (1 if handed_off else 2) > MAX_NFEV:
         return x, r, nfev, False
-    j_beta = (out_h[0] - r) / h
+    if not handed_off:
+        x, j_beta = guess, None
+    x, r, _, nfev, converged = _newton_phase(
+        p, x, j_beta, nfev, RTOL, XTOL, FD_REL_STEP
+    )
+    return x, r, nfev, converged
+
+
+def _newton_phase(p: Params, x, j_beta, nfev: int, rtol: float, xtol: float,
+                  fd_rel_step: float):
+    """One Newton phase with both legs at ``rtol``, from ``x``.
+
+    The xi0-column of the Jacobian is the closed form of ``_residuals``;
+    the beta-column is ``j_beta`` or, when that is None, one forward
+    difference over fd_rel_step * beta, and is then updated by a secant
+    rule on each accepted step that moves beta enough to carry
+    information about it (Dennis & Schnabel 1996, ch. 6 and 8).  A trial
+    that fails or does not lower max|r| halves the step; the phase
+    converges once a step is <= xtol |x|.  ``nfev`` counts residual
+    evaluations on from the caller's count.
+
+    Returns (x, r, j_beta, nfev, converged).
+    """
+    nfev += 1
+    out = _residuals(p, x, rtol)
+    if out is None:
+        return x, None, j_beta, nfev, False
+    r, j_xi0 = out
+    if j_beta is None:
+        h = fd_rel_step * x[0]
+        nfev += 1
+        out_h = _residuals(p, (x[0] + h, x[1]), rtol)
+        if out_h is None:
+            return x, r, j_beta, nfev, False
+        j_beta = (out_h[0] - r) / h
     while True:
         try:
             step = -np.linalg.solve(np.column_stack([j_beta, j_xi0]), r)
         except np.linalg.LinAlgError:
-            return x, r, nfev, False
+            return x, r, j_beta, nfev, False
         norm = np.max(np.abs(r))
         t = 1.0
         while True:
             dx = t * step
-            if np.all(np.abs(dx) <= XTOL * np.abs(x)):
-                return x, r, nfev, True
+            if np.all(np.abs(dx) <= xtol * np.abs(x)):
+                return x, r, j_beta, nfev, True
             if t < MIN_STEP_FACTOR or nfev >= MAX_NFEV:
-                return x, r, nfev, False
+                return x, r, j_beta, nfev, False
             x_new = x + dx
             nfev += 1
-            out = _residuals(p, x_new)
+            out = _residuals(p, x_new, rtol)
             if out is not None and np.max(np.abs(out[0])) < norm:
                 break
             t *= 0.5

@@ -13,11 +13,14 @@ from eternalprofile import (
     predict_expansion,
     solve,
 )
+from eternalprofile import matching
 from eternalprofile._dop853 import solve_ivp
 from eternalprofile.equation import InterfaceSeries, launch_distance, profile_rhs
 from eternalprofile.matching import (
     ATOL,
     LAUNCH_F,
+    LOOSE_FD_REL_STEP,
+    LOOSE_RTOL,
     MID_FRAC,
     RTOL,
     TAIL_F,
@@ -25,6 +28,8 @@ from eternalprofile.matching import (
     _residuals,
     interface_samples,
 )
+
+from conftest import CASES
 
 
 def test_match_from_rough_guess():
@@ -109,6 +114,127 @@ def test_backward_leg_independent_of_launch_depth(solved, case):
 def test_newton_needs_few_residual_evaluations(solved):
     for case, result in solved.items():
         assert result.match.nfev <= 10, case
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """The reference solves again, with every matching integration and
+    residual evaluation recorded in call order: {case: (result, legs,
+    evals)}, legs as (rtol, dense_output), evals as (rtol, (beta, xi0))."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+
+        def recording_ivp(*args, **kwargs):
+            legs.append((kwargs["rtol"], kwargs.get("dense_output", False)))
+            return solve_ivp(*args, **kwargs)
+
+        def recording_residuals(p, x, rtol=RTOL):
+            evals.append((rtol, (float(x[0]), float(x[1]))))
+            return _residuals(p, x, rtol)
+
+        mp.setattr(matching, "solve_ivp", recording_ivp)
+        mp.setattr(matching, "_residuals", recording_residuals)
+        for case in CASES:
+            legs, evals = [], []
+            runs[case] = solve(make_params(*case)), legs, evals
+    return runs
+
+
+def _tight_only(monkeypatch, run_loose):
+    """Make the loose Newton phase report failure: at once, or after it
+    ran (``run_loose``).  Returns the list of tight-phase start points."""
+    phase = matching._newton_phase
+    starts = []
+
+    def failing_loose(p, x, j_beta, nfev, rtol, *args):
+        if rtol == LOOSE_RTOL:
+            if run_loose:
+                _, _, _, nfev, _ = phase(p, x, j_beta, nfev, rtol, *args)
+            return x, None, None, nfev, False
+        starts.append((np.array(x), j_beta))
+        return phase(p, x, j_beta, nfev, rtol, *args)
+
+    monkeypatch.setattr(matching, "_newton_phase", failing_loose)
+    return starts
+
+
+def test_loose_legs_come_first_then_every_leg_at_rtol(recorded):
+    # loose evaluations, the hand-off, then tight evaluations and the
+    # dense assemble, all at RTOL
+    for case, (result, legs, _) in recorded.items():
+        rtols = [rtol for rtol, _ in legs]
+        handoff = rtols.index(RTOL)
+        assert handoff > 0, case
+        assert set(rtols[:handoff]) == {LOOSE_RTOL}, case
+        assert set(rtols[handoff:]) == {RTOL}, case
+        assert not any(dense for _, dense in legs[:-2]), case
+        assert all(dense for _, dense in legs[-2:]), case
+        assert not legs[handoff][1], case   # a tight evaluation, not the assemble
+        assert result.match.success
+
+
+def test_few_residual_evaluations_at_rtol(recorded):
+    for case, (result, _, evals) in recorded.items():
+        tight = [x for rtol, x in evals if rtol == RTOL]
+        assert 1 <= len(tight) <= 4, case
+        assert len(evals) == result.match.nfev, case
+
+
+def test_loose_beta_column_steps_by_sqrt_of_loose_rtol(recorded):
+    # the first beta-column at LOOSE_RTOL is a difference over 1e-3 beta:
+    # over 1.5e-8 beta it would be all integration error
+    for case, (_, _, evals) in recorded.items():
+        (r0, (beta, xi0)), (r1, (beta_h, xi0_h)) = evals[:2]
+        assert r0 == r1 == LOOSE_RTOL
+        assert xi0_h == xi0
+        assert beta_h - beta == pytest.approx(LOOSE_FD_REL_STEP * beta, rel=1e-9)
+
+
+def test_two_phase_newton_matches_tight_only_newton(recorded, monkeypatch):
+    # from the solve's own guess, a Newton iteration at RTOL alone
+    # converges to the same (beta*, xi0)
+    _tight_only(monkeypatch, run_loose=False)
+    for case, (result, _, evals) in recorded.items():
+        guess = evals[0][1]
+        tight = match_profile(make_params(*case), *guess)
+        assert tight.success, case
+        assert tight.beta_star == pytest.approx(result.beta_star, rel=1e-13, abs=0)
+        assert tight.xi0 == pytest.approx(result.match.xi0, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.2, 0.3, 1)])
+def test_failed_loose_phase_falls_back_to_the_guess(recorded, monkeypatch, case):
+    # the tight phase restarts from the original guess with a fresh
+    # beta-column, and the evaluations of both phases are counted
+    result, _, evals = recorded[case]
+    guess = evals[0][1]
+    loose_nfev = sum(rtol == LOOSE_RTOL for rtol, _ in evals)
+    starts = _tight_only(monkeypatch, run_loose=True)
+    fallback = match_profile(make_params(*case), *guess)
+    (x, j_beta), = starts
+    np.testing.assert_array_equal(x, guess)
+    assert j_beta is None
+    assert fallback.success
+    assert fallback.beta_star == pytest.approx(result.beta_star, rel=1e-13, abs=0)
+    assert fallback.xi0 == pytest.approx(result.match.xi0, rel=1e-13, abs=0)
+    monkeypatch.undo()
+    _tight_only(monkeypatch, run_loose=False)
+    tight = match_profile(make_params(*case), *guess)
+    assert fallback.nfev == loose_nfev + tight.nfev
+    assert (fallback.beta_star, fallback.xi0) == (tight.beta_star, tight.xi0)
+
+
+@pytest.mark.parametrize("budget", [2, 5, 7])
+def test_both_newton_phases_share_one_evaluation_budget(
+    recorded, monkeypatch, budget
+):
+    # (2, 0.5, 1) needs 8 evaluations from its solve's guess
+    _, _, evals = recorded[(2.0, 0.5, 1)]
+    assert len(evals) == 8
+    monkeypatch.setattr(matching, "MAX_NFEV", budget)
+    short = match_profile(make_params(2.0, 0.5, 1), *evals[0][1])
+    assert not short.success
+    assert short.nfev <= budget
 
 
 def test_near_singular_start_converges():
