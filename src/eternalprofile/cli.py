@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics, pdecheck, phasespace, shooting
 from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config
-from .errors import ProfileError
+from .errors import ConfigError, ProfileError
 from .integrate import IntegratorOptions, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
 from .report import (
@@ -197,8 +197,17 @@ def _run_sweep(cfg: RunConfig) -> tuple:
     beta = cfg.beta if cfg.beta is not None else 1.0
     for i, (m, q, N) in enumerate(cfg.sweep_params):
         jobs.append((f"params:{i:04d}", m, q, N, beta, opts))
-    workers = os.environ.get("ETERNAL_PROFILE_THREADS")
-    workers = int(workers) if workers else min(4, os.cpu_count() or 1)
+    env = os.environ.get("ETERNAL_PROFILE_THREADS")
+    workers = min(4, os.cpu_count() or 1)
+    if env:
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(
+                f"ETERNAL_PROFILE_THREADS must be a positive integer, got {env!r}"
+            )
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_sweep_job, jobs))

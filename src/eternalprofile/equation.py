@@ -164,6 +164,7 @@ class _SeriesTable:
     def __init__(self, m, q, N, theta, gamma, coeffs, rows, limit):
         cd, self.ed, cb, self.eb, ca = coeffs
         self.m, self.q, self.rows, self.limit = m, q, rows, limit
+        self.theta, self.gamma = theta, gamma
         D, B, A = _operators(m, q, N, theta, gamma, rows, limit)
         self.diffusion, self.drift, self.absorb = cd * D, cb * B, ca * A
         self.b = np.zeros((rows, limit))
@@ -325,19 +326,19 @@ class InterfaceSeries:
         m, q = p.m, p.q
         case = interface_case(p)
         if case is InterfaceCase.SUPER_CRITICAL:
-            theta, gamma = 1.0 / (1.0 - q), (m + q - 2.0) / (1.0 - q)
+            table = _series_table(m, q, p.N, True)
+            theta = table.theta
             A1 = (beta * theta) ** -theta
             kappa = A1 ** (m - 1.0) / beta
-            table = _series_table(m, q, p.N, True)
         elif case is InterfaceCase.SUB_CRITICAL:
-            theta, gamma = 2.0 / (m - q), (2.0 - m - q) / (m - q)
+            table = _series_table(m, q, p.N, False)
+            theta = table.theta
             A1 = (m * theta * (m * theta - 1.0)) ** (-1.0 / (m - q))
             kappa = beta * A1 ** (1.0 - q)
-            table = _series_table(m, q, p.N, False)
         else:
             # s = A1^{1-q} solves the leading balance m theta (m theta - 1) s^2
             # + beta theta s = 1
-            theta, gamma, kappa = 1.0 / (1.0 - q), 0.0, 0.0
+            theta, kappa = 1.0 / (1.0 - q), 0.0
             bt, mt = beta * theta, m * theta
             s = 2.0 / (bt + math.sqrt(bt * bt + 4.0 * mt * (mt - 1.0)))
             A1 = s**theta
@@ -345,6 +346,7 @@ class InterfaceSeries:
             table = _SeriesTable(
                 m, q, p.N, theta, 0.0, coeffs, CRITICAL_ROWS, 1
             )
+        gamma = table.gamma
         self.m, self.theta, self.xi0 = m, theta, xi0
         self.gamma, self.kappa = gamma, kappa
         self.amplitude = A1 * xi0 ** (2.0 / (m - 1.0) - theta)

@@ -24,10 +24,10 @@ from the rescaling family of the profile equation, so each Newton step
 costs one residual evaluation.
 
 The legs cost what their accuracy asks for, not what stiffness asks
-for, so Newton runs in two phases (an inexact Newton method: Dembo,
-Eisenstat & Steihaug 1982; Deuflhard 2004).  The loose phase integrates
-both legs at LOOSE_RTOL until a step is below LOOSE_XTOL; the tight
-phase continues from there at RTOL to the XTOL stop, so the converged
+for, so Newton starts loose (an inexact Newton method: Dembo, Eisenstat
+& Steihaug 1982; Deuflhard 2004).  Both legs run at LOOSE_RTOL until a
+step is below LOOSE_XTOL; the residual is then re-evaluated in place at
+RTOL and the same iteration goes on to the XTOL stop, so the converged
 point is the one a tight-only iteration finds.
 """
 
@@ -65,10 +65,9 @@ TAIL_F = 1e-9               # height of the last stored interface sample
 MID_FRAC = 0.5              # matching point as a fraction of xi0
 MAX_STEP_FRAC = 1.0 / 256.0  # step cap of the dense legs, relative to xi
 XTOL = 1e-13                # Newton stops once each step is <= XTOL |x|
-FD_REL_STEP = 1.5e-8        # forward-difference step of the first beta-column
-LOOSE_RTOL = 1e-6           # rtol of both legs in the loose Newton phase
-LOOSE_XTOL = 1e-5           # the loose phase hands off once a step is <= this
-LOOSE_FD_REL_STEP = 1e-3    # sqrt(LOOSE_RTOL): its first beta-column's step
+LOOSE_RTOL = 1e-6           # rtol of both legs in Newton's first iterations
+LOOSE_XTOL = 1e-5           # the legs tighten to RTOL once a step is <= this
+LOOSE_FD_REL_STEP = 1e-3    # sqrt(LOOSE_RTOL): step of the first beta-column
 MIN_STEP_FACTOR = 1e-3      # damping below which a Newton step gives up
 MAX_NFEV = 100              # residual evaluations per matching solve
 
@@ -80,60 +79,50 @@ class MatchResult:
     beta_star: float
     xi0: float
     residual: float
-    nfev: int               # residual evaluations of both Newton phases
+    nfev: int               # residual evaluations, loose and tight
     success: bool
     profile: Optional[ProfileSolution] = None
 
 
-def _forward_run(p: Params, beta: float, xi_mid: float, rtol=RTOL,
-                 dense=False):
-    """Series launch at DELTA0, integrated out to the matching point."""
-    sol = solve_ivp(
-        profile_rhs(p, beta, _F_FLOOR),
-        (DELTA0, xi_mid),
-        origin_series(p, beta, DELTA0),
-        method="DOP853",
-        rtol=rtol,
-        atol=ATOL,
-        dense_output=dense,
-        max_step=xi_mid * MAX_STEP_FRAC if dense else np.inf,
-    )
-    if not sol.success:
-        raise StepFailureError(
-            f"forward integration failed at beta={beta!r}: {sol.message}"
-        )
-    return sol
+def _legs(p: Params, beta: float, xi0: float, rtol: float, dense: bool):
+    """Forward leg from the origin series at DELTA0, then backward leg from
+    the interface series at d0 = u0 xi0, both integrated to xi_mid.
 
-
-def _backward_run(p: Params, beta: float, xi0: float, rtol=RTOL,
-                  dense=False):
-    """Interface-series launch at d0 = u0 xi0, integrated back to xi_mid.
-
-    Returns the run and the ``InterfaceSeries`` it launched from.
+    Returns (forward run, backward run, the interface series, the
+    right-hand side of both legs).
     """
+    rhs = profile_rhs(p, beta, _F_FLOOR)
+    xi_mid = MID_FRAC * xi0
+
+    def leg(t_span, y0, max_step, direction):
+        sol = solve_ivp(
+            rhs,
+            t_span,
+            y0,
+            method="DOP853",
+            rtol=rtol,
+            atol=ATOL,
+            dense_output=dense,
+            max_step=max_step if dense else np.inf,
+        )
+        if not sol.success:
+            raise StepFailureError(
+                f"{direction} integration failed at beta={beta!r}, "
+                f"xi0={xi0!r}: {sol.message}"
+            )
+        return sol
+
+    fwd = leg((DELTA0, xi_mid), origin_series(p, beta, DELTA0),
+              xi_mid * MAX_STEP_FRAC, "forward")
     series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
     xi_start = xi0 - series.d0
-    xi_mid = MID_FRAC * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
             f"interface launch {xi_start} inside matching point {xi_mid}"
         )
-    sol = solve_ivp(
-        profile_rhs(p, beta, _F_FLOOR),
-        (xi_start, xi_mid),
-        series(series.d0),
-        method="DOP853",
-        rtol=rtol,
-        atol=ATOL,
-        dense_output=dense,
-        max_step=xi0 * MAX_STEP_FRAC if dense else np.inf,
-    )
-    if not sol.success:
-        raise StepFailureError(
-            f"backward integration failed at beta={beta!r}, xi0={xi0!r}: "
-            f"{sol.message}"
-        )
-    return sol, series
+    bwd = leg((xi_start, xi_mid), series(series.d0),
+              xi0 * MAX_STEP_FRAC, "backward")
+    return fwd, bwd, series, rhs
 
 
 def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
@@ -208,15 +197,13 @@ def _residuals(p: Params, x, rtol=RTOL):
     beta, xi0 = float(x[0]), float(x[1])
     if beta <= 0.0 or xi0 <= 0.0:
         return None
-    xi_mid = MID_FRAC * xi0
     try:
-        fwd = _forward_run(p, beta, xi_mid, rtol)
-        bwd, _ = _backward_run(p, beta, xi0, rtol)
+        fwd, bwd, _, rhs = _legs(p, beta, xi0, rtol, dense=False)
     except (BracketFailure, StepFailureError):
         return None
     F_f, Fp_f = float(fwd.y[0, -1]), float(fwd.y[1, -1])
     F_b, Fp_b = float(bwd.y[0, -1]), float(bwd.y[1, -1])
-    Fpp_f = profile_rhs(p, beta, _F_FLOOR)(xi_mid, (F_f, Fp_f))[1]
+    Fpp_f = rhs(MID_FRAC * xi0, (F_f, Fp_f))[1]
     P = 2.0 * p.m / (p.m - 1.0)
     r = np.array([F_f - F_b, Fp_f - Fp_b])
     dr_dxi0 = np.array([
@@ -229,84 +216,73 @@ def _residuals(p: Params, x, rtol=RTOL):
 def _newton(p: Params, beta: float, xi0: float):
     """Damped Newton iteration on (beta, xi0) for the continuity residual.
 
-    The loose phase starts at the guess with both legs at LOOSE_RTOL and
-    hands its iterate and beta-column to the tight phase once a step is
-    <= LOOSE_XTOL relative.  The tight phase runs at RTOL to the XTOL
-    stop; when the loose phase fails it starts from the guess instead.
-    Both phases draw on the one MAX_NFEV budget.
+    The xi0-column of the Jacobian is the closed form of ``_residuals``.
+    The beta-column starts as one forward difference over
+    LOOSE_FD_REL_STEP * beta and is then updated by a secant rule on each
+    accepted step that moves beta enough to carry information about it
+    (Dennis & Schnabel 1996, ch. 6 and 8).  A trial that fails or does
+    not lower max|r| halves the step.  Both legs run at LOOSE_RTOL until
+    a step is <= LOOSE_XTOL |x|; the residual is then re-evaluated at the
+    same x at RTOL, the beta-column is kept, and the iteration converges
+    once a step is <= XTOL |x|.  Any failure ends it, and MAX_NFEV
+    bounds the residual evaluations.
 
     Returns (x, r, nfev, converged).
     """
-    guess = np.array([beta, xi0])
-    x, r, j_beta, nfev, handed_off = _newton_phase(
-        p, guess, None, 0, LOOSE_RTOL, LOOSE_XTOL, LOOSE_FD_REL_STEP
-    )
-    # the tight phase opens with one evaluation, or two from the guess
-    if nfev + (1 if handed_off else 2) > MAX_NFEV:
-        return x, r, nfev, False
-    if not handed_off:
-        x, j_beta = guess, None
-    x, r, _, nfev, converged = _newton_phase(
-        p, x, j_beta, nfev, RTOL, XTOL, FD_REL_STEP
-    )
-    return x, r, nfev, converged
-
-
-def _newton_phase(p: Params, x, j_beta, nfev: int, rtol: float, xtol: float,
-                  fd_rel_step: float):
-    """One Newton phase with both legs at ``rtol``, from ``x``.
-
-    The xi0-column of the Jacobian is the closed form of ``_residuals``;
-    the beta-column is ``j_beta`` or, when that is None, one forward
-    difference over fd_rel_step * beta, and is then updated by a secant
-    rule on each accepted step that moves beta enough to carry
-    information about it (Dennis & Schnabel 1996, ch. 6 and 8).  A trial
-    that fails or does not lower max|r| halves the step; the phase
-    converges once a step is <= xtol |x|.  ``nfev`` counts residual
-    evaluations on from the caller's count.
-
-    Returns (x, r, j_beta, nfev, converged).
-    """
-    nfev += 1
+    x = np.array([beta, xi0])
+    rtol, xtol = LOOSE_RTOL, LOOSE_XTOL
+    nfev = 1
     out = _residuals(p, x, rtol)
     if out is None:
-        return x, None, j_beta, nfev, False
+        return x, None, nfev, False
     r, j_xi0 = out
-    if j_beta is None:
-        h = fd_rel_step * x[0]
-        nfev += 1
-        out_h = _residuals(p, (x[0] + h, x[1]), rtol)
-        if out_h is None:
-            return x, r, j_beta, nfev, False
-        j_beta = (out_h[0] - r) / h
+    h = LOOSE_FD_REL_STEP * beta
+    nfev += 1
+    out_h = _residuals(p, (beta + h, xi0), rtol)
+    if out_h is None:
+        return x, r, nfev, False
+    j_beta = (out_h[0] - r) / h
     while True:
         try:
             step = -np.linalg.solve(np.column_stack([j_beta, j_xi0]), r)
         except np.linalg.LinAlgError:
-            return x, r, j_beta, nfev, False
+            return x, r, nfev, False
         norm = np.max(np.abs(r))
         t = 1.0
         while True:
             dx = t * step
             if np.all(np.abs(dx) <= xtol * np.abs(x)):
-                return x, r, j_beta, nfev, True
+                if rtol == RTOL:
+                    return x, r, nfev, True
+                if nfev >= MAX_NFEV:
+                    return x, r, nfev, False
+                # tighten the legs in place, keeping the beta-column
+                rtol, xtol = RTOL, XTOL
+                nfev += 1
+                out = _residuals(p, x, rtol)
+                if out is None:
+                    return x, None, nfev, False
+                r, j_xi0 = out
+                break
             if t < MIN_STEP_FACTOR or nfev >= MAX_NFEV:
-                return x, r, j_beta, nfev, False
+                return x, r, nfev, False
             x_new = x + dx
             nfev += 1
             out = _residuals(p, x_new, rtol)
             if out is not None and np.max(np.abs(out[0])) < norm:
+                r_new, j_xi0_new = out
+                d_beta, d_xi0 = dx
+                # a step that hardly moves beta says little about dr/dbeta
+                if (
+                    abs(d_beta / x[0]) >= 0.1 * abs(d_xi0 / x[1])
+                    and abs(d_beta) > 1e-11 * x[0]
+                ):
+                    j_beta = (
+                        r_new - r - 0.5 * (j_xi0 + j_xi0_new) * d_xi0
+                    ) / d_beta
+                x, r, j_xi0 = x_new, r_new, j_xi0_new
                 break
             t *= 0.5
-        r_new, j_xi0_new = out
-        d_beta, d_xi0 = dx
-        # a step that hardly moves beta says little about dr/dbeta
-        if (
-            abs(d_beta / x[0]) >= 0.1 * abs(d_xi0 / x[1])
-            and abs(d_beta) > 1e-11 * x[0]
-        ):
-            j_beta = (r_new - r - 0.5 * (j_xi0 + j_xi0_new) * d_xi0) / d_beta
-        x, r, j_xi0 = x_new, r_new, j_xi0_new
 
 
 def match_profile(p: Params, beta_guess: float, xi0_guess: float) -> MatchResult:
@@ -334,8 +310,7 @@ def match_profile(p: Params, beta_guess: float, xi0_guess: float) -> MatchResult
 def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
     """Dense profile at the matched parameters, tangential at xi0."""
     xi_mid = MID_FRAC * xi0
-    fwd = _forward_run(p, beta, xi_mid, dense=True)
-    bwd, series = _backward_run(p, beta, xi0, dense=True)
+    fwd, bwd, series, _ = _legs(p, beta, xi0, RTOL, dense=True)
     e = exponents_from_beta(p, beta)
 
     # stitch: forward nodes, backward nodes reversed, then interface-series

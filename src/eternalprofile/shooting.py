@@ -241,7 +241,7 @@ def solve(
     prof = _classify_at(p, coarse.beta_star, opts)
     # the forward stop point undershoots the interface by a few percent
     matched = match_profile(p, coarse.beta_star, prof.xi_max * 1.02)
-    if not matched.success or matched.profile is None:
+    if not matched.success:
         raise BracketFailure(
             f"matching stage failed for {p}: residual {matched.residual:.3e} "
             f"after {matched.nfev} evaluations"

@@ -68,3 +68,30 @@ def test_fit_interface_calls_through_interface_samples(
     _record(monkeypatch, targets, matching, "interface_samples", calls)
     asymptotics.fit_interface(solved[(2.0, 0.5, 1)].final_profile)
     assert calls == [("eternalprofile.matching", "interface_samples")]
+
+
+@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.2, 0.3, 1)])
+def test_matching_legs_show_their_direction_in_the_call(
+    targets, monkeypatch, case
+):
+    # the tracer tells the forward leg, the backward leg and the dense
+    # assemble apart by t_span, the second positional argument, and by the
+    # dense_output keyword; every residual runs one leg of each direction
+    assert ("eternalprofile.matching", "solve_ivp") in {t[:2] for t in targets}
+    calls = []
+    fn = matching.solve_ivp
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "solve_ivp", recording)
+    shooting.solve(make_params(*case))
+    assert calls
+    directions = []
+    for args, kwargs in calls:
+        assert len(args) >= 2 and "t_span" not in kwargs
+        assert "dense_output" in kwargs
+        t0, t1 = args[1]
+        directions.append(t1 > t0)
+    assert directions.count(True) == directions.count(False)

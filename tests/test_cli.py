@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eternalprofile import shooting
+from eternalprofile import cli, shooting
 from eternalprofile.cli import main
 from eternalprofile.config import MODES
 from eternalprofile.report import parse_profile_csv
@@ -109,6 +109,24 @@ def test_sweep_mode_and_worker_env(tmp_path, monkeypatch):
     assert "workers" not in res
     classes = [j["classification"] for j in res["jobs"]]
     assert classes == ["ClassC", "ClassA", "ClassA"]
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-3"])
+def test_bad_worker_env_fails_with_report(tmp_path, monkeypatch, capsys, threads):
+    # a worker count that is not a positive integer is a configuration
+    # error: a failed report, exit status 1, and no worker pool
+    pools = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **k: pools.append(k))
+    monkeypatch.setenv("ETERNAL_PROFILE_THREADS", threads)
+    cfg = write_cfg(tmp_path, BASE + "sweep_betas = 0.05, 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    error = read_report(out)["results"]["error"]
+    assert error.startswith("ConfigError: ETERNAL_PROFILE_THREADS")
+    assert repr(threads) in error
+    assert "ETERNAL_PROFILE_THREADS" in capsys.readouterr().err
+    assert read_report(out)["status"] == "failed"
+    assert pools == []
 
 
 def test_plots_flag_controls_svg(tmp_path):

@@ -24,7 +24,8 @@ from eternalprofile.matching import (
     MID_FRAC,
     RTOL,
     TAIL_F,
-    _backward_run,
+    XTOL,
+    _legs,
     _residuals,
     interface_samples,
 )
@@ -97,7 +98,7 @@ def test_backward_leg_independent_of_launch_depth(solved, case):
     # the backward leg by no more than the integration error
     match = solved[case].match
     p, beta, xi0 = make_params(*case), match.beta_star, match.xi0
-    bwd, series = _backward_run(p, beta, xi0)
+    _, bwd, series, _ = _legs(p, beta, xi0, RTOL, dense=False)
     d = series.d0 / 8.0
     deep = solve_ivp(
         profile_rhs(p, beta, 1e-280),
@@ -140,26 +141,8 @@ def recorded():
     return runs
 
 
-def _tight_only(monkeypatch, run_loose):
-    """Make the loose Newton phase report failure: at once, or after it
-    ran (``run_loose``).  Returns the list of tight-phase start points."""
-    phase = matching._newton_phase
-    starts = []
-
-    def failing_loose(p, x, j_beta, nfev, rtol, *args):
-        if rtol == LOOSE_RTOL:
-            if run_loose:
-                _, _, _, nfev, _ = phase(p, x, j_beta, nfev, rtol, *args)
-            return x, None, None, nfev, False
-        starts.append((np.array(x), j_beta))
-        return phase(p, x, j_beta, nfev, rtol, *args)
-
-    monkeypatch.setattr(matching, "_newton_phase", failing_loose)
-    return starts
-
-
 def test_loose_legs_come_first_then_every_leg_at_rtol(recorded):
-    # loose evaluations, the hand-off, then tight evaluations and the
+    # loose evaluations, the tightening, then tight evaluations and the
     # dense assemble, all at RTOL
     for case, (result, legs, _) in recorded.items():
         rtols = [rtol for rtol, _ in legs]
@@ -191,9 +174,12 @@ def test_loose_beta_column_steps_by_sqrt_of_loose_rtol(recorded):
 
 
 def test_two_phase_newton_matches_tight_only_newton(recorded, monkeypatch):
-    # from the solve's own guess, a Newton iteration at RTOL alone
-    # converges to the same (beta*, xi0)
-    _tight_only(monkeypatch, run_loose=False)
+    # from the solve's own guess, a Newton iteration at RTOL alone, its
+    # first beta-column a difference over 1.5e-8 beta, converges to the
+    # same (beta*, xi0)
+    monkeypatch.setattr(matching, "LOOSE_RTOL", RTOL)
+    monkeypatch.setattr(matching, "LOOSE_XTOL", XTOL)
+    monkeypatch.setattr(matching, "LOOSE_FD_REL_STEP", 1.5e-8)
     for case, (result, _, evals) in recorded.items():
         guess = evals[0][1]
         tight = match_profile(make_params(*case), *guess)
@@ -202,33 +188,35 @@ def test_two_phase_newton_matches_tight_only_newton(recorded, monkeypatch):
         assert tight.xi0 == pytest.approx(result.match.xi0, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.2, 0.3, 1)])
-def test_failed_loose_phase_falls_back_to_the_guess(recorded, monkeypatch, case):
-    # the tight phase restarts from the original guess with a fresh
-    # beta-column, and the evaluations of both phases are counted
-    result, _, evals = recorded[case]
-    guess = evals[0][1]
-    loose_nfev = sum(rtol == LOOSE_RTOL for rtol, _ in evals)
-    starts = _tight_only(monkeypatch, run_loose=True)
-    fallback = match_profile(make_params(*case), *guess)
-    (x, j_beta), = starts
-    np.testing.assert_array_equal(x, guess)
-    assert j_beta is None
-    assert fallback.success
-    assert fallback.beta_star == pytest.approx(result.beta_star, rel=1e-13, abs=0)
-    assert fallback.xi0 == pytest.approx(result.match.xi0, rel=1e-13, abs=0)
-    monkeypatch.undo()
-    _tight_only(monkeypatch, run_loose=False)
-    tight = match_profile(make_params(*case), *guess)
-    assert fallback.nfev == loose_nfev + tight.nfev
-    assert (fallback.beta_star, fallback.xi0) == (tight.beta_star, tight.xi0)
+@pytest.mark.parametrize("fail_from", [1, 2, 3])
+def test_failed_loose_stage_makes_no_evaluation_at_rtol(
+    recorded, monkeypatch, fail_from
+):
+    # the loose legs fail from the first evaluation on, from the beta
+    # difference on, or on every trial step: the iteration ends there,
+    # without a tight evaluation at the loose iterate or at the guess
+    _, _, evals = recorded[(2.0, 0.5, 1)]
+    rtols = []
+
+    def failing_loose(p, x, rtol=RTOL):
+        rtols.append(rtol)
+        if rtol == LOOSE_RTOL and len(rtols) >= fail_from:
+            return None
+        return _residuals(p, x, rtol)
+
+    monkeypatch.setattr(matching, "_residuals", failing_loose)
+    failed = match_profile(make_params(2.0, 0.5, 1), *evals[0][1])
+    assert not failed.success
+    assert failed.nfev == len(rtols)
+    assert set(rtols) == {LOOSE_RTOL}
 
 
 @pytest.mark.parametrize("budget", [2, 5, 7])
 def test_both_newton_phases_share_one_evaluation_budget(
     recorded, monkeypatch, budget
 ):
-    # (2, 0.5, 1) needs 8 evaluations from its solve's guess
+    # (2, 0.5, 1) needs 8 evaluations from its solve's guess, loose and
+    # tight together
     _, _, evals = recorded[(2.0, 0.5, 1)]
     assert len(evals) == 8
     monkeypatch.setattr(matching, "MAX_NFEV", budget)
