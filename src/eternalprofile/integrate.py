@@ -15,7 +15,7 @@ import numpy as np
 
 from ._dop853 import solve_ivp
 from .equation import dense_from_origin, origin_series, profile_rhs
-from .errors import DomainError, ProfileError
+from .errors import DomainError
 from .model import Exponents, Params
 from .solution import Classification, LimitProfile, ProfileSolution, StopReason
 
@@ -163,34 +163,6 @@ def classify_beta(
             return Classification.CANDIDATE_B
         return Classification.CLASS_C
     return Classification.UNDETERMINED
-
-
-def interface_slope_integral(sol: ProfileSolution) -> float:
-    """F'(xi0) from the integral identity
-
-        F'(xi0) = xi0^{1-N} int_0^{xi0} s^{N-1} [s^sigma f^q - (alpha+N beta) f] ds,
-
-    evaluated by composite Simpson quadrature on 4097 nodes of the dense
-    output plus the closed-form contribution of the series launch segment
-    [0, delta0].
-    """
-    if sol.xi0 is None:
-        raise ProfileError("interface_slope_integral requires a finite xi0")
-    p, e = sol.params, sol.exps
-    N, sigma = p.N, p.sigma
-    coef = e.alpha + N * e.beta
-    end = float(sol.grid[-1])
-    xi = np.linspace(sol.delta0, end, 4097)
-    f = sol.eval_f(xi)
-    integrand = xi ** (N - 1) * (xi**sigma * f**p.q - coef * f)
-    from scipy.integrate import simpson
-
-    total = simpson(integrand, x=xi)
-    # launch segment with f ~ f0
-    d0 = sol.delta0
-    total += sol.f0**p.q * d0 ** (N + sigma) / (N + sigma)
-    total -= coef * sol.f0 * d0**N / N
-    return float(sol.xi0 ** (1 - N) * total)
 
 
 def integrate_limit_profile(

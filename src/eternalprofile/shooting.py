@@ -11,8 +11,8 @@ COARSE_TOL, so they run at rtol = max(rtol, COARSE_TOL**2); the one
 integration at the coarse estimate that seeds xi0, and every sample
 after matching, keep the caller's rtol.  Two forward classifications
 just below and just above the matched beta* then certify a bracket of
-relative width beta_tol around it; should either disagree, the coarse
-bracket is bisected down to beta_tol instead.
+relative width beta_tol around it; an end that disagrees doubles its
+offset from beta* until it agrees or reaches the coarse bracket's end.
 """
 
 from __future__ import annotations
@@ -193,28 +193,6 @@ def _certified_bracket(beta_star: float, beta_tol: float) -> Tuple[float, float]
     return float(lo), float(hi)
 
 
-def _certify(
-    p: Params,
-    beta_star: float,
-    beta_tol: float,
-    opts: IntegratorOptions,
-    history: List[Tuple[float, Classification]],
-) -> Optional[Tuple[float, float]]:
-    """The beta_tol-wide bracket around beta* if its ends classify as
-    (ClassC, ClassA or CandidateB), else None.
-
-    The low end is integrated first; the high end only when the low end
-    holds.  Each classification is appended to ``history``.
-    """
-    lo, hi = _certified_bracket(beta_star, beta_tol)
-    for beta, side in ((lo, (Classification.CLASS_C,)), (hi, _A_SIDE)):
-        cls = _classify_at(p, beta, opts).classification
-        history.append((beta, cls))
-        if cls not in side:
-            return None
-    return lo, hi
-
-
 def solve(
     p: Params,
     beta_tol: float = BETA_TOL,
@@ -228,11 +206,14 @@ def solve(
     estimate with the caller's opts seeds xi0 from its stop point; the
     two-sided matching stage then solves for (beta*, xi0) exactly, so
     final_profile, the matched profile, is tangential at the interface
-    by construction.  Two forward classifications at
-    beta*(1 -+ beta_tol/2) certify a (ClassC, ClassA) bracket of relative
-    width beta_tol around the matched beta*.  If either fails, the
-    coarse bracket is bisected down to beta_tol instead.  ``iterations``
-    and ``history`` count every classification after the scan.
+    by construction.  Forward classifications at beta*(1 -+ beta_tol/2)
+    certify a (ClassC, ClassA or CandidateB) bracket around the matched
+    beta*.  An end on the wrong side doubles its offset from beta* until
+    it agrees, and takes the coarse bracket's end, classified already,
+    where it would pass it; the reported bracket is then wider than
+    beta_tol.  A coarse bracket without beta* raises BracketFailure.
+    ``iterations`` and ``history`` count every classification after the
+    scan, the low end's before the high end's.
     """
     _check_beta_tol(beta_tol)
     coarse_opts = replace(opts, rtol=max(opts.rtol, COARSE_TOL**2))
@@ -248,18 +229,33 @@ def solve(
         )
     beta_star = matched.beta_star
     history = list(coarse.history)
-    reported = _certify(p, beta_star, beta_tol, opts, history)
-    if reported is None:
-        fine = bisect_beta(
-            p, (coarse.bracket_lo, coarse.bracket_hi), beta_tol, opts
-        )
-        history.extend(fine.history)
-        reported = fine.bracket_lo, fine.bracket_hi
-    lo, hi = reported
+    ends = []
+    for end, cap, side in zip(
+        _certified_bracket(beta_star, beta_tol),
+        (coarse.bracket_lo, coarse.bracket_hi),
+        ((Classification.CLASS_C,), _A_SIDE),
+    ):
+        offset = end - beta_star
+        while True:
+            cls = _classify_at(p, end, opts).classification
+            history.append((end, cls))
+            if cls in side:
+                break
+            if not coarse.bracket_lo < beta_star < coarse.bracket_hi:
+                raise BracketFailure(
+                    f"matched beta* = {beta_star!r} lies outside the coarse "
+                    f"bracket {(coarse.bracket_lo, coarse.bracket_hi)} for {p}"
+                )
+            offset *= 2.0
+            if abs(offset) >= abs(cap - beta_star):
+                end = cap
+                break
+            end = beta_star + offset
+        ends.append(end)
     return ShootingResult(
         beta_star=beta_star,
-        bracket_lo=lo,
-        bracket_hi=hi,
+        bracket_lo=ends[0],
+        bracket_hi=ends[1],
         final_profile=matched.profile,
         history=history,
         match=matched,

@@ -14,10 +14,7 @@ from eternalprofile import (
     make_params,
 )
 from eternalprofile.equation import origin_series
-from eternalprofile.integrate import (
-    absorption_scale,
-    interface_slope_integral,
-)
+from eternalprofile.integrate import absorption_scale
 
 
 def test_series_start_matches_taylor_plus_absorption():
@@ -124,12 +121,3 @@ def test_absorption_scale_is_where_the_limit_profile_doubles(triple):
     p = make_params(*triple)
     doubled = integrate_limit_profile(p, horizon=1e4, guard=2.0).horizon
     assert absorption_scale(p) == pytest.approx(doubled, rel=0.05)
-
-
-def test_interface_slope_integral_agrees_with_contact_slope(solved):
-    # the integral identity gives F'(xi0) without differentiating
-    for case, result in solved.items():
-        sol = result.final_profile
-        est = interface_slope_integral(sol)
-        bound = 1e-4 * sol.xi0 ** sol.params.sigma
-        assert abs(est) <= bound, f"{case}: {est:.3e} > {bound:.3e}"

@@ -19,6 +19,7 @@ from eternalprofile import (
 from eternalprofile.errors import RegionError
 from eternalprofile.pdecheck import (
     eternal_trace,
+    interface_slope_integral,
     radial_mass,
     support_radius,
 )
@@ -106,3 +107,12 @@ def test_eternal_trace_support_and_mass(solved):
         assert radial_mass(s, sol.params.N) > 0
     with pytest.raises(DomainError):
         eternal_trace(sol, (0.0, 1.0), 1)
+
+
+def test_interface_slope_integral_agrees_with_contact_slope(solved):
+    # the integral identity gives F'(xi0) without differentiating
+    for case, result in solved.items():
+        sol = result.final_profile
+        est = interface_slope_integral(sol)
+        bound = 1e-4 * sol.xi0 ** sol.params.sigma
+        assert abs(est) <= bound, f"{case}: {est:.3e} > {bound:.3e}"

@@ -1,6 +1,7 @@
 """Bracketing, bisection and the full solve pipeline."""
 
 import dataclasses
+import math
 import types
 import warnings
 
@@ -297,70 +298,130 @@ def test_certified_bracket_width_is_exact():
             assert (hi - lo) / beta <= tol
 
 
-@pytest.mark.parametrize("side", [0, 1])
-def test_failed_certification_falls_back_to_fine_bisection(
-    monkeypatch, solved, side
-):
-    case = (1.2, 0.3, 1)
-    after_match = []
-    bisections = []
+def _watch_certification(monkeypatch, override=lambda n, sol: sol):
+    """Record the coarse bisections and the betas classified after
+    matching; ``override(n, sol)`` may replace the n-th of those."""
+    samples, bisections, matched = [], [], []
     classify, match, bisect = (
         shooting._classify_at, shooting.match_profile, shooting.bisect_beta
     )
 
-    # the wrong class on the low (0) or the high (1) certification side
-    wrong = (Classification.CLASS_A, Classification.CLASS_C)[side]
-
-    def flipping_classify(p, beta, opts):
+    def watching_classify(p, beta, opts):
         sol = classify(p, beta, opts)
-        if after_match:
-            if len(after_match) == side + 1:
-                sol = dataclasses.replace(sol, classification=wrong)
-            after_match.append(beta)
+        if matched:
+            sol = override(len(samples), sol)
+            samples.append(beta)
         return sol
 
     def marking_match(*args):
-        after_match.append(None)
-        return match(*args)
+        matched.append(match(*args))
+        return matched[-1]
 
     def recording_bisect(p, bracket, beta_tol, opts):
-        bisections.append((beta_tol, bisect(p, bracket, beta_tol, opts)))
-        # only the coarse stage runs at the coarse rtol
-        expected = IntegratorOptions()
-        if beta_tol == shooting.COARSE_TOL:
-            expected = dataclasses.replace(
-                expected, rtol=shooting.COARSE_TOL**2
-            )
-        assert opts == expected
-        return bisections[-1][1]
+        bisections.append((beta_tol, opts, bisect(p, bracket, beta_tol, opts)))
+        return bisections[-1][2]
 
-    monkeypatch.setattr(shooting, "_classify_at", flipping_classify)
+    monkeypatch.setattr(shooting, "_classify_at", watching_classify)
     monkeypatch.setattr(shooting, "match_profile", marking_match)
     monkeypatch.setattr(shooting, "bisect_beta", recording_bisect)
+    return samples, bisections
+
+
+def _reclassified(cls):
+    return lambda sol: dataclasses.replace(sol, classification=cls)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_failed_certification_widens_its_end(monkeypatch, solved, side):
+    case = (1.2, 0.3, 1)
+    # the wrong class on the low (0) or the high (1) certification end
+    wrong = _reclassified(
+        (Classification.CLASS_A, Classification.CLASS_C)[side]
+    )
+    samples, bisections = _watch_certification(
+        monkeypatch, lambda n, sol: wrong(sol) if n == side else sol
+    )
     result = solve(make_params(*case))
-    assert [tol for tol, _ in bisections] == [shooting.COARSE_TOL, 1e-8]
-    (_, coarse), (_, fine) = bisections
-    assert (fine.bracket_lo, fine.bracket_hi) == (
-        result.bracket_lo, result.bracket_hi
+    beta = result.beta_star
+    assert beta == solved[case].beta_star
+    # the coarse stage is the only bisection
+    [(tol, opts, coarse)] = bisections
+    assert tol == shooting.COARSE_TOL
+    assert opts == IntegratorOptions(rtol=shooting.COARSE_TOL**2)
+    # the failed end is classified again at twice its offset, and the
+    # other end certifies on its first sample
+    lo, hi = shooting._certified_bracket(beta, 1e-8)
+    flipped = (lo, hi)[side]
+    assert samples[:side + 1] == [lo, hi][:side + 1]
+    assert samples[side + 1] == beta + 2.0 * (flipped - beta)
+    assert len(samples) == 3
+    kept = samples[:side] + samples[side + 1:]
+    assert (result.bracket_lo, result.bracket_hi) == tuple(kept)
+    assert result.bracket_lo < beta < result.bracket_hi
+    assert (result.bracket_hi - result.bracket_lo) / beta == pytest.approx(
+        1.5e-8, rel=1e-6
     )
-    assert (result.bracket_hi - result.bracket_lo) / result.beta_star <= 1e-8
     assert len(result.history) == result.iterations
-    # coarse midpoints, the certification samples up to the failed one,
-    # then the fine midpoints
-    assert result.iterations == coarse.iterations + side + 1 + fine.iterations
-    assert result.beta_star == pytest.approx(
-        solved[case].beta_star, rel=1e-13, abs=0.0
+    assert result.iterations == coarse.iterations + len(samples)
+
+
+def test_undetermined_end_stops_at_the_coarse_bracket(monkeypatch):
+    # every sample after the low end's first is forced Undetermined
+    undetermined = _reclassified(Classification.UNDETERMINED)
+    samples, bisections = _watch_certification(
+        monkeypatch, lambda n, sol: undetermined(sol) if n >= 1 else sol
     )
+    result = solve(make_params(1.2, 0.3, 1))
+    beta = result.beta_star
+    [(_, _, coarse)] = bisections
+    assert result.bracket_lo == samples[0] < beta
+    assert result.bracket_hi == coarse.bracket_hi
+    # the high end doubles its offset until the next doubling would
+    # reach the coarse end, which is not classified again
+    offsets = [s - beta for s in samples[1:]]
+    for small, large in zip(offsets, offsets[1:]):
+        assert large / small == pytest.approx(2.0, rel=1e-6)
+    cap = coarse.bracket_hi - beta
+    assert offsets[-1] < cap <= 2.0 * offsets[-1]
+    assert len(offsets) == math.ceil(math.log2(cap / offsets[0])) <= 20
+    assert result.iterations == coarse.iterations + len(samples)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="the fine-bisection fallback bracket can exclude beta*"
+def test_matched_beta_outside_coarse_bracket_raises(monkeypatch):
+    samples, bisections = _watch_certification(monkeypatch)
+    match = shooting.match_profile
+
+    def shifted_match(*args):
+        [(_, _, coarse)] = bisections
+        matched = match(*args)
+        return dataclasses.replace(matched, beta_star=1.1 * coarse.bracket_hi)
+
+    monkeypatch.setattr(shooting, "match_profile", shifted_match)
+    with pytest.raises(BracketFailure, match="outside the coarse bracket"):
+        solve(make_params(1.2, 0.3, 1))
+    # the low end, above the true beta*, crosses zero: one sample
+    assert len(samples) == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(1.202, 0.202, 1), (1.1, 0.1, 1), (1.1, 0.3, 3), (2.12, 0.462, 3),
+     (2.259, 0.115, 2)],
 )
-def test_fallback_bracket_contains_matched_beta():
-    # beta*(1 - beta_tol/2) grazes (CandidateB), so certification fails and
-    # the fine bisection of the coarse bracket stops 5.4e-10 below beta*
-    result = solve(make_params(1.202, 0.202, 1))
+def test_widened_bracket_contains_matched_beta(case):
+    # an end grazes or is Undetermined at beta*(1 -+ beta_tol/2); the
+    # last two raised before certification widened its ends
+    result = solve(make_params(*case))
     assert result.bracket_lo < result.beta_star < result.bracket_hi
+    assert len(result.history) == result.iterations
+
+
+@pytest.mark.parametrize("beta_tol", [1e-10, 1e-12, 1e-14])
+@pytest.mark.parametrize("case", sorted(BETA_STAR))
+def test_bracket_contains_matched_beta_at_tight_beta_tol(case, beta_tol):
+    result = solve(make_params(*case), beta_tol=beta_tol)
+    assert result.bracket_lo < result.beta_star < result.bracket_hi
+    assert len(result.history) == result.iterations
 
 
 @pytest.mark.parametrize("kwarg", ["tol", "match_opts"])
