@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import asymptotics, pdecheck, phasespace, shooting
-from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config
+from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config, validate
 from .errors import ConfigError, ProfileError
 from .integrate import IntegratorOptions, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
@@ -274,10 +274,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        cfg.mode = args.mode        # the command line's mode wins
+        validate(cfg)
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg.mode = args.mode
     report = run(cfg, out_dir=args.out, plots=args.plots or None)
     if report.status != "ok":
         print(f"error: {report.results.get('error')}", file=sys.stderr)

@@ -138,11 +138,12 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: {key} must be {expected}, got {raw!r}"
             ) from None
-    _validate(cfg)
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def validate(cfg: RunConfig) -> None:
+    """Raise ConfigError unless ``cfg`` is complete for its mode."""
     if cfg.mode == "sweep":
         if not cfg.sweep_betas and not cfg.sweep_params:
             raise ConfigError("sweep mode requires sweep_betas or sweep_params")

@@ -28,7 +28,8 @@ for, so Newton starts loose (an inexact Newton method: Dembo, Eisenstat
 & Steihaug 1982; Deuflhard 2004).  Both legs run at LOOSE_RTOL until a
 step is below LOOSE_XTOL; the residual is then re-evaluated in place at
 RTOL and the same iteration goes on to the XTOL stop, so the converged
-point is the one a tight-only iteration finds.
+point is the one a tight-only iteration finds.  The RTOL legs keep
+their dense output, and the profile is built from those of that point.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._dop853 import solve_ivp
+from ._dop853 import halve_long_steps, sample, solve_ivp
 from .equation import (
     InterfaceSeries,
     dense_from_origin,
@@ -63,7 +64,7 @@ DELTA0 = 1e-6               # forward Taylor launch offset
 LAUNCH_F = 1e-6             # floor of the interface-side launch, in A d^theta
 TAIL_F = 1e-9               # height of the last stored interface sample
 MID_FRAC = 0.5              # matching point as a fraction of xi0
-MAX_STEP_FRAC = 1.0 / 256.0  # step cap of the dense legs, relative to xi
+MAX_STEP_FRAC = 1.0 / 256.0  # spacing of the stored grid, relative to xi
 XTOL = 1e-13                # Newton stops once each step is <= XTOL |x|
 LOOSE_RTOL = 1e-6           # rtol of both legs in Newton's first iterations
 LOOSE_XTOL = 1e-5           # the legs tighten to RTOL once a step is <= this
@@ -84,7 +85,7 @@ class MatchResult:
     profile: Optional[ProfileSolution] = None
 
 
-def _legs(p: Params, beta: float, xi0: float, rtol: float, dense: bool):
+def _legs(p: Params, beta: float, xi0: float, rtol: float):
     """Forward leg from the origin series at DELTA0, then backward leg from
     the interface series at d0 = u0 xi0, both integrated to xi_mid.
 
@@ -94,17 +95,9 @@ def _legs(p: Params, beta: float, xi0: float, rtol: float, dense: bool):
     rhs = profile_rhs(p, beta, _F_FLOOR)
     xi_mid = MID_FRAC * xi0
 
-    def leg(t_span, y0, max_step, direction):
-        sol = solve_ivp(
-            rhs,
-            t_span,
-            y0,
-            method="DOP853",
-            rtol=rtol,
-            atol=ATOL,
-            dense_output=dense,
-            max_step=max_step if dense else np.inf,
-        )
+    def leg(t_span, y0, direction):
+        sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol,
+                        atol=ATOL, dense_output=rtol == RTOL)
         if not sol.success:
             raise StepFailureError(
                 f"{direction} integration failed at beta={beta!r}, "
@@ -112,16 +105,14 @@ def _legs(p: Params, beta: float, xi0: float, rtol: float, dense: bool):
             )
         return sol
 
-    fwd = leg((DELTA0, xi_mid), origin_series(p, beta, DELTA0),
-              xi_mid * MAX_STEP_FRAC, "forward")
+    fwd = leg((DELTA0, xi_mid), origin_series(p, beta, DELTA0), "forward")
     series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
     xi_start = xi0 - series.d0
     if not xi_start > xi_mid:
         raise BracketFailure(
             f"interface launch {xi_start} inside matching point {xi_mid}"
         )
-    bwd = leg((xi_start, xi_mid), series(series.d0),
-              xi0 * MAX_STEP_FRAC, "backward")
+    bwd = leg((xi_start, xi_mid), series(series.d0), "backward")
     return fwd, bwd, series, rhs
 
 
@@ -178,8 +169,8 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
 
 
 def _residuals(p: Params, x, rtol=RTOL):
-    """Continuity residual r and its exact xi0-column dr/dxi0, or None
-    when a leg fails.
+    """Continuity residual r, its exact xi0-column dr/dxi0 and the legs
+    of ``_legs``, or None when a leg fails.
 
     Because sigma = sigma_c, the rescaling family
     f_A(xi) = A f_1(A^{-(m-1)/2} xi) maps the backward leg with its
@@ -198,7 +189,7 @@ def _residuals(p: Params, x, rtol=RTOL):
     if beta <= 0.0 or xi0 <= 0.0:
         return None
     try:
-        fwd, bwd, _, rhs = _legs(p, beta, xi0, rtol, dense=False)
+        fwd, bwd, _, rhs = legs = _legs(p, beta, xi0, rtol)
     except (BracketFailure, StepFailureError):
         return None
     F_f, Fp_f = float(fwd.y[0, -1]), float(fwd.y[1, -1])
@@ -210,7 +201,7 @@ def _residuals(p: Params, x, rtol=RTOL):
         MID_FRAC * Fp_f - P * F_b / xi0,
         MID_FRAC * Fpp_f - (P - 1.0) * Fp_b / xi0,
     ])
-    return r, dr_dxi0
+    return r, dr_dxi0, legs
 
 
 def _newton(p: Params, beta: float, xi0: float):
@@ -227,50 +218,51 @@ def _newton(p: Params, beta: float, xi0: float):
     once a step is <= XTOL |x|.  Any failure ends it, and MAX_NFEV
     bounds the residual evaluations.
 
-    Returns (x, r, nfev, converged).
+    Returns (x, r, nfev, legs), legs those of the converged x at RTOL,
+    or None when the iteration fails.
     """
     x = np.array([beta, xi0])
     rtol, xtol = LOOSE_RTOL, LOOSE_XTOL
     nfev = 1
     out = _residuals(p, x, rtol)
     if out is None:
-        return x, None, nfev, False
-    r, j_xi0 = out
+        return x, None, nfev, None
+    r, j_xi0, legs = out
     h = LOOSE_FD_REL_STEP * beta
     nfev += 1
     out_h = _residuals(p, (beta + h, xi0), rtol)
     if out_h is None:
-        return x, r, nfev, False
+        return x, r, nfev, None
     j_beta = (out_h[0] - r) / h
     while True:
         try:
             step = -np.linalg.solve(np.column_stack([j_beta, j_xi0]), r)
         except np.linalg.LinAlgError:
-            return x, r, nfev, False
+            return x, r, nfev, None
         norm = np.max(np.abs(r))
         t = 1.0
         while True:
             dx = t * step
             if np.all(np.abs(dx) <= xtol * np.abs(x)):
                 if rtol == RTOL:
-                    return x, r, nfev, True
+                    return x, r, nfev, legs
                 if nfev >= MAX_NFEV:
-                    return x, r, nfev, False
+                    return x, r, nfev, None
                 # tighten the legs in place, keeping the beta-column
                 rtol, xtol = RTOL, XTOL
                 nfev += 1
                 out = _residuals(p, x, rtol)
                 if out is None:
-                    return x, None, nfev, False
-                r, j_xi0 = out
+                    return x, None, nfev, None
+                r, j_xi0, legs = out
                 break
             if t < MIN_STEP_FACTOR or nfev >= MAX_NFEV:
-                return x, r, nfev, False
+                return x, r, nfev, None
             x_new = x + dx
             nfev += 1
             out = _residuals(p, x_new, rtol)
             if out is not None and np.max(np.abs(out[0])) < norm:
-                r_new, j_xi0_new = out
+                r_new, j_xi0_new, legs_new = out
                 d_beta, d_xi0 = dx
                 # a step that hardly moves beta says little about dr/dbeta
                 if (
@@ -280,7 +272,7 @@ def _newton(p: Params, beta: float, xi0: float):
                     j_beta = (
                         r_new - r - 0.5 * (j_xi0 + j_xi0_new) * d_xi0
                     ) / d_beta
-                x, r, j_xi0 = x_new, r_new, j_xi0_new
+                x, r, j_xi0, legs = x_new, r_new, j_xi0_new, legs_new
                 break
             t *= 0.5
 
@@ -291,49 +283,45 @@ def match_profile(p: Params, beta_guess: float, xi0_guess: float) -> MatchResult
     ``beta_guess`` and ``xi0_guess`` come from the forward bisection
     stage; convergence is quadratic from any reasonable neighbourhood.
     """
-    x, r, nfev, converged = _newton(p, float(beta_guess), float(xi0_guess))
+    x, r, nfev, legs = _newton(p, float(beta_guess), float(xi0_guess))
     beta_star, xi0 = float(x[0]), float(x[1])
     residual = float(np.max(np.abs(r))) if r is not None else np.inf
-    success = converged and residual < 1e-6
-    result = MatchResult(
-        beta_star=beta_star,
-        xi0=xi0,
-        residual=residual,
-        nfev=nfev,
-        success=success,
-    )
+    success = legs is not None and residual < 1e-6
+    result = MatchResult(beta_star=beta_star, xi0=xi0, residual=residual,
+                         nfev=nfev, success=success)
     if success:
-        result.profile = _assemble_profile(p, beta_star, xi0)
+        result.profile = _assemble_profile(p, beta_star, xi0, legs)
     return result
 
 
-def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
-    """Dense profile at the matched parameters, tangential at xi0."""
+def _assemble_profile(p: Params, beta: float, xi0: float, legs) -> ProfileSolution:
+    """Dense profile at the matched parameters, tangential at xi0, from
+    the dense ``legs`` of Newton's last tight evaluation.  Over their long
+    steps the order-7 interpolant loses two digits, so each step longer
+    than the grid spacing (MAX_STEP_FRAC of xi_mid forward, of xi0
+    backward) is halved, and the grid samples the interpolants at it."""
     xi_mid = MID_FRAC * xi0
-    fwd, bwd, series, _ = _legs(p, beta, xi0, RTOL, dense=True)
-    e = exponents_from_beta(p, beta)
+    fwd, bwd, series, _ = legs
+    ode_f = halve_long_steps(fwd.sol, xi_mid * MAX_STEP_FRAC)
+    ode_b = halve_long_steps(bwd.sol, xi0 * MAX_STEP_FRAC)
 
-    # stitch: forward nodes, backward nodes reversed, then interface-series
-    # samples down to TAIL_F at the interface, log-spaced and no sparser
-    # than the dense legs
-    grid_f, F_f, Fp_f = fwd.t, fwd.y[0], fwd.y[1]
-    grid_b = bwd.t[::-1]
-    keep = grid_b > grid_f[-1]
-    F_b, Fp_b = bwd.y[0, ::-1][keep], bwd.y[1, ::-1][keep]
-    grid_b = grid_b[keep]
+    # stitch: forward samples and the matched end state, backward samples
+    # reversed, then interface-series samples inside the launch down to
+    # TAIL_F, log-spaced and no sparser than the legs' samples
+    grid_f, F_f, Fp_f = sample(ode_f, xi_mid * MAX_STEP_FRAC)
+    grid_b, F_b, Fp_b = (a[::-1] for a in sample(ode_b, xi0 * MAX_STEP_FRAC))
     d_tail = launch_distance(series, TAIL_F)
     d_log = np.exp(np.linspace(np.log(series.d0), np.log(d_tail), 40))[1:]
     d_lin = series.d0 - xi0 * MAX_STEP_FRAC * np.arange(1.0, 256.0)
-    d_ext = np.unique(np.concatenate([d_log, d_lin[d_lin > d_tail]]))[::-1]
+    d_ext = np.concatenate([d_log, d_lin[d_lin > d_tail]])
+    d_ext = np.unique(d_ext[d_ext < series.d0])[::-1]
     F_ext, Fp_ext = series(d_ext)
-    grid = np.concatenate([grid_f, grid_b, xi0 - d_ext])
-    F_values = np.concatenate([F_f, F_b, F_ext])
-    Fp_values = np.concatenate([Fp_f, Fp_b, Fp_ext])
+    grid = np.concatenate([grid_f, fwd.t[-1:], grid_b, xi0 - d_ext])
+    F_values = np.concatenate([F_f, fwd.y[0, -1:], F_b, F_ext])
+    Fp_values = np.concatenate([Fp_f, fwd.y[1, -1:], Fp_b, Fp_ext])
 
-    delta0 = float(grid_f[0])
     xi_launch = float(bwd.t[0])
-    dense_f = dense_from_origin(p, beta, delta0, fwd.sol)
-    dense_b = bwd.sol
+    dense_f = dense_from_origin(p, beta, DELTA0, ode_f)
 
     def dense(xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -345,7 +333,7 @@ def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
         if fpart.any():
             F[fpart], Fp[fpart] = dense_f(xi[fpart])
         if bpart.any():
-            F[bpart], Fp[bpart] = dense_b(xi[bpart])
+            F[bpart], Fp[bpart] = ode_b(xi[bpart])
         F[outer] = Fp[outer] = 0.0
         inside = outer & (xi < xi0)
         F[inside], Fp[inside] = series(xi0 - xi[inside])
@@ -353,7 +341,7 @@ def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
 
     return ProfileSolution(
         params=p,
-        exps=e,
+        exps=exponents_from_beta(p, beta),
         grid=grid,
         F_values=F_values,
         Fprime_values=Fp_values,
@@ -362,6 +350,6 @@ def _assemble_profile(p: Params, beta: float, xi0: float) -> ProfileSolution:
         classification=Classification.CANDIDATE_B,
         stop_reason=StopReason.CONTACT_ZERO,
         contact_eps=TAIL_F,
-        delta0=delta0,
+        delta0=DELTA0,
         dense=dense,
     )

@@ -170,6 +170,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_command_line_mode_is_validated(tmp_path, capsys):
+    # the file leaves the mode at its default, solve, which needs no beta;
+    # the command line asks for classify, which does
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
+    assert "classify mode requires beta" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_module_error_serialized_as_failure(tmp_path):
     # classify with beta validation passing but phase analysis requiring
     # the sub-critical range

@@ -28,7 +28,7 @@ from eternalprofile import (
     integrate_profile,
     make_params,
 )
-from eternalprofile._dop853 import _step, solve_ivp
+from eternalprofile._dop853 import _step, halve_long_steps, sample, solve_ivp
 from eternalprofile.equation import origin_series, profile_rhs
 from eternalprofile.solution import StopReason
 
@@ -484,3 +484,39 @@ def test_event_step_interpolant_is_built_at_once(event, t_span):
     end = dense.sol(dense.t[-1])
     assert dense_fun.calls == plain_fun.calls
     np.testing.assert_array_equal(end, dense.y[:, -1])
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 4.0), (4.0, 0.0)])
+def test_long_steps_halved_and_sampled(t_span):
+    # the uncapped run steps up to 0.17; each step longer than H becomes
+    # two half-steps from the same start node, closer to a tight run
+    fun = Counting(oscillator)
+    run = solve_ivp(fun, t_span, [1.0, 0.5], method="DOP853",
+                    dense_output=True, **TOL)
+    h = np.abs(np.diff(run.t))
+    long = np.count_nonzero(h > H)
+    # sampling builds only the segments it samples inside
+    calls = fun.calls
+    ts, y0, y1 = sample(run.sol, 1.0)
+    np.testing.assert_array_equal(ts, run.t[:-1])
+    np.testing.assert_array_equal(np.array([y0, y1]), run.y[:, :-1])
+    assert fun.calls == calls
+    sample(run.sol, H)
+    assert fun.calls == calls + 3 * long
+    halved = halve_long_steps(run.sol, H)
+    assert halved.n_segments == h.size + long
+    assert np.all(np.isin(run.t, halved.ts))
+    ref = scipy.integrate.solve_ivp(oscillator, t_span, [1.0, 0.5],
+                                    method="DOP853", dense_output=True,
+                                    rtol=1e-13, atol=1e-15)
+    t = np.linspace(0.0, 4.0, 4001)
+    err = np.max(np.abs(halved(t) - ref.sol(t)))
+    assert err < 0.5 * np.max(np.abs(run.sol(t) - ref.sol(t)))
+    # samples at most H apart: every segment start, then points on the
+    # half-step interpolants
+    ts, y0, y1 = sample(halved, H)
+    assert np.max(np.abs(np.diff(ts))) <= H
+    start = np.isin(ts, halved.ts)
+    np.testing.assert_array_equal(ts[start], halved.ts[:-1])
+    np.testing.assert_allclose(np.array([y0, y1])[:, ~start],
+                               halved(ts[~start]), rtol=1e-14, atol=1e-15)
