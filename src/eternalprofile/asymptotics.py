@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .equation import launch_distance
 from .errors import ProfileError, WindowError
 from .model import Exponents, InterfaceCase, Params, interface_case
 from .solution import ProfileSolution
@@ -119,25 +118,6 @@ def predict_expansion(p: Params, e: Exponents, xi0: float) -> InterfaceExpansion
     )
 
 
-def extrapolate_xi0(
-    sol: ProfileSolution, expansion: InterfaceExpansion
-) -> float:
-    """The interface location, extrapolated from the end of the stored grid.
-
-    A forward contact's grid ends at f_stop = ``contact_eps`` > 0, a
-    distance (f_stop / A)^{1/theta} short of the true interface.  A
-    matched profile's ``xi0`` lies beyond its stored tail and is returned
-    unchanged: where that tail carries a second-order term (m + q < 2),
-    the leading term alone would extrapolate the interface inward.
-    """
-    if sol.xi0 is None:
-        raise ProfileError("extrapolate_xi0 requires a contact event")
-    f_stop = float(sol.f_values[-1])
-    if sol.xi0 > sol.grid[-1] or f_stop <= 0.0:
-        return float(sol.xi0)
-    return float(sol.grid[-1]) + launch_distance(expansion, f_stop)
-
-
 #: Default fit depths as fractions of xi0.  The leading-order window sits
 #: where the analytic corrections (linear and higher in xi0 - xi) are
 #: negligible; the second-order window is wider so the two correction
@@ -149,16 +129,6 @@ SECOND_WINDOW = (3e-6, 1e-3)
 FIT_POINTS = 80
 
 
-def default_fit_window(
-    sol: ProfileSolution, expansion: InterfaceExpansion
-) -> Tuple[float, float]:
-    """Default leading-order window, as a (xi_lo, xi_hi) interval."""
-    xi0 = extrapolate_xi0(sol, expansion)
-    lo = xi0 * (1.0 - LEAD_WINDOW[1])
-    hi = xi0 * (1.0 - LEAD_WINDOW[0])
-    return lo, hi
-
-
 def fit_interface(
     sol: ProfileSolution,
     window: Optional[Tuple[float, float]] = None,
@@ -166,10 +136,12 @@ def fit_interface(
 ) -> InterfaceFit:
     """Fit the interface expansion against fresh near-contact samples.
 
-    FIT_POINTS log-spaced samples span ``window`` (default
-    ``default_fit_window``); the second-order fit adds as many across
-    SECOND_WINDOW.  The samples are produced by re-integrating the
-    equation outward from a launch point far below the fit window (see
+    The profile must be matched, as ``solve`` returns it: its ``xi0``
+    lies beyond the stored grid (``ProfileError`` otherwise).
+    FIT_POINTS log-spaced samples span ``window`` (default LEAD_WINDOW
+    below xi0); the second-order fit adds as many across SECOND_WINDOW.
+    The samples are produced by re-integrating the equation outward from
+    a launch point far below the fit window (see
     ``matching.interface_samples``), anchored at the profile's (beta,
     xi0); stored grids cannot reach these depths.  The leading order is
     a linear least-squares fit of log f against log(xi0 - xi).  The
@@ -180,15 +152,12 @@ def fit_interface(
     """
     from .matching import interface_samples
 
-    if sol.xi0 is None:
-        raise ProfileError("fit_interface requires a profile with contact")
-    expansion = predict_expansion(sol.params, sol.exps, float(sol.xi0))
-    xi0 = extrapolate_xi0(sol, expansion)
-    if xi0 != sol.xi0:
-        # re-predict at the corrected interface location
-        expansion = predict_expansion(sol.params, sol.exps, xi0)
+    if sol.xi0 is None or not sol.xi0 > sol.grid[-1]:
+        raise ProfileError("fit_interface requires a matched profile")
+    xi0 = float(sol.xi0)
+    expansion = predict_expansion(sol.params, sol.exps, xi0)
     if window is None:
-        window = default_fit_window(sol, expansion)
+        window = (xi0 * (1.0 - LEAD_WINDOW[1]), xi0 * (1.0 - LEAD_WINDOW[0]))
     lo, hi = window
     if not 0.0 < lo < hi < xi0:
         raise WindowError(f"window ({lo}, {hi}) not inside (0, {xi0})")

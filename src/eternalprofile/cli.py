@@ -2,17 +2,16 @@
 
 Usage: eternalprofile <mode> --config <path> [--out <dir>] [--plots]
 with mode one of solve, classify, asymptotics, phase, verify, sweep.
-The worker count for sweep mode can be overridden with the
-ETERNAL_PROFILE_THREADS environment variable.
+Sweep mode classifies each job in process and reports the jobs in
+input order: the betas of ``sweep_betas`` first, then the triples of
+``sweep_params`` at ``beta`` (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import asymptotics, pdecheck, phasespace, shooting
 from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config, validate
-from .errors import ConfigError, ProfileError
+from .errors import ProfileError
 from .integrate import IntegratorOptions, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
 from .report import (
@@ -173,48 +172,25 @@ def _run_verify(cfg: RunConfig) -> tuple:
     }
 
 
-def _sweep_job(args) -> tuple:
-    key, m, q, N, beta, opts = args
-    p = make_params(m, q, N)
-    sol = integrate_profile(p, exponents_from_beta(p, beta), opts)
-    return key, {
-        "m": m,
-        "q": q,
-        "N": N,
-        "beta": beta,
-        "classification": sol.classification.value,
-        "xi0": sol.xi0,
-        "xi1": sol.xi1,
-    }
-
-
 def _run_sweep(cfg: RunConfig) -> tuple:
     opts = _integrator_options(cfg)
-    jobs = [
-        (f"beta:{i:04d}", cfg.m, cfg.q, cfg.N, beta, opts)
-        for i, beta in enumerate(cfg.sweep_betas)
-    ]
     beta = cfg.beta if cfg.beta is not None else 1.0
-    for i, (m, q, N) in enumerate(cfg.sweep_params):
-        jobs.append((f"params:{i:04d}", m, q, N, beta, opts))
-    env = os.environ.get("ETERNAL_PROFILE_THREADS")
-    workers = min(4, os.cpu_count() or 1)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(
-                f"ETERNAL_PROFILE_THREADS must be a positive integer, got {env!r}"
-            )
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_sweep_job, jobs))
-    else:
-        results = dict(map(_sweep_job, jobs))
-    # deterministic merge by job key
-    return None, None, {"jobs": [results[key] for key in sorted(results)]}
+    points = [(cfg.m, cfg.q, cfg.N, b) for b in cfg.sweep_betas]
+    points += [(m, q, N, beta) for m, q, N in cfg.sweep_params]
+    jobs = []
+    for m, q, N, b in points:
+        p = make_params(m, q, N)
+        sol = integrate_profile(p, exponents_from_beta(p, b), opts)
+        jobs.append({
+            "m": m,
+            "q": q,
+            "N": N,
+            "beta": b,
+            "classification": sol.classification.value,
+            "xi0": sol.xi0,
+            "xi1": sol.xi1,
+        })
+    return None, None, {"jobs": jobs}
 
 
 _RUNNERS = {

@@ -15,7 +15,8 @@ keys (``INTEGRATOR_KEYS``) take their defaults from
     beta             exponent for classify (optional elsewhere)
     beta_tol         relative width of the reported bracket
                      (default shooting.BETA_TOL, at least
-                     shooting.MIN_BETA_TOL)
+                     shooting.MIN_BETA_TOL); below about 1e-10 the
+                     bracket gets no narrower, only costlier
     rtol, atol       integrator tolerances (the coarse stage of a
                      solve runs at rtol >= shooting.COARSE_TOL**2)
     delta0           series launch offset

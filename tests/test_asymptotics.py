@@ -18,11 +18,9 @@ from eternalprofile.asymptotics import (
     K1_constant,
     K2_constant,
     K3_constant,
-    default_fit_window,
-    extrapolate_xi0,
     upper_bounds_check,
 )
-from eternalprofile.errors import WindowError
+from eternalprofile.errors import ProfileError, WindowError
 
 # Frozen oracles, evaluated independently at 40-digit precision from the
 # closed forms K1 = [(m-q)/sqrt(2m(m+q))]^{2/(m-q)},
@@ -101,30 +99,17 @@ def test_amplitude_closed_forms(solved):
         assert expn.amplitude == pytest.approx(amp, rel=1e-9)
 
 
-def test_extrapolate_xi0_adds_stop_distance(solved):
-    # a forward ClassA run stops at f = contact_eps, short of the interface
+def test_fit_interface_rejects_forward_profile(solved):
+    # a forward ClassA run stops at f = contact_eps, short of its
+    # interface; only a matched profile anchors the fit
     case = (2.0, 0.5, 1)
     p = make_params(*case)
     sol = integrate_profile(
         p, exponents_from_beta(p, 1.01 * solved[case].beta_star)
     )
     assert sol.classification is Classification.CLASS_A
-    expn = predict_expansion(sol.params, sol.exps, sol.xi0)
-    corrected = extrapolate_xi0(sol, expn)
-    f_stop = float(sol.f_values[-1])
-    gap = (f_stop / expn.amplitude) ** (1.0 / expn.theta)
-    assert corrected == pytest.approx(sol.xi0 + gap, rel=1e-12)
-    assert 0 < corrected - sol.xi0 < 1e-3
-
-
-def test_extrapolate_xi0_keeps_matched_interface(solved):
-    # a matched profile's grid ends a tail distance inside its exact xi0,
-    # which extrapolation must return bit for bit
-    for case, result in solved.items():
-        sol = result.final_profile
-        assert float(sol.grid[-1]) < sol.xi0
-        expn = predict_expansion(sol.params, sol.exps, sol.xi0)
-        assert extrapolate_xi0(sol, expn) == sol.xi0, case
+    with pytest.raises(ProfileError, match="matched profile"):
+        fit_interface(sol)
 
 
 def test_fit_interface_recovers_theta_and_amplitude(solved):
@@ -145,10 +130,8 @@ def test_fit_interface_recovers_theta_and_amplitude(solved):
 
 def test_fit_window_defaults_near_interface(solved):
     sol = solved[(2.0, 0.5, 1)].final_profile
-    expn = predict_expansion(sol.params, sol.exps, sol.xi0)
-    corrected = extrapolate_xi0(sol, expn)
-    lo, hi = default_fit_window(sol, expn)
-    assert corrected * 0.999 < lo < hi < corrected
+    lo, hi = fit_interface(sol).fit_window
+    assert sol.xi0 * 0.999 < lo < hi < sol.xi0
 
 
 def test_fit_interface_rejects_bad_window(solved):

@@ -7,9 +7,11 @@ list, and CHANGES.md names the caller that needs a value other than the
 default.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import eternalprofile
 
@@ -55,3 +57,20 @@ def _options():
 def test_public_options_are_pinned():
     assert _options() == OPTIONS
     assert sum(map(len, OPTIONS.values())) == 21
+
+
+def test_no_module_reads_the_environment():
+    """No module reads an environment variable.
+
+    The configuration file and the function arguments are the only
+    inputs, so equal inputs give equal results on every machine.  A new
+    variable edits this test, and CHANGES.md names the caller that needs
+    it.
+    """
+    readers = []
+    for path in sorted(Path(eternalprofile.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in ("environ", "getenv", "environb", "getenvb"):
+                readers.append(f"{path.name}:{node.lineno} {name}")
+    assert readers == []
