@@ -14,6 +14,8 @@ scipy's tableau as straight-line code on local floats.  A dense run
 records each accepted step and builds its interpolant, which costs
 three more evaluations of the right-hand side, when the segment is
 first read; only the step on which an event fires builds it at once.
+Its ``OdeSolution`` evaluates any number of points in one numpy pass,
+with scipy's bits.
 
 Every event here is terminal, as in the shooting argument, where the
 first of "f reaches zero" and "f' turns non-negative" decides the class
@@ -236,6 +238,30 @@ class _Segments:
         return item
 
 
+class _Solution(OdeSolution):
+    """scipy's ``OdeSolution`` of a dense run, evaluated in one numpy pass.
+
+    Each point's segment is picked with one ``searchsorted``, with
+    scipy's side and clipping for either direction; only the segments
+    read are built, and ``_nested`` runs once over all points, so the
+    values are scipy's bit for bit.
+    """
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        seg = np.searchsorted(self.ts_sorted, np.atleast_1d(t), side=self.side) - 1
+        np.clip(seg, 0, self.n_segments - 1, out=seg)
+        if not self.ascending:
+            seg = self.n_segments - 1 - seg
+        used, seg = np.unique(seg, return_inverse=True)
+        parts = [self.interpolants[i] for i in used]
+        x = ((t - np.array([s.t_old for s in parts])[seg])
+             / np.array([s.h for s in parts])[seg])
+        coef = np.array([s.coef for s in parts]).T[..., seg]
+        y = _nested(coef, x) + np.array([s.y_old for s in parts]).T[:, seg]
+        return y[:, 0] if t.ndim == 0 else y
+
+
 def halve_long_steps(odesol, max_step):
     """``odesol`` of a dense run with each step longer than ``max_step``
     re-taken as two fixed half-steps from its start node, which cuts the
@@ -256,7 +282,7 @@ def halve_long_steps(odesol, max_step):
             segments.items.append((t, t_new, ya, yb, na, nb, ga, gb, k0, k1))
             ts.append(t_new)
             t, ya, yb, fa, fb = t_new, na, nb, ga, gb
-    return OdeSolution(np.array(ts), segments)
+    return _Solution(np.array(ts), segments)
 
 
 def sample(odesol, spacing):
@@ -423,7 +449,7 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
     return OptimizeResult(
         t=ts,
         y=np.array([Y0, Y1]),
-        sol=OdeSolution(ts, segments) if dense_output else None,
+        sol=_Solution(ts, segments) if dense_output else None,
         t_events=None if events is None else [np.asarray(te) for te in t_events],
         nfev=nfev,
         status=status,

@@ -114,6 +114,13 @@ _KEYS = {
 
 def load_config(path) -> RunConfig:
     """Parse and validate a configuration file."""
+    cfg = parse_config(path)
+    validate(cfg)
+    return cfg
+
+
+def parse_config(path) -> RunConfig:
+    """Parse a configuration file; ``validate`` checks it for its mode."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -139,7 +146,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: {key} must be {expected}, got {raw!r}"
             ) from None
-    validate(cfg)
     return cfg
 
 

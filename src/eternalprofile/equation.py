@@ -408,7 +408,8 @@ def dense_from_origin(p: Params, beta: float, delta0: float, odesol):
         F = np.empty_like(xi)
         Fp = np.empty_like(xi)
         small = xi < delta0
-        F[small], Fp[small] = origin_series(p, beta, xi[small])
+        if small.any():
+            F[small], Fp[small] = origin_series(p, beta, xi[small])
         if (~small).any():
             F[~small], Fp[~small] = odesol(xi[~small])
         return F, Fp

@@ -336,7 +336,8 @@ def _assemble_profile(p: Params, beta: float, xi0: float, legs) -> ProfileSoluti
             F[bpart], Fp[bpart] = ode_b(xi[bpart])
         F[outer] = Fp[outer] = 0.0
         inside = outer & (xi < xi0)
-        F[inside], Fp[inside] = series(xi0 - xi[inside])
+        if inside.any():
+            F[inside], Fp[inside] = series(xi0 - xi[inside])
         return F, Fp
 
     return ProfileSolution(

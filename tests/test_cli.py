@@ -7,8 +7,9 @@ import pytest
 
 from eternalprofile import Classification, cli, shooting
 from eternalprofile.cli import main
-from eternalprofile.config import MODES
+from eternalprofile.config import MODES, RunConfig
 from eternalprofile.report import parse_profile_csv
+from eternalprofile.solution import ProfileSolution
 
 
 def write_cfg(tmp_path, body, name="run.cfg"):
@@ -171,6 +172,32 @@ def test_command_line_mode_is_validated(tmp_path, capsys):
     assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
     assert "classify mode requires beta" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_file_mode_gives_way_to_command_line_mode(tmp_path):
+    # classify would need beta; the solve asked for on the command line
+    # does not, so the file's own mode must not be validated
+    cfg = write_cfg(tmp_path, BASE + "mode = classify\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = read_report(out)
+    assert (report["mode"], report["status"]) == ("solve", "ok")
+
+
+def test_verify_evaluates_the_profile_in_batches(tmp_path, monkeypatch):
+    # the PDE residual evaluates each stencil node over the whole radial
+    # grid at once: 45 calls for 3 sweeps of 3 times, 8 for the rest
+    calls = []
+    eval_F = ProfileSolution.eval_F
+
+    def counted(self, xi):
+        calls.append(xi)
+        return eval_F(self, xi)
+
+    monkeypatch.setattr(ProfileSolution, "eval_F", counted)
+    cfg = RunConfig(m=1.2, q=0.3, N=1, mode="verify")
+    assert cli.run(cfg, out_dir=tmp_path).status == "ok"
+    assert len(calls) <= 60     # one call per stencil point makes 332
 
 
 def test_module_error_serialized_as_failure(tmp_path):

@@ -520,3 +520,52 @@ def test_long_steps_halved_and_sampled(t_span):
     np.testing.assert_array_equal(ts[start], halved.ts[:-1])
     np.testing.assert_allclose(np.array([y0, y1])[:, ~start],
                                halved(ts[~start]), rtol=1e-14, atol=1e-15)
+
+
+def scipy_call(odesol, t):
+    """scipy's own ``OdeSolution`` evaluation over the same segments."""
+    return scipy.integrate.OdeSolution(odesol.ts, odesol.interpolants)(t)
+
+
+def assert_same_bits(ours, ref):
+    assert ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+def dense_runs(t_span):
+    """An uncapped run, a run ended by an event (its last segment reaches
+    past ``ts[-1]``) and the first run with its long steps halved."""
+    run = solve_ivp(oscillator, t_span, [1.0, 0.5], method="DOP853",
+                    dense_output=True, **TOL)
+    event = solve_ivp(oscillator, t_span, [1.0, 0.5], method="DOP853",
+                      events=[crossing], dense_output=True, **TOL)
+    assert event.status == 1
+    return [run.sol, event.sol, halve_long_steps(run.sol, H)]
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 4.0), (4.0, 0.0)])
+def test_call_matches_scipy_bit_for_bit(t_span):
+    for odesol in dense_runs(t_span):
+        assert isinstance(odesol, scipy.integrate.OdeSolution)
+        lo, hi = odesol.t_min, odesol.t_max
+        inner = np.random.default_rng(7).uniform(lo, hi, 300)
+        # every breakpoint, points outside on both sides, all unsorted
+        t = np.concatenate([inner, odesol.ts, [lo - 1.0, hi + 1e-9, lo - 1e-12,
+                                               hi + 1.0]])
+        t = t[np.random.default_rng(8).permutation(t.size)]
+        assert_same_bits(odesol(t), scipy_call(odesol, t))
+        for s in (inner[0], odesol.ts[3], odesol.ts[0], odesol.ts[-1],
+                  lo - 0.5, hi + 0.5):
+            assert_same_bits(odesol(s), scipy_call(odesol, s))
+            assert_same_bits(odesol(float(s)), scipy_call(odesol, float(s)))
+
+
+def test_call_on_a_zero_length_run_matches_scipy():
+    run = solve_ivp(oscillator, (1.0, 1.0), [1.0, 0.5], method="DOP853",
+                    dense_output=True, **TOL)
+    odesol = run.sol
+    assert odesol.n_segments == 1
+    t = np.array([1.0, 0.5, 1.5, 1.0])
+    assert_same_bits(odesol(t), scipy_call(odesol, t))
+    assert_same_bits(odesol(1.0), scipy_call(odesol, 1.0))
+    np.testing.assert_array_equal(odesol(1.0), [1.0, 0.5])

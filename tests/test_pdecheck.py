@@ -1,6 +1,7 @@
 """Assembled solution checks: residual oracles, curvature, snapshots."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,100 @@ def test_pde_residual_guards_interface_stencils(solved):
     sol = solved[(2.0, 0.5, 1)].final_profile
     with pytest.raises(RegionError):
         pde_residual(sol, [0.0], [sol.xi0 * 0.999], h=1e-2)
+
+
+def reference_pde_residual(profile, t_grid, r_grid, h):
+    """The residual point by point, one evaluation per stencil node, as
+    ``pde_residual`` computed it before it evaluated whole radial grids."""
+    sigma, q, m, N = (profile.params.sigma, profile.params.q,
+                      profile.params.m, profile.params.N)
+
+    def Um(t, rr):
+        return eval_solution(profile, t, rr) ** m
+
+    def laplacian(t, r, step):
+        if r == 0.0:
+            return 2.0 * N * (Um(t, step) - Um(t, 0.0)) / step**2
+        lap = (Um(t, r + step) - 2.0 * Um(t, r) + Um(t, r - step)) / step**2
+        if N > 1:
+            lap += (N - 1) / r * (Um(t, r + step) - Um(t, r - step)) / (2.0 * step)
+        return lap
+
+    def sweep(step):
+        res, rel = [], []
+        for t in t_grid:
+            sr = support_radius(profile, t)
+            for r in r_grid:
+                if r < 0:
+                    raise DomainError(f"negative radius {r}")
+                if 0.0 < r < step:
+                    raise RegionError(
+                        f"stencil at r={r} straddles the origin (h={step})"
+                    )
+                if r + 5.0 * step > sr:
+                    raise RegionError(
+                        f"stencil at r={r} within 5 widths "
+                        f"of the interface r={sr} at t={t}"
+                    )
+                u_t = (eval_solution(profile, t + step, r)
+                       - eval_solution(profile, t - step, r)) / (2.0 * step)
+                lap = laplacian(t, r, step)
+                u = eval_solution(profile, t, r)
+                absorb = r**sigma * u**q
+                value = u_t - lap + absorb
+                scale = max(abs(u_t), abs(lap), abs(absorb), 1e-30)
+                res.append(value)
+                rel.append(abs(value) / scale)
+        res = np.asarray(res)
+        return (float(np.max(np.abs(res))), float(np.sqrt(np.mean(res**2))),
+                float(np.max(rel)))
+
+    fields = sweep(h)
+    orders, prev, step = [], fields[0], h
+    for _ in range(2):
+        step /= 2.0
+        cur = sweep(step)[0]
+        orders.append(math.log2(prev / cur) if cur > 0 else float("inf"))
+        prev = cur
+    return fields, tuple(orders)
+
+
+@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (2.0, 0.5, 3)])
+@pytest.mark.parametrize("with_axis", [False, True])
+def test_pde_residual_matches_the_pointwise_loop(solved, case, with_axis):
+    # u^m differs from the loop's float power by an ulp here and there,
+    # and the stencil divides that by h^2
+    sol = solved[case].final_profile
+    r_grid = np.linspace(0.05 * sol.xi0, 0.5 * sol.xi0, 6)
+    if with_axis:
+        r_grid = np.concatenate([[0.0], r_grid])
+    t_grid = [-0.5, 0.0, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pde_residual(sol, t_grid, r_grid, h=1e-2)
+    fields, orders = reference_pde_residual(sol, t_grid, list(r_grid), 1e-2)
+    assert (report.max_residual, report.rms_residual,
+            report.max_relative) == pytest.approx(fields, rel=1e-7)
+    assert report.orders == pytest.approx(orders, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "r_grid",
+    [
+        [0.1, -0.2, -0.3],          # negative
+        [0.0, 0.1, 0.003, 0.002],   # straddles the origin
+        [0.1, 0.9, 0.999],          # within 5 widths of the interface
+    ],
+)
+def test_pde_residual_reports_the_first_offending_radius(solved, r_grid):
+    sol = solved[(2.0, 0.5, 1)].final_profile
+    r_grid = [r * sol.xi0 for r in r_grid]
+    errors = []
+    for check in (pde_residual, reference_pde_residual):
+        with pytest.raises((DomainError, RegionError)) as info:
+            check(sol, [0.0, 0.5], r_grid, 1e-2)
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]
 
 
 def test_launch_curvature_matches_initial_condition():
