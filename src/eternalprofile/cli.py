@@ -19,9 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import asymptotics, pdecheck, phasespace, shooting
-from .config import INTEGRATOR_KEYS, MODES, RunConfig, validate
-# parsed only: main validates once the command line's mode is set
-from .config import parse_config as load_config
+from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config, validate
 from .errors import ProfileError
 from .integrate import IntegratorOptions, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta

@@ -113,13 +113,6 @@ _KEYS = {
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a configuration file."""
-    cfg = parse_config(path)
-    validate(cfg)
-    return cfg
-
-
-def parse_config(path) -> RunConfig:
     """Parse a configuration file; ``validate`` checks it for its mode."""
     path = Path(path)
     if not path.is_file():

@@ -15,7 +15,8 @@ Ascher, Mattheij & Russell 1995, interface expansions as in Vazquez
 critical line m + q = 2 their table depends only on (m, q, N) and is
 built once per triple.  The integrators in
 ``integrate`` and ``matching`` take their right-hand side and launch
-states from here; only ``pdecheck`` keeps its own, deliberately
+states from here, and every profile is evaluated off its grid by one
+``piecewise`` evaluator; only ``pdecheck`` keeps its own, deliberately
 independent, residual, and ``asymptotics`` its closed-form K0-K3
 constants, which check the leading terms of the series.
 """
@@ -400,18 +401,25 @@ def launch_distance(expansion, f: float) -> float:
     return (f / expansion.amplitude) ** (1.0 / expansion.theta)
 
 
-def dense_from_origin(p: Params, beta: float, delta0: float, odesol):
-    """Dense (F, F') evaluator: the origin series below delta0, ``odesol`` above."""
+def piecewise(breaks, pieces):
+    """Dense (F, F') evaluator made of ``pieces`` joined at ``breaks``.
+
+    Piece i covers [breaks[i-1], breaks[i]), the first from -inf; a piece
+    that ends at a point inclusively takes np.nextafter(point, inf) as its
+    break.  At and past the last break the profile is zero; a NaN xi
+    gives NaN.  One ``searchsorted`` assigns the points, and only the
+    pieces that get points run.
+    """
+    breaks = np.asarray(breaks, dtype=float)
 
     def dense(xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        F = np.empty_like(xi)
-        Fp = np.empty_like(xi)
-        small = xi < delta0
-        if small.any():
-            F[small], Fp[small] = origin_series(p, beta, xi[small])
-        if (~small).any():
-            F[~small], Fp[~small] = odesol(xi[~small])
+        F = np.where(np.isnan(xi), np.nan, 0.0)
+        Fp = F.copy()
+        at = np.searchsorted(breaks, xi, side="right")
+        for i in np.unique(at[at < len(pieces)]):
+            here = at == i
+            F[here], Fp[here] = pieces[i](xi[here])
         return F, Fp
 
     return dense

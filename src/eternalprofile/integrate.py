@@ -3,18 +3,20 @@
 The profile equation of ``equation`` is integrated from its origin
 series launch at xi = delta0, with F(0) = 1 and F'(0) = 0.  Integration
 stops at one of three events: f = F^{1/m} falls to the contact threshold,
-f' turns non-negative, or the horizon cap is reached.
+f' turns non-negative, or the horizon cap is reached.  ``integrate_profile``
+alone classifies the run, from its end state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._dop853 import solve_ivp
-from .equation import dense_from_origin, origin_series, profile_rhs
+from .equation import f_from_F, origin_series, piecewise, profile_rhs
 from .errors import DomainError
 from .model import Exponents, Params
 from .solution import Classification, LimitProfile, ProfileSolution, StopReason
@@ -60,7 +62,13 @@ def integrate_profile(
     e: Exponents,
     opts: IntegratorOptions = IntegratorOptions(),
 ) -> ProfileSolution:
-    """Integrate the profile Cauchy problem and classify the stop event."""
+    """Integrate the profile Cauchy problem and classify it where it stops.
+
+    A contact at xi0 is ClassA if F' < -slope_tol xi0^sigma, CandidateB
+    if |F'| is within that bound, else Undetermined.  A slope event is
+    ClassC, or CandidateB at xi0 = xi1 if f <= GRAZE_FACTOR * contact_eps
+    there.  Any other stop is Undetermined.
+    """
     delta0 = opts.delta0
     F0, Fp0 = origin_series(p, e.beta, delta0)
     horizon = opts.horizon
@@ -99,70 +107,47 @@ def integrate_profile(
         dense_output=True,
     )
 
-    if sol.status == 1:
-        stop = (
-            StopReason.CONTACT_ZERO
-            if len(sol.t_events[0])
-            else StopReason.SLOPE_SIGN_CHANGE
-        )
+    end = float(sol.t[-1])
+    xi0 = xi1 = None
+    cls = Classification.UNDETERMINED
+    if sol.status == 1 and len(sol.t_events[0]):
+        stop = StopReason.CONTACT_ZERO
+        xi0 = xi1 = end
+        bound = opts.slope_tol * end**p.sigma
+        Fp = float(sol.y[1, -1])
+        if Fp < -bound:
+            cls = Classification.CLASS_A
+        elif abs(Fp) <= bound:
+            cls = Classification.CANDIDATE_B
+    elif sol.status == 1:
+        stop = StopReason.SLOPE_SIGN_CHANGE
+        xi1 = end
+        f_end = f_from_F(p.m, sol.y[0, -1:], sol.y[1, -1:])[0][0]
+        if f_end <= GRAZE_FACTOR * opts.contact_eps:
+            cls, xi0 = Classification.CANDIDATE_B, end
+        else:
+            cls = Classification.CLASS_C
     elif sol.status == 0:
         stop = StopReason.HORIZON_REACHED
     else:
         stop = StopReason.STEP_FAILURE
 
-    prof = ProfileSolution(
+    return ProfileSolution(
         params=p,
         exps=e,
         grid=sol.t,
         F_values=sol.y[0],
         Fprime_values=sol.y[1],
-        xi0=None,
-        xi1=None,
-        classification=Classification.UNDETERMINED,
+        xi0=xi0,
+        xi1=xi1,
+        classification=cls,
         stop_reason=stop,
-        contact_eps=opts.contact_eps,
         delta0=delta0,
-        dense=dense_from_origin(p, e.beta, delta0, sol.sol),
+        dense=piecewise(
+            [delta0, np.nextafter(end, np.inf)],
+            [functools.partial(origin_series, p, e.beta), sol.sol],
+        ),
     )
-    return _attach_events(prof, opts)
-
-
-def _attach_events(
-    prof: ProfileSolution, opts: IntegratorOptions
-) -> ProfileSolution:
-    """Fill xi0/xi1 and the classification from the stop event."""
-    cls = classify_beta(prof, opts)
-    end = float(prof.grid[-1])
-    xi0 = xi1 = None
-    if prof.stop_reason is StopReason.CONTACT_ZERO:
-        xi0 = xi1 = end
-    elif prof.stop_reason is StopReason.SLOPE_SIGN_CHANGE:
-        xi1 = end
-        if cls is Classification.CANDIDATE_B:
-            xi0 = end
-    return replace(prof, xi0=xi0, xi1=xi1, classification=cls)
-
-
-def classify_beta(
-    sol: ProfileSolution, opts: IntegratorOptions = IntegratorOptions()
-) -> Classification:
-    """Map the stop event of ``sol`` to ClassA / ClassC / CandidateB."""
-    sigma = sol.params.sigma
-    if sol.stop_reason is StopReason.CONTACT_ZERO:
-        xi0 = float(sol.grid[-1])
-        bound = opts.slope_tol * xi0**sigma
-        Fp = float(sol.Fprime_values[-1])
-        if Fp < -bound:
-            return Classification.CLASS_A
-        if abs(Fp) <= bound:
-            return Classification.CANDIDATE_B
-        return Classification.UNDETERMINED
-    if sol.stop_reason is StopReason.SLOPE_SIGN_CHANGE:
-        f_end = float(sol.f_values[-1])
-        if f_end <= GRAZE_FACTOR * sol.contact_eps:
-            return Classification.CANDIDATE_B
-        return Classification.CLASS_C
-    return Classification.UNDETERMINED
 
 
 def integrate_limit_profile(
@@ -205,7 +190,9 @@ def integrate_limit_profile(
         grid=sol.t,
         H_values=sol.y[0],
         Hprime_values=sol.y[1],
-        dense=dense_from_origin(p, 0.0, delta0, sol.sol),
+        dense=piecewise(
+            [delta0, np.inf], [functools.partial(origin_series, p, 0.0), sol.sol]
+        ),
     )
 
 

@@ -34,6 +34,7 @@ their dense output, and the profile is built from those of that point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,10 +43,10 @@ import numpy as np
 from ._dop853 import halve_long_steps, sample, solve_ivp
 from .equation import (
     InterfaceSeries,
-    dense_from_origin,
     f_from_F,
     launch_distance,
     origin_series,
+    piecewise,
     profile_rhs,
 )
 from .errors import BracketFailure, StepFailureError
@@ -299,7 +300,10 @@ def _assemble_profile(p: Params, beta: float, xi0: float, legs) -> ProfileSoluti
     the dense ``legs`` of Newton's last tight evaluation.  Over their long
     steps the order-7 interpolant loses two digits, so each step longer
     than the grid spacing (MAX_STEP_FRAC of xi_mid forward, of xi0
-    backward) is halved, and the grid samples the interpolants at it."""
+    backward) is halved, and the grid samples the interpolants at it.
+    The dense evaluator is the origin series below DELTA0, the forward
+    leg up to and including xi_mid, the backward leg up to and including
+    its launch, the interface series below xi0 and zero from xi0 on."""
     xi_mid = MID_FRAC * xi0
     fwd, bwd, series, _ = legs
     ode_f = halve_long_steps(fwd.sol, xi_mid * MAX_STEP_FRAC)
@@ -320,26 +324,6 @@ def _assemble_profile(p: Params, beta: float, xi0: float, legs) -> ProfileSoluti
     F_values = np.concatenate([F_f, fwd.y[0, -1:], F_b, F_ext])
     Fp_values = np.concatenate([Fp_f, fwd.y[1, -1:], Fp_b, Fp_ext])
 
-    xi_launch = float(bwd.t[0])
-    dense_f = dense_from_origin(p, beta, DELTA0, ode_f)
-
-    def dense(xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        F = np.empty_like(xi)
-        Fp = np.empty_like(xi)
-        fpart = xi <= xi_mid
-        bpart = (xi > xi_mid) & (xi <= xi_launch)
-        outer = xi > xi_launch
-        if fpart.any():
-            F[fpart], Fp[fpart] = dense_f(xi[fpart])
-        if bpart.any():
-            F[bpart], Fp[bpart] = ode_b(xi[bpart])
-        F[outer] = Fp[outer] = 0.0
-        inside = outer & (xi < xi0)
-        if inside.any():
-            F[inside], Fp[inside] = series(xi0 - xi[inside])
-        return F, Fp
-
     return ProfileSolution(
         params=p,
         exps=exponents_from_beta(p, beta),
@@ -350,7 +334,10 @@ def _assemble_profile(p: Params, beta: float, xi0: float, legs) -> ProfileSoluti
         xi1=xi0,
         classification=Classification.CANDIDATE_B,
         stop_reason=StopReason.CONTACT_ZERO,
-        contact_eps=TAIL_F,
         delta0=DELTA0,
-        dense=dense,
+        dense=piecewise(
+            [DELTA0, *np.nextafter([xi_mid, bwd.t[0]], np.inf), xi0],
+            [functools.partial(origin_series, p, beta), ode_f, ode_b,
+             lambda xi: series(xi0 - xi)],
+        ),
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .equation import piecewise
 from .errors import DomainError
 from .solution import ProfileSolution
 
@@ -102,7 +103,8 @@ def rescale_profile(profile: ProfileSolution, a: float) -> ProfileSolution:
 
     The stretched profile solves the same ODE with the same exponents and
     satisfies g(0) = a, g'(0) = 0.  Grid, values and events are stretched
-    accordingly; the dense evaluator wraps the original one.
+    accordingly; the dense evaluator wraps the original one up to and
+    including the stretched support end, and is zero beyond.
     """
     a = float(a)
     if not a > 0:
@@ -111,9 +113,10 @@ def rescale_profile(profile: ProfileSolution, a: float) -> ProfileSolution:
     s = a ** (-(m - 1.0) / 2.0)   # argument scaling: g(xi) = a f(s xi)
     am = a ** m
     base_eval = profile.eval_F
+    end = profile.grid[-1] if profile.xi0 is None else profile.xi0
 
-    def dense(xi):
-        F, Fp = base_eval(np.asarray(xi) * s)
+    def stretched(xi):
+        F, Fp = base_eval(xi * s)
         return am * F, am * s * Fp
 
     return replace(
@@ -124,5 +127,5 @@ def rescale_profile(profile: ProfileSolution, a: float) -> ProfileSolution:
         xi0=None if profile.xi0 is None else profile.xi0 / s,
         xi1=None if profile.xi1 is None else profile.xi1 / s,
         f0=a * profile.f0,
-        dense=dense,
+        dense=piecewise([np.nextafter(end / s, np.inf)], [stretched]),
     )

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .equation import f_from_F
 from .solution import ProfileSolution
 
 CSV_HEADER = "xi,F,Fprime,f,fprime"
@@ -146,21 +147,9 @@ def export_profile_csv(sol: ProfileSolution, path) -> None:
         f"# classification={sol.classification.value}",
         CSV_HEADER,
     ]
-    f_vals = sol.f_values
-    fp_vals = sol.fprime_values
-    for i in range(len(sol.grid)):
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    sol.grid[i],
-                    sol.F_values[i],
-                    sol.Fprime_values[i],
-                    f_vals[i],
-                    fp_vals[i],
-                )
-            )
-        )
+    f, fp = f_from_F(p.m, sol.F_values, sol.Fprime_values)
+    rows = np.column_stack((sol.grid, sol.F_values, sol.Fprime_values, f, fp))
+    lines += (",".join(map(repr, row)) for row in rows.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -105,23 +105,28 @@ def bracket_beta(
     """Geometric scan for a (ClassC, ClassA) bracket around beta*.
 
     Scans up by factors of two from beta = 1 until a ClassA sample is
-    found, then down until a ClassC sample is found, lowering the A end
-    at every ClassA sample on the way down.
+    found, keeping the last ClassC sample on the way as the C end.  Only
+    when there is none does it scan down from beta = 1/2 until a ClassC
+    sample is found, lowering the A end at every ClassA sample on the way
+    down.  Each beta is classified once.
     """
-    hi = None
+    lo = hi = None
     beta = 1.0
     for _ in range(SCAN_EXP_LIMIT + 1):
-        sol = _classify_at(p, beta, opts)
-        if sol.classification in _A_SIDE:
+        cls = _classify_at(p, beta, opts).classification
+        if cls in _A_SIDE:
             hi = beta
             break
+        if cls is Classification.CLASS_C:
+            lo = beta
         beta *= 2.0
     if hi is None:
         raise BracketFailure(
             f"no ClassA sample up to beta = 2^{SCAN_EXP_LIMIT} for {p}"
         )
-    lo = None
-    beta = min(1.0, hi / 2.0)
+    if lo is not None:
+        return lo, hi
+    beta = 0.5
     for _ in range(SCAN_EXP_LIMIT + 1):
         cls = _classify_at(p, beta, opts).classification
         if cls is Classification.CLASS_C:

@@ -1,4 +1,7 @@
-"""Profile solution container shared by the integrator and all consumers."""
+"""Profile solution container shared by the integrator and all consumers.
+
+Each profile's dense (F, F') evaluator is an ``equation.piecewise``.
+"""
 
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ class ProfileSolution:
 
     ``grid`` starts at the launch offset delta0 and ends at the stopping
     event, or, for a matched profile, a tail distance short of ``xi0``.
-    ``dense`` evaluates (F, F') anywhere in [0, xi0], or in [0, grid[-1]]
-    when ``xi0`` is unknown; beyond that the profile is extended by zero.
+    ``dense`` evaluates (F, F') at any xi >= 0: the profile up to xi0, or
+    up to and including grid[-1] when ``xi0`` is unknown, and zero beyond.
     """
 
     params: "Params"
@@ -47,7 +50,6 @@ class ProfileSolution:
     xi1: Optional[float]
     classification: Classification
     stop_reason: StopReason
-    contact_eps: float
     delta0: float
     dense: Callable = field(repr=False, compare=False)
     f0: float = 1.0
@@ -69,16 +71,9 @@ class ProfileSolution:
     def eval_F(self, xi):
         """Evaluate (F, F') at ``xi``; zero beyond the support endpoint."""
         xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        end = self.grid[-1] if self.xi0 is None else self.xi0
-        F, Fp = self.dense(np.clip(xi, 0.0, end))
-        F, Fp = np.asarray(F, float).copy(), np.asarray(Fp, float).copy()
-        outside = xi > end
-        F[outside] = 0.0
-        Fp[outside] = 0.0
+        F, Fp = self.dense(np.clip(xi, 0.0, None))
         np.clip(F, 0.0, None, out=F)
-        if scalar:
+        if xi.ndim == 0:
             return float(F[0]), float(Fp[0])
         return F, Fp
 
@@ -117,5 +112,4 @@ class LimitProfile:
         return float(self.grid[-1])
 
     def eval_H(self, xi):
-        H, Hp = self.dense(np.asarray(xi, dtype=float))
-        return np.asarray(H, float), np.asarray(Hp, float)
+        return self.dense(xi)

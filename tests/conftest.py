@@ -17,12 +17,6 @@ def solved():
 
 
 @pytest.fixture(scope="session")
-def solved_unseeded(solved):
-    """The same solves as ``solved``, under the name the acceptance tests use."""
-    return solved
-
-
-@pytest.fixture(scope="session")
 def sub_case(solved):
     """The sub-critical reference solve, used by phase-space tests."""
     return solved[(1.2, 0.3, 1)]

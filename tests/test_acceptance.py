@@ -41,10 +41,10 @@ def _report(criterion, detail):
     print(f"criterion {criterion:2d} PASS  ({detail})")
 
 
-def test_criterion_01_shooting_convergence(solved_unseeded):
+def test_criterion_01_shooting_convergence(solved):
     details = []
     for case in CASES:
-        result = solved_unseeded[case]
+        result = solved[case]
         rel = (result.bracket_hi - result.bracket_lo) / result.beta_star
         assert rel <= 1e-8, f"{case}: bracket width {rel:.2e}"
         sol = result.final_profile

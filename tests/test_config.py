@@ -4,7 +4,13 @@ from dataclasses import asdict
 
 import pytest
 
-from eternalprofile.config import INTEGRATOR_KEYS, MODES, RunConfig, load_config
+from eternalprofile.config import (
+    INTEGRATOR_KEYS,
+    MODES,
+    RunConfig,
+    load_config,
+    validate,
+)
 from eternalprofile.errors import ConfigError
 from eternalprofile.integrate import IntegratorOptions
 from eternalprofile.shooting import BETA_TOL
@@ -18,6 +24,7 @@ def write(tmp_path, text):
 
 def test_minimal_config(tmp_path):
     cfg = load_config(write(tmp_path, "m = 2\nq = 0.5\nN = 1\n"))
+    validate(cfg)
     assert (cfg.m, cfg.q, cfg.N) == (2.0, 0.5, 1)
     assert cfg.mode == "solve"
     assert cfg.beta_tol == 1e-8
@@ -39,7 +46,9 @@ def test_all_modes_accepted(tmp_path):
             body += "beta = 0.5\n"
         if mode == "sweep":
             body += "sweep_betas = 0.1, 1\n"
-        assert load_config(write(tmp_path, body)).mode == mode
+        cfg = load_config(write(tmp_path, body))
+        validate(cfg)
+        assert cfg.mode == mode
 
 
 def test_sweep_params_triples(tmp_path):
@@ -89,7 +98,7 @@ FULL_MESSAGES = {
 )
 def test_malformed_config_rejected(tmp_path, body, fragment):
     with pytest.raises(ConfigError, match="(?i)" + fragment) as exc:
-        load_config(write(tmp_path, body))
+        validate(load_config(write(tmp_path, body)))
     if body in FULL_MESSAGES:
         assert str(exc.value) == FULL_MESSAGES[body]
 

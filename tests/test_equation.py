@@ -14,6 +14,7 @@ from eternalprofile.equation import (
     InterfaceSeries,
     _series_table,
     origin_series,
+    piecewise,
     profile_rhs,
 )
 from eternalprofile.matching import LAUNCH_F
@@ -244,3 +245,27 @@ def test_sympy_derivation_critical():
         assert series.coefficients[j, 0] == pytest.approx(
             float(v), rel=1e-12, abs=0.0
         )
+
+
+def test_piecewise_runs_each_piece_once_on_its_points():
+    calls = []
+
+    def piece(k):
+        def run(xi):
+            calls.append((k, xi.tolist()))
+            return np.full_like(xi, k), -xi
+        return run
+
+    dense = piecewise([1.0, 2.0, 3.0], [piece(1), piece(2), piece(3)])
+    F, Fp = dense([-1.0, 1.0, 0.5, 2.5, 3.0, 4.0, np.nextafter(3.0, 0.0)])
+    assert F.tolist() == [1, 2, 1, 3, 0, 0, 3]
+    assert Fp.tolist() == [1.0, -1.0, -0.5, -2.5, 0.0, 0.0, -np.nextafter(3.0, 0.0)]
+    assert calls == [
+        (1, [-1.0, 0.5]), (2, [1.0]), (3, [2.5, np.nextafter(3.0, 0.0)])
+    ]
+    calls.clear()
+    F, Fp = dense(1.5)
+    assert (F.shape, calls) == ((1,), [(2, [1.5])])
+    calls.clear()
+    assert dense([5.0])[0].tolist() == [0.0] and calls == []
+    assert np.isnan(dense([np.nan])).all() and calls == []

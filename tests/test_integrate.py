@@ -1,8 +1,11 @@
 """Cauchy-problem integration: launch series, events, classification."""
 
+import types
+
 import numpy as np
 import pytest
 
+from eternalprofile import integrate, solve
 from eternalprofile import (
     Classification,
     DomainError,
@@ -14,7 +17,20 @@ from eternalprofile import (
     make_params,
 )
 from eternalprofile.equation import origin_series
-from eternalprofile.integrate import absorption_scale
+from eternalprofile.integrate import absorption_scale, solve_ivp
+
+A, B, C, U = (
+    Classification.CLASS_A,
+    Classification.CANDIDATE_B,
+    Classification.CLASS_C,
+    Classification.UNDETERMINED,
+)
+CONTACT, SLOPE, HORIZON, FAILURE = (
+    StopReason.CONTACT_ZERO,
+    StopReason.SLOPE_SIGN_CHANGE,
+    StopReason.HORIZON_REACHED,
+    StopReason.STEP_FAILURE,
+)
 
 
 def test_series_start_matches_taylor_plus_absorption():
@@ -121,3 +137,79 @@ def test_absorption_scale_is_where_the_limit_profile_doubles(triple):
     p = make_params(*triple)
     doubled = integrate_limit_profile(p, horizon=1e4, guard=2.0).horizon
     assert absorption_scale(p) == pytest.approx(doubled, rel=0.05)
+
+
+#: End states of a run at (2, 0.5, 1) that stops at xi = 2, where the
+#: contact bound slope_tol xi^sigma is 2e-4 and the graze bound on f is
+#: GRAZE_FACTOR * contact_eps = 1e-6, reached at F = 1e-12: (status, F,
+#: F', contact event) -> (stop reason, class, xi0, xi1).
+END_STATES = {
+    "contact, steep": ((1, 1e-14, -1e-3, True), (CONTACT, A, 2.0, 2.0)),
+    "contact at the bound": ((1, 1e-14, -2e-4, True), (CONTACT, B, 2.0, 2.0)),
+    "contact, flat": ((1, 1e-14, 1e-4, True), (CONTACT, B, 2.0, 2.0)),
+    "contact, rising": ((1, 1e-14, 1e-3, True), (CONTACT, U, 2.0, 2.0)),
+    "slope event": ((1, 1e-6, 0.0, False), (SLOPE, C, None, 2.0)),
+    "slope event above the graze bound": (
+        (1, np.nextafter(1e-12, 1.0), 0.0, False), (SLOPE, C, None, 2.0)
+    ),
+    "slope event at the graze bound": ((1, 1e-12, 0.0, False), (SLOPE, B, 2.0, 2.0)),
+    "slope event, grazing": ((1, 2.5e-13, 0.0, False), (SLOPE, B, 2.0, 2.0)),
+    "horizon": ((0, 0.5, -0.1, False), (HORIZON, U, None, None)),
+    "step failure": ((-1, 0.5, -0.1, False), (FAILURE, U, None, None)),
+}
+
+
+@pytest.mark.parametrize("case", END_STATES)
+def test_run_is_classified_from_its_end_state(monkeypatch, case):
+    (status, F, Fp, contact), expected = END_STATES[case]
+
+    def stub(fun, t_span, y0, **kwargs):
+        events = [np.array([2.0]) if contact else np.array([]), np.array([])]
+        return types.SimpleNamespace(
+            t=np.array([t_span[0], 2.0]),
+            y=np.array([[y0[0], F], [y0[1], Fp]]),
+            status=status,
+            t_events=events,
+            sol=None,
+        )
+
+    monkeypatch.setattr(integrate, "solve_ivp", stub)
+    p = make_params(2.0, 0.5, 1)
+    sol = integrate_profile(p, exponents_from_beta(p, 0.5))
+    assert (sol.stop_reason, sol.classification, sol.xi0, sol.xi1) == expected
+
+
+def test_grazing_run_near_beta_star_is_candidate_b():
+    # just below beta* the run turns upward with f within the graze band
+    p = make_params(1.202, 0.202, 1)
+    beta = solve(p).beta_star * (1.0 - 5e-9)
+    sol = integrate_profile(p, exponents_from_beta(p, beta))
+    assert sol.stop_reason is SLOPE
+    assert sol.classification is B
+    assert sol.xi0 == sol.xi1 == float(sol.grid[-1])
+    assert sol.xi0 == pytest.approx(1.428958088796369, rel=1e-12)
+    assert float(sol.f_values[-1]) <= 1e-6
+
+
+@pytest.mark.parametrize("beta, cls", [(0.25, C), (4.0, A)])
+def test_forward_profile_pieces_meet_at_their_breaks(monkeypatch, beta, cls):
+    # origin series below delta0, the run up to and including its end,
+    # zero beyond; a negative xi reads the origin series at 0
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(solve_ivp(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(integrate, "solve_ivp", recording)
+    p = make_params(2.0, 0.5, 1)
+    sol = integrate_profile(p, exponents_from_beta(p, beta))
+    assert sol.classification is cls
+    d0, end = sol.delta0, float(sol.grid[-1])
+    below = np.nextafter(d0, 0.0)
+    xi = np.array([-1.0, 0.0, below, d0, end, np.nextafter(end, np.inf), 2 * end])
+    origin = origin_series(p, beta, np.array([0.0, 0.0, below]))
+    run = runs[0].sol(np.array([d0, end]))
+    F, Fp = sol.eval_F(xi)
+    np.testing.assert_array_equal(F, np.concatenate([origin[0], run[0], [0, 0]]))
+    np.testing.assert_array_equal(Fp, np.concatenate([origin[1], run[1], [0, 0]]))

@@ -14,13 +14,20 @@ from eternalprofile import (
     solve,
 )
 from eternalprofile import matching
-from eternalprofile._dop853 import solve_ivp
-from eternalprofile.equation import InterfaceSeries, launch_distance, profile_rhs
+from eternalprofile._dop853 import halve_long_steps, solve_ivp
+from eternalprofile.equation import (
+    InterfaceSeries,
+    launch_distance,
+    origin_series,
+    profile_rhs,
+)
 from eternalprofile.matching import (
     ATOL,
+    DELTA0,
     LAUNCH_F,
     LOOSE_FD_REL_STEP,
     LOOSE_RTOL,
+    MAX_STEP_FRAC,
     MID_FRAC,
     RTOL,
     TAIL_F,
@@ -280,6 +287,47 @@ def test_matched_profile_dense_tail_is_interface_series(solved):
         assert np.all(F[-2:] == 0.0) and np.all(Fp[-2:] == 0.0)
 
 
+@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.2, 0.3, 1)])
+def test_matched_profile_pieces_meet_at_their_breaks(solved, case):
+    # origin series below DELTA0, forward leg up to and including xi_mid,
+    # backward leg up to and including its launch, interface series below
+    # xi0, zero from xi0 on; the legs are those of the converged (beta, xi0)
+    sol = solved[case].final_profile
+    p, beta, xi0 = sol.params, sol.exps.beta, sol.xi0
+    fwd, bwd, series, _ = _legs(p, beta, xi0, RTOL)
+    xi_mid, launch = MID_FRAC * xi0, float(bwd.t[0])
+    after = lambda x: float(np.nextafter(x, np.inf))
+    pieces = {
+        "origin": lambda x: origin_series(p, beta, x),
+        "forward": halve_long_steps(fwd.sol, xi_mid * MAX_STEP_FRAC),
+        "backward": halve_long_steps(bwd.sol, xi0 * MAX_STEP_FRAC),
+        "series": lambda x: series(xi0 - x),
+        "zero": lambda x: (0.0 * x, 0.0 * x),
+    }
+    points = [
+        (0.0, "origin"),
+        (float(np.nextafter(DELTA0, 0.0)), "origin"),
+        (DELTA0, "forward"),
+        (xi_mid, "forward"),
+        (after(xi_mid), "backward"),
+        (launch, "backward"),
+        (after(launch), "series"),
+        (float(sol.grid[-1]), "series"),
+        (float(np.nextafter(xi0, 0.0)), "series"),
+        (xi0, "zero"),
+        (after(xi0), "zero"),
+        (2.0 * xi0, "zero"),
+    ]
+    xi = np.array([x for x, _ in points])
+    F, Fp = sol.eval_F(xi)
+    for i, (x, piece) in enumerate(points):
+        ref = pieces[piece](np.array([x]))
+        assert F[i] == max(ref[0][0], 0.0), (x, piece)
+        assert Fp[i] == ref[1][0], (x, piece)
+    # a negative xi reads the origin series at 0
+    assert sol.eval_F(-1.0) == (F[0], Fp[0])
+
+
 def test_matched_grid_is_increasing(solved):
     for result in solved.values():
         grid = result.final_profile.grid
@@ -387,5 +435,4 @@ def test_assembled_profile_ends_at_tail_height():
     result = match_profile(p, 0.5, 2.45)
     assert result.success
     sol = result.profile
-    assert sol.contact_eps == 1e-9
     assert float(sol.f_values[-1]) == pytest.approx(1e-9, rel=0.05)

@@ -20,7 +20,6 @@ OPTIONS = {
     "cli.run": ["out_dir", "plots"],
     "cli.main": ["argv"],
     "integrate.integrate_profile": ["opts"],
-    "integrate.classify_beta": ["opts"],
     "integrate.integrate_limit_profile": ["guard", "rtol", "atol"],
     "pdecheck.profile_ode_residual": ["delta"],
     "shooting.bracket_beta": ["opts"],
@@ -56,7 +55,7 @@ def _options():
 
 def test_public_options_are_pinned():
     assert _options() == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 21
+    assert sum(map(len, OPTIONS.values())) == 20
 
 
 def test_no_module_reads_the_environment():

@@ -137,8 +137,8 @@ def test_critical_case_beta_star_is_half(solved):
     assert solved[(1.5, 0.5, 2)].beta_star == pytest.approx(0.5, abs=2e-11)
 
 
-def test_unseeded_reports_true_bracket(solved_unseeded):
-    for case, result in solved_unseeded.items():
+def test_unseeded_reports_true_bracket(solved):
+    for case, result in solved.items():
         assert result.bracket_lo < result.beta_star < result.bracket_hi
         assert result.iterations > 0
         assert len(result.history) == result.iterations
@@ -183,6 +183,14 @@ def test_bracket_scan_integrates_each_beta_once(monkeypatch):
         bracket_beta(make_params(3.0, 0.5, 1))
     assert len(betas) == shooting.SCAN_EXP_LIMIT + 1
     assert len(set(betas)) == len(betas)
+
+
+def test_bracket_scan_keeps_its_last_class_c_sample(monkeypatch):
+    # beta* > 1: the upward scan meets ClassC at 1 and ClassA at 2, so no
+    # downward scan runs and beta = 1 is integrated once
+    betas = _count_integrations(monkeypatch)
+    assert bracket_beta(make_params(2.0, 0.1, 3)) == (1.0, 2.0)
+    assert betas == [1.0, 2.0]
 
 
 def test_bisection_integrates_each_beta_once(monkeypatch):
