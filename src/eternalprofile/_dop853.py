@@ -9,35 +9,36 @@ follow ``scipy.integrate.solve_ivp`` with ``method="DOP853"`` (Hairer,
 Norsett & Wanner, *Solving ODEs I*, II.5 and II.10), so both take the
 same steps up to rounding in the order of summation.
 
-Each trial step runs ``_step``, which is generated at import from
-scipy's tableau as straight-line code on local floats.  A dense run
+Each trial step runs ``_step``, which is generated at import from the
+module's own committed tableau, a copy of scipy's that a test checks
+entry for entry, as straight-line code on local floats.  A dense run
 records each accepted step and builds its interpolant, which costs
 three more evaluations of the right-hand side, when the segment is
 first read; only the step on which an event fires builds it at once.
-Its ``OdeSolution`` evaluates any number of points in one numpy pass,
-with scipy's bits.
+Its solution, with the attributes and call of scipy's ``OdeSolution``,
+evaluates any number of points in one numpy pass, with scipy's bits.
 
 Every event here is terminal, as in the shooting argument, where the
 first of "f reaches zero" and "f' turns non-negative" decides the class
 of beta.  Within a step, the first root in the direction of integration
 ends the run, which is what scipy does when all events are terminal.
+The root is found by ``brentq``, a port of scipy's (Brent 1973, ch. 4)
+that returns its bits.
 
 ``solve_ivp`` keeps scipy's signature: every other method is passed to
-scipy unchanged.
+scipy unchanged, and only then is scipy imported.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from types import SimpleNamespace
 from warnings import warn
 
 import numpy as np
-from scipy.integrate import DenseOutput, OdeSolution
-from scipy.integrate import solve_ivp as _scipy_solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import OptimizeResult, brentq
 
-EPS = np.finfo(float).eps
+EPS = sys.float_info.epsilon
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -49,19 +50,134 @@ MESSAGES = {
     1: "A termination event occurred.",
 }
 
+# The DOP853 tableau of Hairer, Norsett & Wanner, as scipy stores it in
+# ``scipy.integrate._ivp.dop853_coefficients``.  Stages 12..15 are used
+# only by the interpolant, with the coefficients D of its upper terms.
+N_STAGES = 12
+N_STAGES_EXTENDED = 16
+C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778,
+)
+#: row s holds the coefficients A[s, :s] of the stages before s
+A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (
+        0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+        0.12546768756682242,
+    ),
+    (
+        0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+        -0.017578125,
+    ),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+        0.10726203044637328, -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486,
+        -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505,
+        2.4936055526796523, -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+        -8.87285693353063, 12.360567175794303, 0.6433927460157636,
+    ),
+    (
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+        1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+        -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+    ),
+    (
+        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+        -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+        0.00820105229563469, 0.007567897660545699, -0.008298,
+    ),
+    (
+        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+        0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+        -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325,
+    ),
+    (
+        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+        7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+        -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+    ),
+)
+B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+)
+E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+)
+D = (
+    (
+        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+        -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+        -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+        -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894,
+    ),
+    (
+        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+        165.20045171727028, -374.5467547226902, -22.113666853125306,
+        7.733432668472264, -30.674084731089398, -9.332130526430229,
+        15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408,
+    ),
+    (
+        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+        -189.17813819516758, 527.8081592054236, -11.57390253995963,
+        6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+        -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279,
+    ),
+    (
+        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+        -231.5293791760455, 357.6391179106141, 93.40532418362432,
+        -37.45832313645163, 104.0996495089623, 29.8402934266605,
+        -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564,
+    ),
+)
+
 
 def _nonzero(row):
     """(index, coefficient) for the nonzero entries of a tableau row."""
-    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+    return tuple((j, a) for j, a in enumerate(row) if a != 0.0)
 
 
-_C = tuple(float(c) for c in _dop.C)
 #: (stage, node, row) for stages 13..15, which only the interpolant uses
 _EXTRA = tuple(
-    (s, _C[s], _nonzero(_dop.A[s, :s]))
-    for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
+    (s, C[s], _nonzero(A[s])) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)
 )
-_D = tuple(_nonzero(row) for row in _dop.D)
+_D = tuple(_nonzero(row) for row in D)
 
 
 def _generate_step():
@@ -75,24 +191,23 @@ def _generate_step():
     rounds as in a loop over the row.  An exception raised by ``fun``
     propagates.
     """
-    k = [("fa", "fb")] + [(f"a{s}", f"b{s}") for s in range(1, _dop.N_STAGES)]
+    k = [("fa", "fb")] + [(f"a{s}", f"b{s}") for s in range(1, N_STAGES)]
 
     def dot(i, row):
         return " + ".join(["0.0"] + [f"{k[j][i]} * {w!r}" for j, w in row])
 
     lines = ["def _step(fun, t, h, ya, yb, fa, fb):"]
-    for s in range(1, _dop.N_STAGES):
-        row = _nonzero(_dop.A[s, :s])
-        lines.append(f"    a{s}, b{s} = fun(t + {_C[s]!r} * h, "
+    for s in range(1, N_STAGES):
+        row = _nonzero(A[s])
+        lines.append(f"    a{s}, b{s} = fun(t + {C[s]!r} * h, "
                      f"(ya + ({dot(0, row)}) * h, yb + ({dot(1, row)}) * h))")
-    B = _nonzero(_dop.B)
-    E5, E3 = _nonzero(_dop.E5), _nonzero(_dop.E3)
+    w, e5, e3 = _nonzero(B), _nonzero(E5), _nonzero(E3)
     lines += [
-        f"    na = ya + h * ({dot(0, B)})",
-        f"    nb = yb + h * ({dot(1, B)})",
+        f"    na = ya + h * ({dot(0, w)})",
+        f"    nb = yb + h * ({dot(1, w)})",
         f"    return (na, nb, ({', '.join(a for a, _ in k)}), "
-        f"({', '.join(b for _, b in k)}), {dot(0, E5)}, {dot(1, E5)}, "
-        f"{dot(0, E3)}, {dot(1, E3)})",
+        f"({', '.join(b for _, b in k)}), {dot(0, e5)}, {dot(1, e5)}, "
+        f"{dot(0, e3)}, {dot(1, e3)})",
     ]
     namespace = {}
     exec(compile("\n".join(lines) + "\n", "<dop853 step>", "exec"), namespace)
@@ -110,14 +225,16 @@ def solve_ivp(fun, t_span, y0, method="RK45", dense_output=False, events=None,
     ``rtol``, ``atol`` and ``max_step``, and ``events`` is a sequence of
     callables that each set ``terminal = True`` (otherwise ValueError).
     ``fun(t, y)`` and the events receive ``y`` as a tuple of two floats.
-    The result has scipy's fields except ``y_events``: the end point of
-    an event run is ``t[-1]``, ``y[:, -1]``.  Every other method is
-    passed to scipy.
+    The result has scipy's fields as attributes, except ``y_events``:
+    the end point of an event run is ``t[-1]``, ``y[:, -1]``.  Every
+    other method is passed to scipy.
     """
     if method != "DOP853":
-        return _scipy_solve_ivp(fun, t_span, y0, method=method,
-                                dense_output=dense_output, events=events,
-                                **options)
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        return scipy_solve_ivp(fun, t_span, y0, method=method,
+                               dense_output=dense_output, events=events,
+                               **options)
     return _dop853(fun, t_span, y0, dense_output, events, **options)
 
 
@@ -156,11 +273,13 @@ def _initial_step(fun, t0, y0, y1, f0, f1, t_bound, max_step, direction,
     return min(100 * h0, h1, interval, max_step), 1
 
 
-class _Interpolant(DenseOutput):
-    """The 7-term DOP853 interpolant over one step, as scipy evaluates it."""
+class _Interpolant:
+    """The 7-term DOP853 interpolant over one step, as scipy evaluates it,
+    with the attributes and call of scipy's ``DenseOutput``."""
 
     def __init__(self, t_old, t, y_old, coef):
-        super().__init__(t_old, t)
+        self.t_old, self.t = t_old, t
+        self.t_min, self.t_max = min(t, t_old), max(t, t_old)
         # a zero-length step has all-zero coefficients
         self.h = t - t_old or 1.0
         self.y_old = y_old      # (y0, y1) at t_old
@@ -171,7 +290,10 @@ class _Interpolant(DenseOutput):
         x = (t - self.t_old) / self.h
         return tuple(_nested(c, x) + y for c, y in zip(self.coef, self.y_old))
 
-    def _call_impl(self, t):
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
         return np.array(self.at(t))
 
 
@@ -238,8 +360,9 @@ class _Segments:
         return item
 
 
-class _Solution(OdeSolution):
-    """scipy's ``OdeSolution`` of a dense run, evaluated in one numpy pass.
+class _Solution:
+    """A dense run's solution with the attributes of scipy's ``OdeSolution``,
+    evaluated in one numpy pass.
 
     Each point's segment is picked with one ``searchsorted``, with
     scipy's side and clipping for either direction; only the segments
@@ -247,8 +370,21 @@ class _Solution(OdeSolution):
     values are scipy's bit for bit.
     """
 
+    def __init__(self, ts, interpolants):
+        self.ts, self.interpolants = ts, interpolants
+        self.n_segments = len(interpolants)
+        self.ascending = bool(ts[-1] >= ts[0])
+        if self.ascending:
+            self.t_min, self.t_max = ts[0], ts[-1]
+            self.side, self.ts_sorted = "left", ts
+        else:
+            self.t_min, self.t_max = ts[-1], ts[0]
+            self.side, self.ts_sorted = "right", ts[::-1]
+
     def __call__(self, t):
         t = np.asarray(t)
+        if t.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
         seg = np.searchsorted(self.ts_sorted, np.atleast_1d(t), side=self.side) - 1
         np.clip(seg, 0, self.n_segments - 1, out=seg)
         if not self.ascending:
@@ -299,6 +435,76 @@ def sample(odesol, spacing):
     x = (np.arange(i.size) - np.repeat(np.cumsum(k) - k, k)) / k[i]
     return (odesol.ts[i] + x * h[i],
             *(_nested(c[:, i], x) + y[i] for c, y in zip(coef, y_old)))
+
+
+def brentq(f, a, b, xtol, rtol, maxiter=100):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by
+    Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq`` (its ``brentq.c``), which
+    returns scipy's root bit for bit: inverse quadratic or secant steps
+    while they shrink the bracket fast enough, bisection otherwise, until
+    the bracket is within xtol + rtol |x|.  As in scipy, a NaN value or
+    an f(a), f(b) of one sign raises ValueError, and no convergence
+    within ``maxiter`` iterations RuntimeError.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # in C stry is then inf or nan, which bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}.")
 
 
 def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
@@ -362,7 +568,7 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
                     t_new = tf
                 h = t_new - t
                 h_abs = abs(h)
-                nfev += _dop.N_STAGES
+                nfev += N_STAGES
                 try:
                     na, nb, k0, k1, e50, e51, e30, e31 = _step(
                         fun, t, h, ya, yb, fa, fb)
@@ -446,7 +652,7 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
             Y1.append(y[1])
 
     ts = np.array(ts)
-    return OptimizeResult(
+    return SimpleNamespace(
         t=ts,
         y=np.array([Y0, Y1]),
         sol=_Solution(ts, segments) if dense_output else None,

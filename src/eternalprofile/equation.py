@@ -28,7 +28,6 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lapack
 
 if TYPE_CHECKING:
     from .model import Params
@@ -96,6 +95,21 @@ def _lower_toeplitz(s):
     n = len(s)
     i, j = np.indices((n, n))
     return np.where(i >= j, s[(i - j) % n], 0.0)
+
+
+def _forward_solve(L, b):
+    """x with L x = b for lower-triangular L and a vector b.
+
+    Forward substitution on floats: row i takes b[i] minus L[i, j] x[j]
+    for j = 0, 1, ..., i - 1, in that order, over L[i, i].  Written out,
+    so that its bits do not depend on the CPU's BLAS kernel.
+    """
+    x = []
+    for row, s in zip(L.tolist(), b.tolist()):
+        for a, xj in zip(row, x):
+            s -= a * xj
+        x.append(s / row[len(x)])
+    return np.array(x)
 
 
 def _binomial(c: float, n: int):
@@ -203,7 +217,9 @@ class _SeriesTable:
         self.products[:, :n] = T_g = _lower_toeplitz(g)
         self._index = np.subtract.outer(np.arange(n), np.arange(n)) % n
         self._lower = np.tri(n)
-        T_inv = lapack.dtrtri(T_g, lower=1)[0]      # products with 1 / g
+        # products with 1 / g: the inverse is the Toeplitz matrix of its
+        # first column, and each column solved alone gives the same bits
+        T_inv = _lower_toeplitz(_forward_solve(T_g, np.eye(n)[0]))
         self.ginv = T_inv.T
         # products with a g^{a-1} = a g^a / g, for a = m, q
         self.ratios = np.array([
@@ -238,7 +254,7 @@ class _SeriesTable:
                 rhs -= self.diffusion[k - 1] @ self.powers[0, k - 1]
             if self.eb == 1:
                 rhs -= self.drift[k - 1] @ self.b[:, k - 1]
-            bk = lapack.dtrtrs(self.lead[k], rhs, lower=1)[0]
+            bk = _forward_solve(self.lead[k], rhs)
             self.b[:, k] = bk
             self.powers[:, k] = self.ratios @ bk + rest
             self.products[:, k * n : (k + 1) * n] = bk[self._index] * self._lower

@@ -205,6 +205,17 @@ def _residuals(p: Params, x, rtol=RTOL):
     return r, dr_dxi0, legs
 
 
+def _solve_2x2(a, b, r):
+    """x with a x[0] + b x[1] = r by Cramer's rule, or None when the
+    determinant is zero or not finite.  Written out, so that its bits do
+    not depend on the CPU's LAPACK kernel."""
+    det = a[0] * b[1] - b[0] * a[1]
+    if det == 0 or not np.isfinite(det):
+        return None
+    return np.array([(r[0] * b[1] - b[0] * r[1]) / det,
+                     (a[0] * r[1] - r[0] * a[1]) / det])
+
+
 def _newton(p: Params, beta: float, xi0: float):
     """Damped Newton iteration on (beta, xi0) for the continuity residual.
 
@@ -236,9 +247,8 @@ def _newton(p: Params, beta: float, xi0: float):
         return x, r, nfev, None
     j_beta = (out_h[0] - r) / h
     while True:
-        try:
-            step = -np.linalg.solve(np.column_stack([j_beta, j_xi0]), r)
-        except np.linalg.LinAlgError:
+        step = _solve_2x2(j_beta, j_xi0, -r)
+        if step is None:
             return x, r, nfev, None
         norm = np.max(np.abs(r))
         t = 1.0

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError, ProfileError, RegionError
 from .solution import ProfileSolution
@@ -128,6 +127,8 @@ def interface_slope_integral(sol: ProfileSolution) -> float:
     output plus the closed-form contribution of the series launch segment
     [0, delta0].
     """
+    from scipy.integrate import simpson
+
     if sol.xi0 is None:
         raise ProfileError("interface_slope_integral requires a finite xi0")
     p, e = sol.params, sol.exps

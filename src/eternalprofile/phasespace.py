@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import CaseError, ProfileError, TailError
 from .model import Exponents, InterfaceCase, Params, interface_case
@@ -115,6 +114,8 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
     anchored at the closed-form contribution of the series launch
     segment [0, delta0] where f is indistinguishable from f(0).
     """
+    from scipy.integrate import cumulative_trapezoid
+
     p, e = sol.params, sol.exps
     _require_subcritical(p)
     if sol.xi0 is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,15 +36,23 @@ class RunReport:
     wall_time: Optional[float] = None
 
 
-def collect_versions() -> dict:
-    import scipy
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version, read without importing scipy, which a solve does
+    not load; the lookup scans the installed distributions, so it is
+    done once per process."""
+    from importlib import metadata
 
+    return metadata.version("scipy")
+
+
+def collect_versions() -> dict:
     from . import __version__
 
     return {
         "eternalprofile": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
     }
 
 

@@ -19,6 +19,9 @@ import struct
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate._ivp import dop853_coefficients
 
 from eternalprofile import (
@@ -28,7 +31,14 @@ from eternalprofile import (
     integrate_profile,
     make_params,
 )
-from eternalprofile._dop853 import _step, halve_long_steps, sample, solve_ivp
+from eternalprofile import _dop853
+from eternalprofile._dop853 import (
+    _Solution,
+    _step,
+    halve_long_steps,
+    sample,
+    solve_ivp,
+)
 from eternalprofile.equation import origin_series, profile_rhs
 from eternalprofile.solution import StopReason
 
@@ -58,6 +68,46 @@ def test_scipy_tableau_layout():
     assert c.D.shape == (4, 16)
 
 
+def test_committed_tableau_is_scipys():
+    c, ours = dop853_coefficients, _dop853
+    assert (ours.N_STAGES, ours.N_STAGES_EXTENDED) == (
+        c.N_STAGES, c.N_STAGES_EXTENDED)
+    for name in ("C", "B", "E3", "E5"):
+        assert np.array(getattr(ours, name)).tobytes() == getattr(c, name).tobytes()
+    assert np.array(ours.D).tobytes() == c.D.tobytes()
+    assert len(ours.A) == c.A.shape[0]
+    for s, row in enumerate(ours.A):
+        assert np.array(row, dtype=float).tobytes() == c.A[s, :s].tobytes()
+    assert not np.triu(c.A).any()
+
+
+def cubic(k, r, p, s):
+    """k (x - r)(x^2 + p x + s) in Horner form; one real root r when
+    s > p^2 / 4."""
+    c3, c2, c1, c0 = k, k * (p - r), k * (s - p * r), -k * s * r
+    return lambda x: ((c3 * x + c2) * x + c1) * x + c0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(k=st.sampled_from([-3.0, -1e-3, 1e-2, 1.0, 7.0]), r=st.floats(-10.0, 10.0),
+       p=st.floats(-5.0, 5.0), excess=st.floats(0.0, 10.0),
+       below=st.floats(1e-12, 20.0), above=st.floats(1e-12, 20.0))
+def test_brentq_returns_scipys_roots(k, r, p, excess, below, above):
+    # a bracket around the real root, or with rounding no sign change,
+    # where both must raise alike
+    f, a, b = cubic(k, r, p, p * p / 4 + excess), r - below, r + above
+    tol = dict(xtol=4 * _dop853.EPS, rtol=4 * _dop853.EPS)
+    try:
+        ref = scipy.optimize.brentq(f, a, b, **tol)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            _dop853.brentq(f, a, b, **tol)
+        return
+    root = _dop853.brentq(f, a, b, **tol)
+    assert type(root) is float
+    assert struct.pack("d", root) == struct.pack("d", ref)
+
+
 @pytest.mark.parametrize("t_span", [(0.0, 4.0), (4.0, 0.0)])
 def test_fixed_steps_match_scipy(t_span):
     ref, ours = both(oscillator, t_span, [1.0, 0.5], max_step=H,
@@ -75,7 +125,7 @@ def test_fixed_steps_match_scipy(t_span):
 def test_dense_output_matches_scipy(t_span):
     ref, ours = both(oscillator, t_span, [1.0, 0.5], max_step=H,
                      dense_output=True, **TOL)
-    assert isinstance(ours.sol, scipy.integrate.OdeSolution)
+    assert isinstance(ours.sol, _Solution)
     assert ours.sol(1.3).shape == (2,)
     t = np.linspace(0.0, 4.0, 101)
     assert ours.sol(t).shape == (2, 101)
@@ -546,7 +596,7 @@ def dense_runs(t_span):
 @pytest.mark.parametrize("t_span", [(0.0, 4.0), (4.0, 0.0)])
 def test_call_matches_scipy_bit_for_bit(t_span):
     for odesol in dense_runs(t_span):
-        assert isinstance(odesol, scipy.integrate.OdeSolution)
+        assert isinstance(odesol, _Solution)
         lo, hi = odesol.t_min, odesol.t_max
         inner = np.random.default_rng(7).uniform(lo, hi, 300)
         # every breakpoint, points outside on both sides, all unsorted

@@ -33,7 +33,9 @@ from eternalprofile.matching import (
     TAIL_F,
     XTOL,
     _legs,
+    _newton,
     _residuals,
+    _solve_2x2,
     interface_samples,
 )
 
@@ -64,6 +66,38 @@ def test_far_off_trial_returns_sentinel(x):
     # sentinel, never an exception
     p = make_params(2.0, 0.5, 1)
     assert _residuals(p, x) is None
+
+
+def test_cramer_step_agrees_with_linalg_solve():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        J = rng.uniform(-1.0, 1.0, (2, 2)) * 10.0 ** rng.uniform(-6, 6, 2)
+        if np.linalg.cond(J) > 1e6:
+            continue
+        r = rng.uniform(-1.0, 1.0, 2)
+        np.testing.assert_allclose(_solve_2x2(J[:, 0], J[:, 1], r),
+                                   np.linalg.solve(J, r), rtol=1e-12)
+
+
+@pytest.mark.parametrize("column", [[2.0, 4.0], [0.0, 0.0], [np.inf, 1.0],
+                                    [np.nan, 1.0]])
+def test_cramer_step_refuses_a_singular_jacobian(column):
+    assert _solve_2x2(np.array([1.0, 2.0]), np.array(column),
+                      np.array([1.0, 1.0])) is None
+
+
+def test_singular_jacobian_ends_newton(monkeypatch):
+    # both Jacobian columns are multiples of (1, 2), so the determinant is
+    # exactly zero and Newton ends after its two first evaluations
+    def residuals(p, x, rtol=RTOL):
+        s = x[0] + x[1]
+        return np.array([s - 1.0, 2.0 * s - 2.0]), np.array([1.0, 2.0]), ()
+
+    monkeypatch.setattr(matching, "_residuals", residuals)
+    x, r, nfev, legs = _newton(make_params(2.0, 0.5, 1), 0.5, 3.0)
+    assert legs is None
+    assert nfev == 2
+    np.testing.assert_array_equal(x, [0.5, 3.0])
 
 
 @pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.5, 0.5, 2), (1.2, 0.3, 1)])
