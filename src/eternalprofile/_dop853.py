@@ -43,6 +43,8 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0     # -1 / (error estimator order + 1)
+BRENT_TOL = 4 * EPS             # scipy's xtol = rtol for event roots
+BRENT_MAXITER = 100
 
 MESSAGES = {
     -1: "Required step size is less than spacing between numbers.",
@@ -437,16 +439,17 @@ def sample(odesol, spacing):
             *(_nested(c[:, i], x) + y[i] for c, y in zip(coef, y_old)))
 
 
-def brentq(f, a, b, xtol, rtol, maxiter=100):
+def brentq(f, a, b):
     """A root of f in [a, b], where f(a) and f(b) differ in sign, by
     Brent's method (Brent 1973, ch. 4).
 
     A line-for-line port of scipy's ``brentq`` (its ``brentq.c``), which
     returns scipy's root bit for bit: inverse quadratic or secant steps
     while they shrink the bracket fast enough, bisection otherwise, until
-    the bracket is within xtol + rtol |x|.  As in scipy, a NaN value or
-    an f(a), f(b) of one sign raises ValueError, and no convergence
-    within ``maxiter`` iterations RuntimeError.
+    the bracket is within BRENT_TOL (1 + |x|), scipy's xtol = rtol of
+    event roots.  As in scipy, a NaN value or an f(a), f(b) of one sign
+    raises ValueError, and no convergence within BRENT_MAXITER
+    iterations RuntimeError.
     """
 
     def call(x):
@@ -465,14 +468,14 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_TOL + BRENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -503,7 +506,7 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, "
                        f"value is {xcur}.")
 
 
@@ -629,8 +632,7 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
                     nfev += len(_EXTRA)
                     sol = _interpolant(fun, *step)
                 roots = [
-                    brentq(lambda s, ev=events[i]: ev(s, sol.at(s)), t_old, t,
-                           xtol=4 * EPS, rtol=4 * EPS)
+                    brentq(lambda s, ev=events[i]: ev(s, sol.at(s)), t_old, t)
                     for i in active
                 ]
                 # the first root in the direction of integration ends the run

@@ -35,6 +35,7 @@ their dense output, and the profile is built from those of that point.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -205,15 +206,40 @@ def _residuals(p: Params, x, rtol=RTOL):
     return r, dr_dxi0, legs
 
 
+def _fma(a, b, c):
+    """a * b + c rounded once, as a fused multiply-add: the sum is exact
+    over integers, and Python's integer division rounds it to nearest.
+    A non-finite argument or result takes the plain float expression."""
+    try:
+        (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
+        return (na * nb * dc + nc * da * db) / (da * db * dc)
+    except (OverflowError, ValueError):
+        return a * b + c
+
+
 def _solve_2x2(a, b, r):
-    """x with a x[0] + b x[1] = r by Cramer's rule, or None when the
-    determinant is zero or not finite.  Written out, so that its bits do
-    not depend on the CPU's LAPACK kernel."""
-    det = a[0] * b[1] - b[0] * a[1]
-    if det == 0 or not np.isfinite(det):
+    """x with a x[0] + b x[1] = r, or None when a pivot is zero (where
+    dgesv reports a singular matrix) or not finite.
+
+    dgesv written out for two unknowns in the order OpenBLAS runs it:
+    partial pivoting (the first row on a tie), the multiplier as the
+    other entry times the reciprocal pivot, one update, then forward and
+    back substitution with the multiply-add that OpenBLAS's SkylakeX
+    kernels fuse.  So its bits are those np.linalg.solve gives on that
+    kernel, whatever the CPU.
+    """
+    a0, a1, b0, b1, r0, r1 = (float(v) for v in (a[0], a[1], b[0], b[1],
+                                                   r[0], r[1]))
+    if abs(a1) > abs(a0):
+        a0, a1, b0, b1, r0, r1 = a1, a0, b1, b0, r1, r0
+    if a0 == 0 or not math.isfinite(a0):
         return None
-    return np.array([(r[0] * b[1] - b[0] * r[1]) / det,
-                     (a[0] * r[1] - r[0] * a[1]) / det])
+    lower = a1 * (1.0 / a0)
+    u11 = b1 - lower * b0
+    if u11 == 0 or not math.isfinite(u11):
+        return None
+    x1 = _fma(-lower, r0, r1) / u11
+    return np.array([_fma(-x1, b0, r0) / a0, x1])
 
 
 def _newton(p: Params, beta: float, xi0: float):

@@ -96,14 +96,15 @@ def test_brentq_returns_scipys_roots(k, r, p, excess, below, above):
     # a bracket around the real root, or with rounding no sign change,
     # where both must raise alike
     f, a, b = cubic(k, r, p, p * p / 4 + excess), r - below, r + above
-    tol = dict(xtol=4 * _dop853.EPS, rtol=4 * _dop853.EPS)
     try:
-        ref = scipy.optimize.brentq(f, a, b, **tol)
+        ref = scipy.optimize.brentq(f, a, b, xtol=_dop853.BRENT_TOL,
+                                    rtol=_dop853.BRENT_TOL,
+                                    maxiter=_dop853.BRENT_MAXITER)
     except (ValueError, RuntimeError) as exc:
         with pytest.raises(type(exc)):
-            _dop853.brentq(f, a, b, **tol)
+            _dop853.brentq(f, a, b)
         return
-    root = _dop853.brentq(f, a, b, **tol)
+    root = _dop853.brentq(f, a, b)
     assert type(root) is float
     assert struct.pack("d", root) == struct.pack("d", ref)
 

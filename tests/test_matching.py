@@ -1,5 +1,7 @@
 """Two-sided matching: convergence, tangency, and deep interface samples."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from eternalprofile.matching import (
     RTOL,
     TAIL_F,
     XTOL,
+    _fma,
     _legs,
     _newton,
     _residuals,
@@ -68,7 +71,7 @@ def test_far_off_trial_returns_sentinel(x):
     assert _residuals(p, x) is None
 
 
-def test_cramer_step_agrees_with_linalg_solve():
+def test_newton_step_agrees_with_linalg_solve():
     rng = np.random.default_rng(3)
     for _ in range(200):
         J = rng.uniform(-1.0, 1.0, (2, 2)) * 10.0 ** rng.uniform(-6, 6, 2)
@@ -79,16 +82,44 @@ def test_cramer_step_agrees_with_linalg_solve():
                                    np.linalg.solve(J, r), rtol=1e-12)
 
 
+@pytest.mark.parametrize("J, r, x", [
+    ([[-330.29629509476354, 11.165471366567122],
+      [0.003317789010746091, -1034.6094755403735]],
+     [2.8512853849811983e-11, -0.0002915124581214484],
+     [9.524674411263632e-09, 2.817608929881996e-07]),
+    ([[106637.39883514596, 0.8189668977082211],
+      [106637.39883514596, 26149.628378743015]],
+     [1.2580343659880188e-12, -7.133853696581565e-07],
+     [2.2131941474255514e-16, -2.728180149453998e-11]),
+    ([[6423098.416572142, 14026989.900849132],
+      [-2062190.3876485522, 0.00502179849663251]],
+     [2.9163954852719266e-09, -5.335978097710007e-11],
+     [2.5875293707746022e-17, 1.960645831122242e-16]),
+])
+def test_newton_step_keeps_dgesv_rounding(J, r, x):
+    # x is np.linalg.solve on OpenBLAS's SkylakeX kernel; an unfused
+    # substitution and Cramer's rule each round these three differently
+    J, r = np.array(J), np.array(r)
+    assert _solve_2x2(J[:, 0], J[:, 1], r).tobytes() == np.array(x).tobytes()
+
+
+def test_fma_rounds_once():
+    e = 2.0 ** -30
+    assert (1.0 + e) * (1.0 - e) - 1.0 == 0.0
+    assert _fma(1.0 + e, 1.0 - e, -1.0) == -(e * e)
+    assert math.isnan(_fma(math.inf, 0.0, 1.0))
+
+
 @pytest.mark.parametrize("column", [[2.0, 4.0], [0.0, 0.0], [np.inf, 1.0],
                                     [np.nan, 1.0]])
-def test_cramer_step_refuses_a_singular_jacobian(column):
+def test_newton_step_refuses_a_singular_jacobian(column):
     assert _solve_2x2(np.array([1.0, 2.0]), np.array(column),
                       np.array([1.0, 1.0])) is None
 
 
 def test_singular_jacobian_ends_newton(monkeypatch):
-    # both Jacobian columns are multiples of (1, 2), so the determinant is
-    # exactly zero and Newton ends after its two first evaluations
+    # both Jacobian columns are multiples of (1, 2), so the second pivot
+    # is exactly zero and Newton ends after its two first evaluations
     def residuals(p, x, rtol=RTOL):
         s = x[0] + x[1]
         return np.array([s - 1.0, 2.0 * s - 2.0]), np.array([1.0, 2.0]), ()
