@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -217,7 +216,6 @@ def run(cfg: RunConfig, out_dir=None, plots: Optional[bool] = None) -> RunReport
         mode=cfg.mode,
         versions=collect_versions(),
     )
-    start = time.monotonic()
     try:
         profile, chart, report.results = _RUNNERS[cfg.mode](cfg)
         if profile is not None:
@@ -228,7 +226,6 @@ def run(cfg: RunConfig, out_dir=None, plots: Optional[bool] = None) -> RunReport
     except ProfileError as exc:
         report.status = "failed"
         report.results = {"error": f"{type(exc).__name__}: {exc}"}
-    report.wall_time = time.monotonic() - start
     write_report(report, out / "report.json")
     return report
 

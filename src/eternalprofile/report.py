@@ -1,9 +1,11 @@
 """Deterministic export of run results.
 
-JSON is emitted with sorted keys and floats printed at 17 significant
-digits; CSV rows use shortest round-trip decimals.  Identical inputs
-therefore produce byte-identical artifacts; wall-clock timing is kept on
-the in-memory report only and never serialized.
+JSON is written by the standard encoder with sorted keys, floats as
+shortest round-trip decimals and every string escaped; a non-finite
+float is written as the string "NaN", "Infinity" or "-Infinity".  CSV
+rows use shortest round-trip decimals too.  Identical inputs therefore
+produce byte-identical artifacts, and parsing them gives back the same
+doubles.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +35,6 @@ class RunReport:
     status: str = "ok"
     results: dict = field(default_factory=dict)
     versions: dict = field(default_factory=dict)
-    wall_time: Optional[float] = None
 
 
 @functools.cache
@@ -56,16 +57,9 @@ def collect_versions() -> dict:
     }
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"NaN"'
-    if math.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(x, ".17g")
-
-
 def _jsonable(obj):
-    """Normalize nested values to plain JSON-compatible types."""
+    """Normalize nested values to plain JSON-compatible types; a
+    non-finite float becomes the string "NaN", "Infinity" or "-Infinity"."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _jsonable(getattr(obj, f.name))
@@ -73,12 +67,15 @@ def _jsonable(obj):
             if f.name != "dense"
         }
     if isinstance(obj, enum.Enum):
-        return obj.value
+        return _jsonable(obj.value)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            return x
+        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -86,58 +83,19 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Path):
         return str(obj)
-    if callable(obj) and not isinstance(obj, (str, int, float, bool)):
+    if callable(obj):
         return repr(obj)
     return obj
 
 
 def dumps(obj) -> str:
-    """Serialize with sorted keys and fixed float formatting."""
-    return _dumps_norm(_jsonable(obj), 0)
-
-
-def _dumps_norm(obj, indent: int) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}"{k}": {_dumps_norm(v, indent + 2)}'
-            for k, v in sorted(obj.items())
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_dumps_norm(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj)}")
+    """Serialize as indented JSON with sorted keys."""
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_report(report: RunReport, path) -> None:
-    """Write the report as deterministic JSON (wall_time excluded)."""
-    payload = {
-        "config": report.config,
-        "mode": report.mode,
-        "status": report.status,
-        "results": report.results,
-        "versions": report.versions,
-    }
-    Path(path).write_text(dumps(payload) + "\n")
+    """Write the report as deterministic JSON."""
+    Path(path).write_text(dumps(report) + "\n")
 
 
 def export_profile_csv(sol: ProfileSolution, path) -> None:

@@ -2,7 +2,8 @@
 
 Charts are built directly as SVG paths with fixed-format coordinates
 and carry no timestamps or generator metadata, so the same data always
-yields the same bytes.
+yields the same bytes.  Titles and labels are XML-escaped, and the file
+is written as UTF-8.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from typing import List, Sequence, Tuple
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -141,24 +143,24 @@ def line_chart(
         )
         parts.append(
             f'<text x="{WIDTH - 125}" y="{ly}" font-size="11" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">{escape(label)}</text>'
         )
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.0f}" y="20" font-size="14" '
-            f'text-anchor="middle" font-family="sans-serif">{title}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{escape(title)}</text>'
         )
     if xlabel:
         parts.append(
             f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" '
             f'font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif">{xlabel}</text>'
+            f'font-family="sans-serif">{escape(xlabel)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="16" y="{MARGIN_T + plot_h / 2:.0f}" font-size="12" '
             f'text-anchor="middle" font-family="sans-serif" '
-            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.0f})">{escape(ylabel)}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

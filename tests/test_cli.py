@@ -233,6 +233,15 @@ def test_horizon_below_launch_point_fails(tmp_path, horizon):
     assert "DomainError" in report["results"]["error"]
 
 
+def test_report_parses_with_tab_and_non_ascii_in_config(tmp_path):
+    out = tmp_path / "out\tdir-\u03be"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE + f"beta = 0.1\noutput_dir = {out}\n", encoding="utf-8")
+    assert main(["classify", "--config", str(cfg)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["output_dir"] == str(out)
+
+
 def test_report_echoes_full_config(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"

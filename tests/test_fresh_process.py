@@ -9,11 +9,15 @@ calling LAPACK, so no LAPACK kernel picks their rounding.  The ``@``
 products in ``equation`` still go through BLAS, and on some triples
 other than the reference cases they do round differently under another
 kernel.  The byte test pins what holds for the four reference cases:
-their CLI ``solve`` artifacts are the same under the host's default
-OpenBLAS kernel and under its baseline x86-64 kernel (Prescott).  Which
-pair of kernels it compares depends on the host (SkylakeX on AVX-512
-machines, Haswell or Zen on others), and it is skipped where numpy is
-not built on OpenBLAS, since the kernel variable would do nothing.
+the files that the CLI modes ``solve``, ``classify`` (at beta = 0.5) and
+``verify`` write with charts, and ``phase`` on (1.2, 0.3, 1), are the
+same under the host's default OpenBLAS kernel and under its baseline
+x86-64 kernel (Prescott).  ``asymptotics`` is left out: its interface
+fit calls ``np.polyfit`` and ``np.linalg.lstsq``, whose LAPACK kernel
+moves the fitted values in their last bits.  Which pair of kernels it
+compares depends on the host (SkylakeX on AVX-512 machines, Haswell or
+Zen on others), and it is skipped where numpy is not built on
+OpenBLAS, since the kernel variable would do nothing.
 """
 
 import json
@@ -54,9 +58,10 @@ def write_cfg(path, case, extra=""):
     return str(path)
 
 
-def cli_code(mode, cfg, out):
+def cli_code(mode, cfg, out, *flags):
     return (f"from eternalprofile.cli import main\n"
-            f"assert main([{mode!r}, '--config', {cfg!r}, '--out', {out!r}]) == 0\n")
+            f"assert main([{mode!r}, '--config', {cfg!r}, '--out', {out!r}"
+            f"{''.join(f', {flag!r}' for flag in flags)}]) == 0\n")
 
 
 def test_import_loads_no_scipy():
@@ -88,11 +93,35 @@ def built_on_openblas():
     return "openblas" in info["name"].lower()
 
 
-def solve_artifacts(tmp_path, name, case, env):
-    out = tmp_path / name
-    cfg = write_cfg(tmp_path / f"{name}.cfg", case)
-    run_child(cli_code("solve", cfg, str(out)), env)
-    return {f: (out / f).read_bytes() for f in ("report.json", "profile.csv")}
+def reference_modes(case):
+    phase = ["phase"] if case == (1.2, 0.3, 1) else []
+    return ["solve", "classify", "verify"] + phase
+
+
+def reference_artifacts(tmp, env):
+    """The bytes of every file the CLI writes for each reference case's
+    modes, all run in one child process under ``env``."""
+    runs = [(case, mode, tmp / f"{i}-{mode}")
+            for i, case in enumerate(CASES) for mode in reference_modes(case)]
+    run_child("".join(
+        cli_code(mode, write_cfg(out.with_suffix(".cfg"), case,
+                                 "beta = 0.5\n" if mode == "classify" else ""),
+                 str(out), "--plots")
+        for case, mode, out in runs), env)
+    artifacts = {case: {} for case in CASES}
+    for case, mode, out in runs:
+        artifacts[case].update(
+            {(mode, f.name): f.read_bytes() for f in sorted(out.iterdir())})
+    return artifacts
+
+
+@pytest.fixture(scope="module")
+def artifacts_by_kernel(tmp_path_factory):
+    """Reference artifacts under the default kernel and under Prescott."""
+    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    baseline = dict(default, OPENBLAS_CORETYPE="Prescott")
+    return [reference_artifacts(tmp_path_factory.mktemp(name), env)
+            for name, env in (("default", default), ("prescott", baseline))]
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -100,8 +129,7 @@ def solve_artifacts(tmp_path, name, case, env):
 @pytest.mark.skipif(not built_on_openblas(),
                     reason="OPENBLAS_CORETYPE selects a kernel only in OpenBLAS")
 @pytest.mark.parametrize("case", CASES)
-def test_solve_artifacts_same_under_baseline_blas_kernel(tmp_path, case):
-    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    baseline = dict(default, OPENBLAS_CORETYPE="Prescott")
-    ours = solve_artifacts(tmp_path, "default", case, default)
-    assert ours == solve_artifacts(tmp_path, "prescott", case, baseline)
+def test_solve_artifacts_same_under_baseline_blas_kernel(artifacts_by_kernel, case):
+    ours, baseline = (artifacts[case] for artifacts in artifacts_by_kernel)
+    assert ("verify", "residual.svg") in ours
+    assert ours == baseline

@@ -1,7 +1,9 @@
 """Deterministic serialization: JSON formatting and CSV round trips."""
 
+import enum
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,9 +25,12 @@ def test_json_keys_sorted():
     assert text.index('"a"') < text.index('"b"')
 
 
-def test_json_floats_17_digits():
-    text = dumps({"x": 1.0 / 3.0})
-    assert "0.33333333333333331" in text
+def test_json_floats_round_trip():
+    values = [1.0 / 3.0, 0.1, 2.0, -0.0, 5e-324, 1.7976931348623157e308]
+    back = json.loads(dumps({"v": values}))["v"]
+    assert back == values
+    assert all(type(v) is float for v in back)
+    assert math.copysign(1.0, back[3]) == -1.0
 
 
 def test_json_special_floats():
@@ -50,17 +55,41 @@ def test_json_is_valid_and_round_trips():
     assert back["f"] == 0.1
 
 
+def test_json_escapes_control_and_non_ascii():
+    s = "tab\there\x01 \u03be\u2028"
+    text = dumps({"s": s})
+    assert text.isascii()
+    assert json.loads(text)["s"] == s
+
+
+class Kind(enum.Enum):
+    A = "a"
+
+
+@dataclass
+class Record:
+    kind: Kind
+    values: np.ndarray
+    dense: object = None
+
+
+def test_json_enums_and_dataclasses():
+    record = Record(Kind.A, np.array([np.nan, 1.0]), dense=lambda x: x)
+    assert json.loads(dumps({"r": record})) == {
+        "r": {"kind": "a", "values": ["NaN", 1.0]}}
+
+
 def test_dumps_deterministic():
     payload = {"b": [1.0, 2.0], "a": {"k": 1e-300}}
     assert dumps(payload) == dumps(payload)
 
 
-def test_write_report_excludes_wall_time(tmp_path):
-    report = RunReport(config={"m": 2.0}, mode="solve", wall_time=1.23)
+def test_write_report_writes_exactly_the_report_keys(tmp_path):
+    report = RunReport(config={"m": 2.0}, mode="solve")
     path = tmp_path / "report.json"
     write_report(report, path)
     data = json.loads(path.read_text())
-    assert "wall_time" not in data
+    assert list(data) == ["config", "mode", "results", "status", "versions"]
     assert data["mode"] == "solve"
     assert data["config"] == {"m": 2.0}
 

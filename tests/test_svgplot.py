@@ -1,5 +1,7 @@
 """SVG chart generation: determinism and basic structure."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ def test_chart_is_valid_svg(tmp_path):
     assert text.rstrip().endswith("</svg>")
     assert "<polyline" in text
     assert ">t</text>" in text
+
+
+def test_chart_text_is_escaped(tmp_path):
+    x = np.linspace(0.0, 1.0, 5)
+    path = tmp_path / "escaped.svg"
+    text = "W & Z < 1 > \u03be"
+    line_chart([(text, x, x)], path, title=text, xlabel=text, ylabel=text)
+    root = ET.parse(path).getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts.count(text) == 4
 
 
 def test_chart_bytes_deterministic(tmp_path):
