@@ -42,8 +42,8 @@ class IntegratorOptions:
     ``slope_tol`` is in F' units and is rescaled by xi0^sigma at
     contact; a slope event within ``GRAZE_FACTOR * contact_eps`` of zero
     also counts as tangential.  ``shooting.solve`` runs its bracket scan
-    and coarse bisection at max(``rtol``, COARSE_TOL**2) and every other
-    integration at ``rtol``.
+    and bisections at max(``rtol``, COARSE_TOL**2) and only its
+    certification samples at ``rtol``.
     """
 
     rtol: float = 1e-10

@@ -4,15 +4,16 @@ For small beta the slope of the profile turns upward before the profile
 reaches zero (set C); for large beta the profile crosses zero with a
 strictly negative slope (set A).  The boundary value beta* carries the
 tangential contact.  This module brackets beta* by a geometric scan,
-bisects only coarsely, and hands the resulting estimates to the
+bisects only to SEED_TOL, and hands the resulting estimates to the
 two-sided matching stage, which pins down (beta*, xi0) to near machine
-precision.  The scan and the coarse bisection only have to resolve
-COARSE_TOL, so they run at rtol = max(rtol, COARSE_TOL**2); the one
-integration at the coarse estimate that seeds xi0, and every sample
-after matching, keep the caller's rtol.  Two forward classifications
-just below and just above the matched beta* then certify a bracket of
-relative width beta_tol around it; an end that disagrees doubles its
-offset from beta* until it agrees or reaches the coarse bracket's end.
+precision.  The scan and the bisection only have to seed Newton, so
+they run at rtol = max(rtol, COARSE_TOL**2), and xi0 is seeded from the
+stop point of the last midpoint.  Two forward classifications at the
+caller's rtol just below and just above the matched beta* then certify
+a bracket of relative width beta_tol around it; an end that disagrees
+doubles its offset from beta* until it agrees or reaches the end of the
+coarse bracket, the seed bracket bisected on to COARSE_TOL, which only
+such an end pays for.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import BracketFailure, DomainError, ProfileError
 from .integrate import IntegratorOptions, integrate_profile
-from .matching import MatchResult, match_profile
+from .matching import RTOL as MATCH_RTOL, MatchResult, match_profile
 from .model import Params, exponents_from_beta
 from .solution import Classification, ProfileSolution
 
@@ -39,6 +40,10 @@ BETA_TOL = 1e-8
 MIN_BETA_TOL = 4 * float(np.finfo(float).eps)
 
 #: Relative width of the bisection bracket that seeds the matching stage.
+SEED_TOL = 1e-2
+
+#: Relative width of the coarse bracket that caps a widening certification
+#: end; its square is the rtol of every forward run before matching.
 COARSE_TOL = 1e-3
 
 #: Classes on the A side of beta*; CandidateB grazing counts with them.
@@ -198,62 +203,102 @@ def _certified_bracket(beta_star: float, beta_tol: float) -> Tuple[float, float]
     return float(lo), float(hi)
 
 
+def _bisected(
+    bracket: Tuple[float, float], beta_star: float, beta_tol: float
+) -> Tuple[float, float]:
+    """The bracket that bisecting ``bracket`` to beta_tol leaves when
+    every midpoint below beta_star classifies ClassC and every other one
+    on the A side; no integration."""
+    lo, hi = bracket
+    while hi - lo > beta_tol * 0.5 * (lo + hi):
+        mid = 0.5 * (lo + hi)
+        if mid < beta_star:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def solve(
     p: Params,
     beta_tol: float = BETA_TOL,
     opts: IntegratorOptions = IntegratorOptions(),
 ) -> ShootingResult:
-    """Full pipeline: bracket, coarse bisection, matching, certification.
+    """Full pipeline: bracket, seed bisection, matching, certification.
 
-    Bisection to COARSE_TOL (or beta_tol, when wider) only supplies the
-    starting guess, so the scan and the coarse bisection run at
-    rtol = max(opts.rtol, COARSE_TOL**2).  One integration at the coarse
-    estimate with the caller's opts seeds xi0 from its stop point; the
-    two-sided matching stage then solves for (beta*, xi0) exactly, so
-    final_profile, the matched profile, is tangential at the interface
-    by construction.  Forward classifications at beta*(1 -+ beta_tol/2)
-    certify a (ClassC, ClassA or CandidateB) bracket around the matched
-    beta*.  An end on the wrong side doubles its offset from beta* until
-    it agrees, and takes the coarse bracket's end, classified already,
-    where it would pass it; the reported bracket is then wider than
-    beta_tol.  A coarse bracket without beta* raises BracketFailure.
+    The scan and the bisection to SEED_TOL (or beta_tol, when wider)
+    only seed the matching stage, so they run at
+    rtol = max(opts.rtol, COARSE_TOL**2), and the last midpoint's stop
+    point seeds xi0.  The two-sided matching stage then solves for
+    (beta*, xi0), so final_profile, the matched profile, is tangential
+    at the interface by construction.  Forward classifications at
+    beta*(1 -+ beta_tol/2), with the caller's opts, certify a (ClassC,
+    ClassA or CandidateB) bracket around the matched beta*.  An end on
+    the wrong side doubles its offset from beta* until it agrees.  Where
+    it would pass the coarse bracket's end it takes that end instead,
+    and the reported bracket is wider than beta_tol.  The coarse bracket
+    is the seed bracket bisected on to COARSE_TOL (or beta_tol, when
+    wider) at the same rtol, the bisection a capped end runs first.  A
+    bracket that misses beta* by more than matching.RTOL relative, to
+    which the matched beta* is resolved, raises BracketFailure.
     ``iterations`` and ``history`` count every classification after the
-    scan, the low end's before the high end's.
+    scan, in the order made.
     """
     _check_beta_tol(beta_tol)
     coarse_opts = replace(opts, rtol=max(opts.rtol, COARSE_TOL**2))
-    bracket = bracket_beta(p, coarse_opts)
-    coarse = bisect_beta(p, bracket, max(COARSE_TOL, beta_tol), coarse_opts)
-    prof = _classify_at(p, coarse.beta_star, opts)
-    # the forward stop point undershoots the interface by a few percent
-    matched = match_profile(p, coarse.beta_star, prof.xi_max * 1.02)
+    coarse_tol = max(COARSE_TOL, beta_tol)
+    seed = bisect_beta(
+        p, bracket_beta(p, coarse_opts), max(SEED_TOL, beta_tol), coarse_opts
+    )
+    # the forward stop point lies short of the interface, by 4-24 % on
+    # the reference cases
+    matched = match_profile(
+        p, seed.beta_star, seed.final_profile.xi_max * 1.02
+    )
     if not matched.success:
         raise BracketFailure(
             f"matching stage failed for {p}: residual {matched.residual:.3e} "
             f"after {matched.nfev} evaluations"
         )
     beta_star = matched.beta_star
-    history = list(coarse.history)
+    # the matched beta* is resolved to about the legs' rtol
+    slack = MATCH_RTOL * beta_star
+    seed_bracket = (seed.bracket_lo, seed.bracket_hi)
+    # where the coarse bracket ends if its midpoints agree with beta*
+    caps = _bisected(seed_bracket, beta_star, coarse_tol)
+    coarse = seed_bracket if caps == seed_bracket else None
+    history = list(seed.history)
+
+    def check_contains(bracket, holds=True):
+        if not (holds and bracket[0] - slack < beta_star < bracket[1] + slack):
+            raise BracketFailure(
+                f"matched beta* = {beta_star!r} lies outside the coarse "
+                f"bracket {bracket} for {p}"
+            )
+
     ends = []
-    for end, cap, side in zip(
+    for i, (end, side) in enumerate(zip(
         _certified_bracket(beta_star, beta_tol),
-        (coarse.bracket_lo, coarse.bracket_hi),
         ((Classification.CLASS_C,), _A_SIDE),
-    ):
+    )):
         offset = end - beta_star
         while True:
             cls = _classify_at(p, end, opts).classification
             history.append((end, cls))
             if cls in side:
                 break
-            if not coarse.bracket_lo < beta_star < coarse.bracket_hi:
-                raise BracketFailure(
-                    f"matched beta* = {beta_star!r} lies outside the coarse "
-                    f"bracket {(coarse.bracket_lo, coarse.bracket_hi)} for {p}"
-                )
+            check_contains(seed_bracket)
             offset *= 2.0
-            if abs(offset) >= abs(cap - beta_star):
-                end = cap
+            if abs(offset) >= abs(caps[i] - beta_star):
+                if coarse is None:
+                    rest = bisect_beta(
+                        p, seed_bracket, coarse_tol, coarse_opts
+                    )
+                    history.extend(rest.history)
+                    coarse = (rest.bracket_lo, rest.bracket_hi)
+                end = coarse[i]
+                # a cap within the slack but on beta*'s far side is no end
+                check_contains(coarse, (end - beta_star) * offset > 0.0)
                 break
             end = beta_star + offset
         ends.append(end)

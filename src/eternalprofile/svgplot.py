@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from typing import List, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -25,6 +24,11 @@ MARGIN_T = 34
 MARGIN_B = 48
 
 PALETTE = ("#1f6fb4", "#d45500", "#2e8540", "#8031a7", "#b00020")
+
+
+def _escape(text: str) -> str:
+    """XML-escape chart text; ``&`` first, so no entity is escaped twice."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -143,24 +147,24 @@ def line_chart(
         )
         parts.append(
             f'<text x="{WIDTH - 125}" y="{ly}" font-size="11" '
-            f'font-family="sans-serif">{escape(label)}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.0f}" y="20" font-size="14" '
-            f'text-anchor="middle" font-family="sans-serif">{escape(title)}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_escape(title)}</text>'
         )
     if xlabel:
         parts.append(
             f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" '
             f'font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif">{escape(xlabel)}</text>'
+            f'font-family="sans-serif">{_escape(xlabel)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="16" y="{MARGIN_T + plot_h / 2:.0f}" font-size="12" '
             f'text-anchor="middle" font-family="sans-serif" '
-            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.0f})">{escape(ylabel)}</text>'
+            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.0f})">{_escape(ylabel)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -68,6 +68,14 @@ def test_import_loads_no_scipy():
     assert run_child("import eternalprofile.cli\n" + SCIPY_MODULES) == "[]\n"
 
 
+def test_import_loads_no_network_or_xml_stack():
+    # xml.sax.saxutils would pull in urllib.request, http.client and email
+    code = ("import sys\nimport eternalprofile.cli\n"
+            "print(sorted(m for m in ('xml.sax', 'urllib.request',"
+            " 'http.client', 'email') if m in sys.modules))\n")
+    assert run_child(code) == "[]\n"
+
+
 def test_solve_loads_no_scipy():
     code = ("from eternalprofile import make_params, solve\n"
             "solve(make_params(2, 0.5, 1))\n")

@@ -289,10 +289,10 @@ def test_failed_loose_stage_makes_no_evaluation_at_rtol(
 def test_both_newton_phases_share_one_evaluation_budget(
     recorded, monkeypatch, budget
 ):
-    # (2, 0.5, 1) needs 8 evaluations from its solve's guess, loose and
+    # (2, 0.5, 1) needs 9 evaluations from its solve's guess, loose and
     # tight together
     _, _, evals = recorded[(2.0, 0.5, 1)]
-    assert len(evals) == 8
+    assert len(evals) == 9
     monkeypatch.setattr(matching, "MAX_NFEV", budget)
     short = match_profile(make_params(2.0, 0.5, 1), *evals[0][1])
     assert not short.success

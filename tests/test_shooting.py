@@ -203,12 +203,16 @@ def test_bisection_integrates_each_beta_once(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(BETA_STAR))
 def test_solve_needs_few_forward_integrations(monkeypatch, case):
-    # scan, coarse bisection, the xi0 seed at the coarse estimate and two
-    # certification samples; bisecting to beta_tol before matching took
-    # 29-35
+    # scan, seed bisection and two certification samples; bisecting to
+    # COARSE_TOL and seeding xi0 at the caller's rtol took 15-17, and
+    # bisecting to beta_tol before matching 29-35
     betas = _count_integrations(monkeypatch)
+    calls = _record_classify_rtol(monkeypatch)
     solve(make_params(*case))
-    assert len(betas) <= 17
+    assert len(betas) <= 13
+    # nothing before matching runs at the caller's rtol
+    before = calls[:calls.index(None)]
+    assert {rtol for _, rtol in before} == {shooting.COARSE_TOL**2}
 
 
 def _record_classify_rtol(monkeypatch):
@@ -234,17 +238,49 @@ def test_coarse_stage_runs_at_coarse_rtol(monkeypatch):
     result = solve(make_params(2.0, 0.5, 1))
     coarse_rtol = shooting.COARSE_TOL**2
     assert coarse_rtol == pytest.approx(1e-6)
-    # scan and coarse midpoints, the xi0 seed, matching, two certifications
+    # scan and seed midpoints, matching, two certifications
     i = calls.index(None)
-    coarse, seed, certify = calls[:i - 1], calls[i - 1], calls[i + 1:]
+    coarse, certify = calls[:i], calls[i + 1:]
     assert all(rtol == coarse_rtol for _, rtol in coarse)
-    assert seed[1] == 1e-10
     assert certify == [(beta, 1e-10) for beta, _ in result.history[-2:]]
-    # the scan precedes the coarse midpoints, which open the history
+    # the scan precedes the seed midpoints, which open the history
     midpoints = result.history[:-2]
     assert len(coarse) > len(midpoints) > 0
     assert coarse[-len(midpoints):] == [(beta, coarse_rtol)
                                         for beta, _ in midpoints]
+
+
+def test_xi0_seed_comes_from_the_last_midpoint(monkeypatch):
+    # Newton starts at the seed bracket's midpoint, with xi0 from the
+    # stop point of the seed bisection's last midpoint, run only once
+    betas, seeds, guesses = [], [], []
+    classify, match, bisect = (
+        shooting._classify_at, shooting.match_profile, shooting.bisect_beta
+    )
+
+    def recording_classify(p, beta, opts):
+        betas.append(beta)
+        return classify(p, beta, opts)
+
+    def recording_bisect(*args):
+        seeds.append(bisect(*args))
+        return seeds[-1]
+
+    def recording_match(p, beta, xi0):
+        guesses.append((beta, xi0))
+        return match(p, beta, xi0)
+
+    monkeypatch.setattr(shooting, "_classify_at", recording_classify)
+    monkeypatch.setattr(shooting, "bisect_beta", recording_bisect)
+    monkeypatch.setattr(shooting, "match_profile", recording_match)
+    solve(make_params(2.0, 0.5, 1))
+    [seed] = seeds
+    assert guesses == [(seed.beta_star, seed.final_profile.xi_max * 1.02)]
+    last = seed.history[-1][0]
+    assert seed.final_profile.exps.beta == last
+    assert betas.count(last) == 1
+    width = (seed.bracket_hi - seed.bracket_lo) / seed.beta_star
+    assert shooting.COARSE_TOL < width <= shooting.SEED_TOL
 
 
 def test_caller_rtol_above_coarse_rtol_runs_everywhere(monkeypatch):
@@ -252,6 +288,15 @@ def test_caller_rtol_above_coarse_rtol_runs_everywhere(monkeypatch):
     solve(make_params(2.0, 0.5, 1), opts=IntegratorOptions(rtol=1e-5))
     rtols = {call[1] for call in calls if call is not None}
     assert rtols == {1e-5}
+
+
+def test_matched_beta_star_ignores_caller_rtol_up_to_coarse_rtol():
+    # everything before matching runs at the coarse rtol, so the caller's
+    # rtol changes only the certification samples
+    p = make_params(1.2, 0.3, 1)
+    betas = {solve(p, opts=IntegratorOptions(rtol=rtol)).beta_star
+             for rtol in (shooting.COARSE_TOL**2, 1e-8, 1e-12)}
+    assert len(betas) == 1
 
 
 def _coarse_stage(p, rtol):
@@ -307,16 +352,17 @@ def test_certified_bracket_width_is_exact():
 
 
 def _watch_certification(monkeypatch, override=lambda n, sol: sol):
-    """Record the coarse bisections and the betas classified after
-    matching; ``override(n, sol)`` may replace the n-th of those."""
-    samples, bisections, matched = [], [], []
+    """Record the bisections and the certification samples, the betas
+    classified after matching outside a bisection; ``override(n, sol)``
+    may replace the n-th of those samples."""
+    samples, bisections, matched, bisecting = [], [], [], []
     classify, match, bisect = (
         shooting._classify_at, shooting.match_profile, shooting.bisect_beta
     )
 
     def watching_classify(p, beta, opts):
         sol = classify(p, beta, opts)
-        if matched:
+        if matched and not bisecting:
             sol = override(len(samples), sol)
             samples.append(beta)
         return sol
@@ -326,8 +372,13 @@ def _watch_certification(monkeypatch, override=lambda n, sol: sol):
         return matched[-1]
 
     def recording_bisect(p, bracket, beta_tol, opts):
-        bisections.append((beta_tol, opts, bisect(p, bracket, beta_tol, opts)))
-        return bisections[-1][2]
+        bisecting.append(bracket)
+        try:
+            result = bisect(p, bracket, beta_tol, opts)
+        finally:
+            bisecting.pop()
+        bisections.append((beta_tol, opts, result))
+        return result
 
     monkeypatch.setattr(shooting, "_classify_at", watching_classify)
     monkeypatch.setattr(shooting, "match_profile", marking_match)
@@ -352,9 +403,9 @@ def test_failed_certification_widens_its_end(monkeypatch, solved, side):
     result = solve(make_params(*case))
     beta = result.beta_star
     assert beta == solved[case].beta_star
-    # the coarse stage is the only bisection
+    # the seed bisection is the only bisection
     [(tol, opts, coarse)] = bisections
-    assert tol == shooting.COARSE_TOL
+    assert tol == shooting.SEED_TOL
     assert opts == IntegratorOptions(rtol=shooting.COARSE_TOL**2)
     # the failed end is classified again at twice its offset, and the
     # other end certifies on its first sample
@@ -374,25 +425,44 @@ def test_failed_certification_widens_its_end(monkeypatch, solved, side):
 
 
 def test_undetermined_end_stops_at_the_coarse_bracket(monkeypatch):
-    # every sample after the low end's first is forced Undetermined
+    # every certification sample after the low end's first is forced
+    # Undetermined; the bisection continued for the cap is left alone
+    p = make_params(1.2, 0.3, 1)
+    opts = IntegratorOptions(rtol=shooting.COARSE_TOL**2)
+    whole = bisect_beta(p, bracket_beta(p, opts), shooting.COARSE_TOL, opts)
     undetermined = _reclassified(Classification.UNDETERMINED)
     samples, bisections = _watch_certification(
         monkeypatch, lambda n, sol: undetermined(sol) if n >= 1 else sol
     )
-    result = solve(make_params(1.2, 0.3, 1))
+    result = solve(p)
     beta = result.beta_star
-    [(_, _, coarse)] = bisections
+    [(seed_tol, seed_opts, seed), (tol, rest_opts, coarse)] = bisections
+    assert (seed_tol, tol) == (shooting.SEED_TOL, shooting.COARSE_TOL)
+    assert seed_opts == rest_opts == opts
+    # the continued bisection runs the midpoints and ends at the bracket
+    # of one bisection from the scan bracket to COARSE_TOL
+    assert seed.history + coarse.history == whole.history
+    assert (coarse.bracket_lo, coarse.bracket_hi) == (
+        whole.bracket_lo, whole.bracket_hi)
     assert result.bracket_lo == samples[0] < beta
     assert result.bracket_hi == coarse.bracket_hi
     # the high end doubles its offset until the next doubling would
-    # reach the coarse end, which is not classified again
+    # reach the coarse end, which is not classified again; only then is
+    # the bisection continued
     offsets = [s - beta for s in samples[1:]]
     for small, large in zip(offsets, offsets[1:]):
         assert large / small == pytest.approx(2.0, rel=1e-6)
     cap = coarse.bracket_hi - beta
     assert offsets[-1] < cap <= 2.0 * offsets[-1]
     assert len(offsets) == math.ceil(math.log2(cap / offsets[0])) <= 20
-    assert result.iterations == coarse.iterations + len(samples)
+    assert result.history == (
+        seed.history + [(samples[0], Classification.CLASS_C)]
+        + [(s, Classification.UNDETERMINED) for s in samples[1:]]
+        + coarse.history
+    )
+    assert result.iterations == (
+        seed.iterations + coarse.iterations + len(samples)
+    )
 
 
 def test_matched_beta_outside_coarse_bracket_raises(monkeypatch):
@@ -411,6 +481,61 @@ def test_matched_beta_outside_coarse_bracket_raises(monkeypatch):
     assert len(samples) == 1
 
 
+def _half_on_a_side(monkeypatch):
+    """(1.5, 0.5, 2), with its scan point beta = 1/2 read on the A side,
+    as a scan at rtol 1e-4 reads it."""
+    classify = shooting._classify_at
+
+    def half_on_a_side(p, beta, opts):
+        sol = classify(p, beta, opts)
+        if beta == 0.5:
+            return dataclasses.replace(
+                sol, classification=Classification.CANDIDATE_B)
+        return sol
+
+    monkeypatch.setattr(shooting, "_classify_at", half_on_a_side)
+    return make_params(1.5, 0.5, 2)
+
+
+def test_beta_star_a_hair_outside_the_coarse_bracket_widens(monkeypatch):
+    # beta* = 1/2 is a scan point of (1.5, 0.5, 2), and the matched beta*
+    # lies 2.3e-13 above it.  With 1/2 on the A side and the low end's
+    # first sample ClassA, the low end widens instead of raising, although
+    # beta* lies above the coarse bracket
+    p = _half_on_a_side(monkeypatch)
+    wrong = _reclassified(Classification.CLASS_A)
+    samples, bisections = _watch_certification(
+        monkeypatch, lambda n, sol: wrong(sol) if n == 0 else sol
+    )
+    result = solve(p)
+    beta = result.beta_star
+    [(_, _, seed)] = bisections
+    assert seed.bracket_hi == 0.5 < beta < 0.5 * (1 + 1e-12)
+    lo, hi = shooting._certified_bracket(beta, 1e-8)
+    assert samples == [lo, beta + 2.0 * (lo - beta), hi]
+    assert (result.bracket_lo, result.bracket_hi) == (samples[1], hi)
+    assert result.bracket_lo < beta < result.bracket_hi
+    assert result.iterations == seed.iterations + len(samples)
+
+
+def test_cap_on_the_far_side_of_beta_star_raises(monkeypatch):
+    # the same coarse bracket, but the high end stays ClassC: its cap 1/2
+    # lies below beta*, so it cannot end a bracket around beta*
+    p = _half_on_a_side(monkeypatch)
+    wrong = _reclassified(Classification.CLASS_C)
+    samples, bisections = _watch_certification(
+        monkeypatch, lambda n, sol: wrong(sol) if n >= 1 else sol
+    )
+    with pytest.raises(BracketFailure, match=r"outside the coarse bracket"):
+        solve(p)
+    # the first doubling reaches the cap, 1.2e-13 away: one high sample,
+    # then the bisection continued to the coarse bracket
+    assert len(samples) == 2
+    assert [tol for tol, _, _ in bisections] == [
+        shooting.SEED_TOL, shooting.COARSE_TOL]
+    assert bisections[1][2].bracket_hi == 0.5
+
+
 @pytest.mark.parametrize(
     "case",
     [(1.202, 0.202, 1), (1.1, 0.1, 1), (1.1, 0.3, 3), (2.12, 0.462, 3),
@@ -422,6 +547,21 @@ def test_widened_bracket_contains_matched_beta(case):
     result = solve(make_params(*case))
     assert result.bracket_lo < result.beta_star < result.bracket_hi
     assert len(result.history) == result.iterations
+
+
+@pytest.mark.parametrize(
+    "case, width",
+    [((2.259, 0.115, 2), 3.4768976e-4), ((2.287, 0.364, 2), 6.5047635e-4),
+     ((1.202, 0.202, 1), 1.5e-8), ((1.1, 0.1, 1), 1.65e-7),
+     ((1.1, 0.3, 3), 2.5e-8), ((2.12, 0.462, 3), 8.5e-8)],
+)
+def test_widened_bracket_keeps_its_width(case, width):
+    # widths of the brackets that a bisection to COARSE_TOL before
+    # matching gave; the first two end at the coarse bracket, which a
+    # seed bracket 10x wider would leave 6.6e-3 wide at (2.287, 0.364, 2)
+    result = solve(make_params(*case))
+    assert (result.bracket_hi - result.bracket_lo) / result.beta_star == (
+        pytest.approx(width, rel=1e-6))
 
 
 @pytest.mark.parametrize("beta_tol", [1e-10, 1e-12, 1e-14])
