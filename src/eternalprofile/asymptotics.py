@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .equation import log_grid
 from .errors import ProfileError, WindowError
 from .model import Exponents, InterfaceCase, Params, interface_case
 from .solution import ProfileSolution
@@ -163,15 +164,10 @@ def fit_interface(
         raise WindowError(f"window ({lo}, {hi}) not inside (0, {xi0})")
     d_hi, d_lo = xi0 - lo, xi0 - hi
     beta = sol.exps.beta
-    d_grid = np.exp(np.linspace(np.log(d_lo), np.log(d_hi), FIT_POINTS))
+    d_grid = log_grid(d_lo, d_hi, FIT_POINTS)
     if with_second_order:
-        d_second = np.exp(
-            np.linspace(
-                np.log(SECOND_WINDOW[0] * xi0),
-                np.log(SECOND_WINDOW[1] * xi0),
-                FIT_POINTS,
-            )
-        )
+        s_lo, s_hi = SECOND_WINDOW
+        d_second = log_grid(s_lo * xi0, s_hi * xi0, FIT_POINTS)
         d_grid = np.unique(np.concatenate([d_grid, d_second]))
     d, f, _ = interface_samples(sol.params, beta, xi0, d_grid)
     good = f > 0.0

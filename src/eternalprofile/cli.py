@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import asymptotics, pdecheck, phasespace, shooting
+from . import asymptotics, equation, pdecheck, phasespace, shooting
 from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config, validate
 from .errors import ProfileError
 from .integrate import IntegratorOptions, integrate_profile
@@ -102,7 +102,7 @@ def _run_asymptotics(cfg: RunConfig) -> tuple:
     fit = asymptotics.fit_interface(sol, with_second_order=sub)
     bounds = asymptotics.upper_bounds_check(sol)
     lo, hi = fit.fit_window
-    d = np.geomspace(xi0 - hi, xi0 - lo, 80)
+    d = equation.log_grid(xi0 - hi, xi0 - lo, 80)
     chart = "interface_fit.svg", [
         ("computed", d, sol.eval_f(xi0 - d)),
         ("predicted", d, expansion.amplitude * d**expansion.theta),

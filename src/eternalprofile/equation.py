@@ -19,6 +19,12 @@ states from here, and every profile is evaluated off its grid by one
 ``piecewise`` evaluator; only ``pdecheck`` keeps its own, deliberately
 independent, residual, and ``asymptotics`` its closed-form K0-K3
 constants, which check the leading terms of the series.
+
+One arithmetic rule makes the same input give the same bits on every
+CPU: products of computed floats are sums of elementwise products in a
+fixed order (``_dot``, ``_forward_solve``), and array powers are
+``np.float_power``.  BLAS and LAPACK kernels, and numpy's SIMD-dispatched
+``exp``, ``log`` and array ``**``, round differently on different CPUs.
 """
 
 from __future__ import annotations
@@ -101,8 +107,7 @@ def _forward_solve(L, b):
     """x with L x = b for lower-triangular L and a vector b.
 
     Forward substitution on floats: row i takes b[i] minus L[i, j] x[j]
-    for j = 0, 1, ..., i - 1, in that order, over L[i, i].  Written out,
-    so that its bits do not depend on the CPU's BLAS kernel.
+    for j = 0, 1, ..., i - 1, in that order, over L[i, i].
     """
     x = []
     for row, s in zip(L.tolist(), b.tolist()):
@@ -110,6 +115,15 @@ def _forward_solve(L, b):
             s -= a * xj
         x.append(s / row[len(x)])
     return np.array(x)
+
+
+def _dot(a, b):
+    """a @ b for a vector or matrix b, a possibly stacked: one
+    ``np.add.reduce`` of elementwise products along a contiguous axis,
+    in an order fixed by the length of that axis alone."""
+    if b.ndim > 1:
+        a, b = a[..., None, :], np.swapaxes(b, -1, -2)
+    return np.add.reduce(a * b, axis=-1)
 
 
 def _binomial(c: float, n: int):
@@ -148,7 +162,8 @@ def _operators(m, q, N, theta, gamma, rows, limit):
         + k * (T_1u * (2.0 * w - 1.0) - (N - 1) * T_u)
         + k * k * T_1u
     )
-    drift = 2.0 / (m - 1.0) * T_u @ T_1u + T_1u2 * (theta + j) + k * T_1u2
+    # T_u @ T_1u multiplies integer matrices, exactly on every CPU
+    drift = 2.0 / (m - 1.0) * (T_u @ T_1u) + T_1u2 * (theta + j) + k * T_1u2
     sigma = 2.0 * (1.0 - q) / (m - 1.0)
     return diffusion, drift, _lower_toeplitz(_binomial(sigma + 1.0, rows))
 
@@ -204,9 +219,9 @@ class _SeriesTable:
         Wm, Wq = _power_weights(m, n), _power_weights(q, n)
         for j in range(1, n):
             gg = g[j - 1 : 0 : -1]
-            G[j] = Wm[j, 1:j] @ (gg * G[1:j])
-            Q[j] = Wq[j, 1:j] @ (gg * Q[1:j])
-            g[j] = -(lin[j] @ X) / fac[j]
+            G[j] = _dot(Wm[j, 1:j], gg * G[1:j])
+            Q[j] = _dot(Wq[j, 1:j], gg * Q[1:j])
+            g[j] = -_dot(lin[j], X) / fac[j]
             G[j] += m * g[j]
             Q[j] += q * g[j]
         self.b[:, 0] = g
@@ -215,21 +230,19 @@ class _SeriesTable:
             return
         self.products = np.zeros((n, self.limit * n))   # [T(b_0) T(b_1) ...]
         self.products[:, :n] = T_g = _lower_toeplitz(g)
-        self._index = np.subtract.outer(np.arange(n), np.arange(n)) % n
-        self._lower = np.tri(n)
         # products with 1 / g: the inverse is the Toeplitz matrix of its
         # first column, and each column solved alone gives the same bits
         T_inv = _lower_toeplitz(_forward_solve(T_g, np.eye(n)[0]))
         self.ginv = T_inv.T
         # products with a g^{a-1} = a g^a / g, for a = m, q
         self.ratios = np.array([
-            m * _lower_toeplitz(G) @ T_inv,
-            q * _lower_toeplitz(Q) @ T_inv,
+            _dot(m * _lower_toeplitz(G), T_inv),
+            _dot(q * _lower_toeplitz(Q), T_inv),
         ])
         # the matrix of column k acting on b_k
-        lead = -self.absorb @ self.ratios[1]
+        lead = _dot(-self.absorb, self.ratios[1])
         if self.ed == 0:
-            lead = lead + self.diffusion @ self.ratios[0]
+            lead = lead + _dot(self.diffusion, self.ratios[0])
         if self.eb == 0:
             lead = lead + self.drift
         self.lead = lead
@@ -244,20 +257,19 @@ class _SeriesTable:
         while self.columns < min(columns, self.limit):
             k = self.columns
             P = self.weights[:, k - 1, 1:k, None] * self.powers[:, 1:k]
-            rest = (
-                P[:, ::-1].reshape(2, -1) @ self.products[:, n : k * n].T
-            ) @ self.ginv
-            rhs = self.absorb @ rest[1]
+            Y = _dot(P[:, ::-1].reshape(2, -1), self.products[:, n : k * n].T)
+            rest = _dot(Y, self.ginv)
+            rhs = _dot(self.absorb, rest[1])
             if self.ed == 0:
-                rhs -= self.diffusion[k] @ rest[0]
+                rhs -= _dot(self.diffusion[k], rest[0])
             else:
-                rhs -= self.diffusion[k - 1] @ self.powers[0, k - 1]
+                rhs -= _dot(self.diffusion[k - 1], self.powers[0, k - 1])
             if self.eb == 1:
-                rhs -= self.drift[k - 1] @ self.b[:, k - 1]
+                rhs -= _dot(self.drift[k - 1], self.b[:, k - 1])
             bk = _forward_solve(self.lead[k], rhs)
             self.b[:, k] = bk
-            self.powers[:, k] = self.ratios @ bk + rest
-            self.products[:, k * n : (k + 1) * n] = bk[self._index] * self._lower
+            self.powers[:, k] = _dot(self.ratios, bk) + rest
+            self.products[:, k * n : (k + 1) * n] = _lower_toeplitz(bk)
             self.columns = k + 1
 
 
@@ -290,12 +302,13 @@ def _truncation(table, kappa, gamma, theta, u):
     while True:
         B = np.abs(table.b[:, : table.columns])
         n, K = B.shape
-        U = u ** np.arange(n)[:, None]
+        U = np.float_power(u, np.arange(n)[:, None])
         with np.errstate(over="ignore", invalid="ignore"):
             # far-off trials may overflow; their estimate is then inf or nan
-            Z = (kappa * u**gamma) ** np.arange(K)[:, None]
-            terms = (B.T @ U) * Z
-            tails = np.cumsum((B[-2:].T @ U[-2:]) * Z, axis=0)
+            Z = np.float_power(kappa * np.float_power(u, gamma),
+                               np.arange(K)[:, None])
+            terms = _dot(B.T, U) * Z
+            tails = np.cumsum(_dot(B[-2:].T, U[-2:]) * Z, axis=0)
         cond = np.ones((K, len(u)), dtype=bool)      # row r: cut at k = r + 1
         cond[:-1] = terms[1:] <= 0.5 * SERIES_XI0_TOL * theta / u
         cond[:-2] |= terms[2:] >= terms[1:-1]
@@ -372,9 +385,9 @@ class InterfaceSeries:
         i, cut = _truncation(table, kappa, gamma, theta, u)
         self.d0 = float(u[i]) * xi0
         self.coefficients = b = table.b[:, :cut]      # the kept b_jk
-        # flattened over (j, k): the coefficients of g and of (theta + D) g
+        # columns: the coefficients of g and of (theta + D) g, flat in (j, k)
         w = theta + np.arange(len(b))[:, None] + gamma * np.arange(cut)
-        self._coeffs = np.stack([b, w * b]).reshape(2, -1)
+        self._coeffs = np.stack([b, w * b]).reshape(2, -1).T
         self._j = np.arange(len(b), dtype=float)[:, None]
         self._k = np.arange(cut, dtype=float)
 
@@ -391,8 +404,7 @@ class InterfaceSeries:
         u = d / self.xi0
         z = self.kappa * pw(u, self.gamma)
         mono = pw(u[..., None, None], self._j) * pw(z[..., None, None], self._k)
-        mono = mono.reshape(*d.shape, 1, self._coeffs.shape[1])
-        gh = np.add.reduce(mono * self._coeffs, axis=-1)
+        gh = _dot(mono.reshape(*d.shape, len(self._coeffs)), self._coeffs)
         A, theta, m = self.amplitude, self.theta, self.m
         f = A * pw(d, theta) * gh[..., 0]
         fd = A * pw(d, theta - 1.0) * gh[..., 1]
@@ -403,8 +415,16 @@ class InterfaceSeries:
 def f_from_F(m: float, F, Fp):
     """(f, f') from (F, F') arrays: f = F^{1/m} and f' = F' f^{1-m} / m,
     with F clipped at zero and f' = F' / m where f = 0."""
-    f = np.clip(F, 0.0, None) ** (1.0 / m)
-    return f, Fp * np.where(f > 0.0, f, 1.0) ** (1.0 - m) / m
+    f = np.float_power(np.clip(F, 0.0, None), 1.0 / m)
+    return f, Fp * np.float_power(np.where(f > 0.0, f, 1.0), 1.0 - m) / m
+
+
+def log_grid(start: float, stop: float, num: int):
+    """``num`` points start (stop / start)^(i / (num - 1)), log-spaced
+    from ``start`` to ``stop`` and equal to both at the ends."""
+    grid = start * np.float_power(stop / start, np.linspace(0.0, 1.0, num))
+    grid[0], grid[-1] = start, stop
+    return grid
 
 
 def launch_distance(expansion, f: float) -> float:

@@ -46,6 +46,7 @@ from .equation import (
     InterfaceSeries,
     f_from_F,
     launch_distance,
+    log_grid,
     origin_series,
     piecewise,
     profile_rhs,
@@ -206,40 +207,23 @@ def _residuals(p: Params, x, rtol=RTOL):
     return r, dr_dxi0, legs
 
 
-def _fma(a, b, c):
-    """a * b + c rounded once, as a fused multiply-add: the sum is exact
-    over integers, and Python's integer division rounds it to nearest.
-    A non-finite argument or result takes the plain float expression."""
-    try:
-        (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
-        return (na * nb * dc + nc * da * db) / (da * db * dc)
-    except (OverflowError, ValueError):
-        return a * b + c
-
-
 def _solve_2x2(a, b, r):
-    """x with a x[0] + b x[1] = r, or None when a pivot is zero (where
-    dgesv reports a singular matrix) or not finite.
-
-    dgesv written out for two unknowns in the order OpenBLAS runs it:
-    partial pivoting (the first row on a tie), the multiplier as the
-    other entry times the reciprocal pivot, one update, then forward and
-    back substitution with the multiply-add that OpenBLAS's SkylakeX
-    kernels fuse.  So its bits are those np.linalg.solve gives on that
-    kernel, whatever the CPU.
+    """x with a x[0] + b x[1] = r by Gaussian elimination with partial
+    pivoting (the first row on a tie), or None when a pivot is zero or
+    not finite.  Plain float arithmetic, so no BLAS or LAPACK kernel
+    picks its bits.
     """
-    a0, a1, b0, b1, r0, r1 = (float(v) for v in (a[0], a[1], b[0], b[1],
-                                                   r[0], r[1]))
+    (a0, a1), (b0, b1), (r0, r1) = a.tolist(), b.tolist(), r.tolist()
     if abs(a1) > abs(a0):
         a0, a1, b0, b1, r0, r1 = a1, a0, b1, b0, r1, r0
     if a0 == 0 or not math.isfinite(a0):
         return None
-    lower = a1 * (1.0 / a0)
+    lower = a1 / a0
     u11 = b1 - lower * b0
     if u11 == 0 or not math.isfinite(u11):
         return None
-    x1 = _fma(-lower, r0, r1) / u11
-    return np.array([_fma(-x1, b0, r0) / a0, x1])
+    x1 = (r1 - lower * r0) / u11
+    return np.array([(r0 - x1 * b0) / a0, x1])
 
 
 def _newton(p: Params, beta: float, xi0: float):
@@ -351,9 +335,8 @@ def _assemble_profile(p: Params, beta: float, xi0: float, legs) -> ProfileSoluti
     grid_f, F_f, Fp_f = sample(ode_f, xi_mid * MAX_STEP_FRAC)
     grid_b, F_b, Fp_b = (a[::-1] for a in sample(ode_b, xi0 * MAX_STEP_FRAC))
     d_tail = launch_distance(series, TAIL_F)
-    d_log = np.exp(np.linspace(np.log(series.d0), np.log(d_tail), 40))[1:]
     d_lin = series.d0 - xi0 * MAX_STEP_FRAC * np.arange(1.0, 256.0)
-    d_ext = np.concatenate([d_log, d_lin[d_lin > d_tail]])
+    d_ext = np.append(log_grid(series.d0, d_tail, 40), d_lin[d_lin > d_tail])
     d_ext = np.unique(d_ext[d_ext < series.d0])[::-1]
     F_ext, Fp_ext = series(d_ext)
     grid = np.concatenate([grid_f, fwd.t[-1:], grid_b, xi0 - d_ext])

@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .equation import log_grid
 from .errors import DomainError, ProfileError, RegionError
 from .solution import ProfileSolution
 
@@ -69,21 +70,21 @@ def profile_ode_residual(
     The default step balances the O(delta^2) truncation error against
     interpolation noise in the dense output.
     """
-    p, e = sol.params, sol.exps
+    p, e, pw = sol.params, sol.exps, np.float_power
     xi = np.asarray(xi, dtype=float)
     F, Fp = sol.eval_F(xi)
     _, Fp_hi = sol.eval_F(xi + delta)
     _, Fp_lo = sol.eval_F(xi - delta)
     Fpp = (Fp_hi - Fp_lo) / (2.0 * delta)
-    f = np.clip(F, 0.0, None) ** (1.0 / p.m)
-    fp = np.where(F > 0, Fp * np.where(f > 0, f, 1.0) ** (1.0 - p.m) / p.m, 0.0)
+    f = pw(np.clip(F, 0.0, None), 1.0 / p.m)
+    fp = np.where(F > 0, Fp * pw(np.where(f > 0, f, 1.0), 1.0 - p.m) / p.m, 0.0)
     terms = np.stack(
         [
             Fpp,
             (p.N - 1) / xi * Fp,
             e.alpha * f,
             -e.beta * xi * fp,
-            -(xi**p.sigma) * f**p.q,
+            -pw(xi, p.sigma) * pw(f, p.q),
         ]
     )
     residual = terms.sum(axis=0)
@@ -108,7 +109,7 @@ def launch_curvature(sol: ProfileSolution) -> float:
     lo, hi = max(2e-6, sol.delta0), 1e-3
     if not lo < hi:
         raise DomainError(f"empty curvature window ({lo}, {hi})")
-    xi = np.exp(np.linspace(math.log(lo), math.log(hi), 64))
+    xi = log_grid(lo, hi, 64)
     F, _ = sol.eval_F(xi)
     dev = F - 1.0 - xi ** (sigma + 2.0) / ((sigma + 2.0) * (sigma + N))
     powers = [2.0, 4.0, sigma + 4.0, 2.0 * sigma + 2.0]
@@ -164,7 +165,7 @@ def pde_residual(
     """
     if profile.xi0 is None:
         raise DomainError("pde_residual requires a compactly supported profile")
-    p = profile.params
+    p, pw = profile.params, np.float_power
     radii = np.asarray(r_grid, dtype=float)
     axis = radii == 0.0
     curvature = (p.N - 1) / np.where(axis, 1.0, radii)
@@ -190,14 +191,14 @@ def pde_residual(
                 - eval_solution(profile, t - step, radii)
             ) / (2.0 * step)
             u = eval_solution(profile, t, radii)
-            um_c = u**p.m
-            um_hi = eval_solution(profile, t, radii + step) ** p.m
-            um_lo = eval_solution(profile, t, radii - step) ** p.m
+            um_c = pw(u, p.m)
+            um_hi = pw(eval_solution(profile, t, radii + step), p.m)
+            um_lo = pw(eval_solution(profile, t, radii - step), p.m)
             lap = (um_hi - 2.0 * um_c + um_lo) / step**2
             if p.N > 1:
                 lap += curvature * (um_hi - um_lo) / (2.0 * step)
             lap = np.where(axis, 2.0 * p.N * (um_hi - um_c) / step**2, lap)
-            absorb = radii**p.sigma * u**p.q
+            absorb = pw(radii, p.sigma) * pw(u, p.q)
             value = u_t - lap + absorb
             scale = np.maximum(np.abs([u_t, lap, absorb]).max(axis=0), 1e-30)
             res.append(value)

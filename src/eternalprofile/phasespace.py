@@ -23,6 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .equation import log_grid
 from .errors import CaseError, ProfileError, TailError
 from .model import Exponents, InterfaceCase, Params, interface_case
 from .solution import ProfileSolution
@@ -99,10 +100,10 @@ def _require_subcritical(p: Params) -> None:
 def _phase_coords(p: Params, e: Exponents, xi, f, fp):
     """(X, Y, Z, W) of the profile points (xi, f, f')."""
     m, q, sigma = p.m, p.q, p.sigma
-    sqm = math.sqrt(m)
-    X = sqm * xi ** (-(sigma + 2.0) / 2.0) * f ** ((m - q) / 2.0)
-    Y = sqm * xi ** (-sigma / 2.0) * f ** ((m - q - 2.0) / 2.0) * fp
-    Z = (e.alpha / sqm) * xi ** ((2.0 - sigma) / 2.0) * f ** ((2.0 - m - q) / 2.0)
+    sqm, pw = math.sqrt(m), np.float_power
+    X = sqm * pw(xi, -(sigma + 2.0) / 2.0) * pw(f, (m - q) / 2.0)
+    Y = sqm * pw(xi, -sigma / 2.0) * pw(f, (m - q - 2.0) / 2.0) * fp
+    Z = (e.alpha / sqm) * pw(xi, (2.0 - sigma) / 2.0) * pw(f, (2.0 - m - q) / 2.0)
     W = Y + math.sqrt(2.0 / (m + q))
     return X, Y, Z, W
 
@@ -121,13 +122,13 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
     if sol.xi0 is None:
         raise ProfileError("to_phase_coords requires a profile with contact")
     m, q, sigma = p.m, p.q, p.sigma
-    sqm = math.sqrt(m)
+    sqm, pw = math.sqrt(m), np.float_power
     pos = sol.F_values > 0
     xi_all = sol.grid[pos]
     f_all = sol.f_values[pos]
     fp_all = sol.fprime_values[pos]
     # eta over the whole stored range, then trimmed
-    integrand = f_all ** ((q - m) / 2.0) * xi_all ** (sigma / 2.0) / sqm
+    integrand = pw(f_all, (q - m) / 2.0) * pw(xi_all, sigma / 2.0) / sqm
     launch = (
         sol.f0 ** ((q - m) / 2.0)
         * xi_all[0] ** (sigma / 2.0 + 1.0)
@@ -216,9 +217,7 @@ def stable_manifold_ratio(sol: ProfileSolution) -> TailReport:
     m, q = p.m, p.q
     xi0 = float(sol.xi0)
     lo, hi = TAIL_DEPTHS
-    d_grid = np.exp(
-        np.linspace(np.log(lo * xi0), np.log(hi * xi0), TAIL_POINTS)
-    )
+    d_grid = log_grid(lo * xi0, hi * xi0, TAIL_POINTS)
     d, f, fp = interface_samples(p, e.beta, xi0, d_grid)
     good = f > 0.0
     d, f, fp = d[good], f[good], fp[good]
@@ -274,6 +273,6 @@ def coordinate_identity_residual(portrait: PhasePortrait) -> float:
     pred = (
         e.alpha
         * m ** ((q - 1.0) / (m - q))
-        * portrait.X_values ** ((2.0 - m - q) / (m - q))
+        * np.float_power(portrait.X_values, (2.0 - m - q) / (m - q))
     )
     return float(np.max(np.abs(pred - portrait.Z_values) / pred))

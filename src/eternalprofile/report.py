@@ -5,7 +5,8 @@ shortest round-trip decimals and every string escaped; a non-finite
 float is written as the string "NaN", "Infinity" or "-Infinity".  CSV
 rows use shortest round-trip decimals too.  Identical inputs therefore
 produce byte-identical artifacts, and parsing them gives back the same
-doubles.
+doubles.  That holds across CPUs too (see ``equation``), except for the
+``asymptotics`` fits, which call LAPACK and ``np.log``.
 """
 
 from __future__ import annotations

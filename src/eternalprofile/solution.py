@@ -79,8 +79,7 @@ class ProfileSolution:
 
     def eval_f(self, xi):
         """Evaluate the profile f = F^{1/m} at ``xi``."""
-        F, _ = self.eval_F(xi)
-        return np.asarray(F) ** (1.0 / self.params.m)
+        return f_from_F(self.params.m, *self.eval_F(xi))[0]
 
     @property
     def contact_F(self) -> Optional[float]:

@@ -12,7 +12,9 @@ from eternalprofile import (
 from eternalprofile.asymptotics import K0_constant, K1_constant
 from eternalprofile.equation import (
     InterfaceSeries,
+    _dot,
     _series_table,
+    log_grid,
     origin_series,
     piecewise,
     profile_rhs,
@@ -269,3 +271,26 @@ def test_piecewise_runs_each_piece_once_on_its_points():
     calls.clear()
     assert dense([5.0])[0].tolist() == [0.0] and calls == []
     assert np.isnan(dense([np.nan])).all() and calls == []
+
+
+def test_product_helper_agrees_with_matmul():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n, k, p = rng.integers(1, 20, 3)
+        A, x = rng.normal(size=(n, k)), rng.normal(size=k)
+        B, S = rng.normal(size=(k, p)), rng.normal(size=(3, n, k))
+        for a, b in [(A, x), (x, B), (A, B), (S, x), (S, B), (x, x)]:
+            # relative to the sum of the products' magnitudes, which
+            # bounds the rounding of any order of summation
+            out, scale = _dot(a, b), np.abs(a) @ np.abs(b)
+            assert np.shape(out) == np.shape(scale)
+            assert np.all(np.abs(out - a @ b) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (2e-6, 1e-3, 64), (0.1, 3.0, 80), (1e-3, 1e-9, 40), (1.0, 1.0, 2),
+])
+def test_log_grid_hits_both_ends_exactly(start, stop, num):
+    grid = log_grid(start, stop, num)
+    assert (grid[0], grid[-1], len(grid)) == (start, stop, num)
+    np.testing.assert_allclose(grid, np.geomspace(start, stop, num), rtol=1e-14)

@@ -1,23 +1,25 @@
 """Runs in fresh interpreters: what a solve imports, and its bits under
-another BLAS kernel.
+another BLAS kernel or without numpy's SIMD extensions.
 
 The solve path needs no scipy, so a fresh ``import eternalprofile`` and
 every solve must leave it unloaded.
 
-Its triangular solves and Newton's 2x2 step are written out instead of
-calling LAPACK, so no LAPACK kernel picks their rounding.  The ``@``
-products in ``equation`` still go through BLAS, and on some triples
-other than the reference cases they do round differently under another
-kernel.  The byte test pins what holds for the four reference cases:
-the files that the CLI modes ``solve``, ``classify`` (at beta = 0.5) and
-``verify`` write with charts, and ``phase`` on (1.2, 0.3, 1), are the
-same under the host's default OpenBLAS kernel and under its baseline
-x86-64 kernel (Prescott).  ``asymptotics`` is left out: its interface
-fit calls ``np.polyfit`` and ``np.linalg.lstsq``, whose LAPACK kernel
-moves the fitted values in their last bits.  Which pair of kernels it
-compares depends on the host (SkylakeX on AVX-512 machines, Haswell or
-Zen on others), and it is skipped where numpy is not built on
-OpenBLAS, since the kernel variable would do nothing.
+The solve path calls no BLAS or LAPACK and none of numpy's
+SIMD-dispatched ``exp``, ``log`` or array ``**``: its products are
+fixed-order sums and its powers ``np.float_power``.  So its bits must not
+depend on the CPU.  Three child processes check this: one under the
+host's defaults, one under OpenBLAS's baseline x86-64 kernel (Prescott;
+skipped off x86-64, and where numpy is not built on OpenBLAS, since the
+kernel variable would do nothing), and one with ``NPY_DISABLE_CPU_FEATURES`` naming every
+SIMD extension beyond its baseline that numpy found (skipped when it
+found none).  Each child writes the files that the CLI modes ``solve``,
+``classify`` (at beta = 0.5) and ``verify`` write with charts for the
+four reference cases, and ``phase`` on (1.2, 0.3, 1), and solves
+BITS_TRIPLES in-process: beta*, xi0, both bracket ends and a hash of
+the stored profile.  Files and bits must be the same in every child.
+``asymptotics`` is left out: its interface fit calls ``np.polyfit``,
+``np.linalg.lstsq`` and ``np.log``, whose kernels move the fitted values
+in their last bits.
 """
 
 import json
@@ -92,6 +94,14 @@ def test_cli_mode_loads_no_scipy(tmp_path, mode):
         "status"] == "ok"
 
 
+def numpy_simd_extensions():
+    """The SIMD extensions beyond its baseline that numpy found on this
+    CPU: ``simd_extensions.found`` of ``np.show_runtime()``."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+
+
 def built_on_openblas():
     """Whether numpy's BLAS is OpenBLAS, as numpy >= 1.26 reports it."""
     try:
@@ -106,38 +116,100 @@ def reference_modes(case):
     return ["solve", "classify", "verify"] + phase
 
 
-def reference_artifacts(tmp, env):
+#: Triples whose bits depend on the CPU when the solve path's products go
+#: through BLAS and its powers through numpy's SIMD kernels.
+BITS_TRIPLES = [(1.7, 0.5, 2), (1.202, 0.202, 1), (1.1, 0.7, 3), (1.5, 0.3, 1),
+                (1.5, 0.5, 1)]
+
+SOLVE_BITS = f"""
+import hashlib, json, sys
+from eternalprofile import make_params, solve
+bits = {{}}
+for case in {BITS_TRIPLES!r}:
+    r = solve(make_params(*case))
+    s = r.final_profile
+    arrays = (s.grid, s.F_values, s.Fprime_values)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    bits[repr(case)] = [r.beta_star, s.xi0, r.bracket_lo, r.bracket_hi, digest]
+sys.stdout.write(json.dumps(bits))
+"""
+
+
+def child_run(tmp, env):
     """The bytes of every file the CLI writes for each reference case's
-    modes, all run in one child process under ``env``."""
+    modes, and the solve bits of BITS_TRIPLES, all from one child process
+    under ``env``."""
     runs = [(case, mode, tmp / f"{i}-{mode}")
             for i, case in enumerate(CASES) for mode in reference_modes(case)]
-    run_child("".join(
+    bits = run_child("".join(
         cli_code(mode, write_cfg(out.with_suffix(".cfg"), case,
                                  "beta = 0.5\n" if mode == "classify" else ""),
                  str(out), "--plots")
-        for case, mode, out in runs), env)
+        for case, mode, out in runs) + SOLVE_BITS, env)
     artifacts = {case: {} for case in CASES}
     for case, mode, out in runs:
         artifacts[case].update(
             {(mode, f.name): f.read_bytes() for f in sorted(out.iterdir())})
-    return artifacts
+    return artifacts, json.loads(bits)
+
+
+def child_env(setting):
+    """The environment of the child for ``setting``: the host's defaults,
+    plus at most one variable."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    if setting == "prescott":
+        env["OPENBLAS_CORETYPE"] = "Prescott"
+    elif setting == "numpy-baseline":
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(numpy_simd_extensions())
+    return env
 
 
 @pytest.fixture(scope="module")
-def artifacts_by_kernel(tmp_path_factory):
-    """Reference artifacts under the default kernel and under Prescott."""
-    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    baseline = dict(default, OPENBLAS_CORETYPE="Prescott")
-    return [reference_artifacts(tmp_path_factory.mktemp(name), env)
-            for name, env in (("default", default), ("prescott", baseline))]
+def child(tmp_path_factory):
+    """``child(setting)``: the artifacts and solve bits of the child for
+    ``setting``, each child run once."""
+    runs = {}
+
+    def run(setting):
+        if setting not in runs:
+            runs[setting] = child_run(tmp_path_factory.mktemp(setting),
+                                      child_env(setting))
+        return runs[setting]
+
+    return run
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="the Prescott kernel is OpenBLAS's x86-64 baseline")
-@pytest.mark.skipif(not built_on_openblas(),
-                    reason="OPENBLAS_CORETYPE selects a kernel only in OpenBLAS")
+needs_prescott = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64")
+    or not built_on_openblas(),
+    reason="Prescott is OpenBLAS's x86-64 baseline kernel")
+needs_simd = pytest.mark.skipif(
+    not numpy_simd_extensions(),
+    reason="numpy found no SIMD extension beyond its baseline")
+
+
 @pytest.mark.parametrize("case", CASES)
-def test_solve_artifacts_same_under_baseline_blas_kernel(artifacts_by_kernel, case):
-    ours, baseline = (artifacts[case] for artifacts in artifacts_by_kernel)
+@needs_prescott
+def test_solve_artifacts_same_under_baseline_blas_kernel(child, case):
+    ours, baseline = (child(s)[0][case] for s in ("default", "prescott"))
     assert ("verify", "residual.svg") in ours
     assert ours == baseline
+
+
+@pytest.mark.parametrize("case", CASES)
+@needs_simd
+def test_solve_artifacts_same_without_numpy_simd(child, case):
+    ours, baseline = (child(s)[0][case] for s in ("default", "numpy-baseline"))
+    assert ("verify", "residual.svg") in ours
+    assert ours == baseline
+
+
+@pytest.mark.parametrize("setting", [
+    pytest.param("prescott", marks=needs_prescott),
+    pytest.param("numpy-baseline", marks=needs_simd),
+])
+def test_solve_bits_same_in_every_child(child, setting):
+    ours, theirs = child("default")[1], child(setting)[1]
+    assert list(ours) == [repr(case) for case in BITS_TRIPLES]
+    assert ours == theirs
