@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .equation import log_grid
+from .equation import _dot, log_grid
 from .errors import ProfileError, WindowError
 from .model import Exponents, InterfaceCase, Params, interface_case
 from .solution import ProfileSolution
@@ -130,6 +130,19 @@ SECOND_WINDOW = (3e-6, 1e-3)
 FIT_POINTS = 80
 
 
+def _lstsq2(a, b, y):
+    """(c0, c1) minimising |c0 a + c1 b - y|: modified Gram-Schmidt with
+    fixed-order sums (``equation._dot``), so no LAPACK kernel picks bits."""
+    r00 = math.sqrt(_dot(a, a))
+    q0 = a / r00
+    r01 = _dot(q0, b)
+    b1 = b - r01 * q0
+    r11 = math.sqrt(_dot(b1, b1))
+    y0 = _dot(q0, y)
+    c1 = _dot(b1 / r11, y - y0 * q0) / r11
+    return (y0 - r01 * c1) / r00, c1
+
+
 def fit_interface(
     sol: ProfileSolution,
     window: Optional[Tuple[float, float]] = None,
@@ -145,7 +158,8 @@ def fit_interface(
     a launch point far below the fit window (see
     ``matching.interface_samples``), anchored at the profile's (beta,
     xi0); stored grids cannot reach these depths.  The leading order is
-    a linear least-squares fit of log f against log(xi0 - xi).  The
+    a linear least-squares fit of log f against log(xi0 - xi), with logs
+    by ``math.log`` and powers by ``np.float_power``.  The
     second-order coefficient, when requested, is fit jointly with a
     linear analytic correction, with theta and amplitude frozen at their
     predicted values: the correction powers differ by less than one from
@@ -177,10 +191,11 @@ def fit_interface(
         raise WindowError(
             f"only {int(lead.sum())} usable samples in window ({lo}, {hi})"
         )
-    logd = np.log(d[lead])
-    logf = np.log(f[lead])
-    slope, intercept = np.polyfit(logd, logf, 1)
-    rms = float(np.sqrt(np.mean((logf - (slope * logd + intercept)) ** 2)))
+    logd = np.array([math.log(x) for x in d[lead]])
+    logf = np.array([math.log(x) for x in f[lead]])
+    intercept, slope = _lstsq2(np.ones_like(logd), logd, logf)
+    res = logf - (slope * logd + intercept)
+    rms = math.sqrt(_dot(res, res) / res.size)
     second_hat = None
     if with_second_order:
         # relative deviation from the predicted leading term, decomposed
@@ -188,13 +203,12 @@ def fit_interface(
         # correction
         m, q = sol.params.m, sol.params.q
         omega = (4.0 - m - q) / (m - q)
-        dev = f / (expansion.amplitude * d**expansion.theta) - 1.0
-        basis = np.column_stack([d ** (omega - expansion.theta), d])
-        coef, *_ = np.linalg.lstsq(basis, dev, rcond=None)
-        second_hat = float(-coef[0] * expansion.amplitude)
+        dev = f / (expansion.amplitude * np.float_power(d, expansion.theta)) - 1.0
+        coef, _ = _lstsq2(np.float_power(d, omega - expansion.theta), d, dev)
+        second_hat = float(-coef * expansion.amplitude)
     return InterfaceFit(
         theta_hat=float(slope),
-        amplitude_hat=float(np.exp(intercept)),
+        amplitude_hat=math.exp(intercept),
         second_order_hat=second_hat,
         fit_window=(float(lo), float(hi)),
         residual=rms,
@@ -217,12 +231,12 @@ def upper_bounds_check(sol: ProfileSolution) -> InterfaceBoundsReport:
     f = sol.f_values[mask]
     fp = sol.fprime_values[mask]
     d = xi0 - xi
-    grad = np.abs((m - q) * f ** (m - q - 1.0) * fp)
+    grad = np.abs((m - q) * np.float_power(f, m - q - 1.0) * fp)
     grad_bound = 2.0 ** (p.N - 1) * xi0**sigma * d
     height_bound = (
         e.beta ** (q - 1.0)
         * xi0 ** ((sigma - 1.0) / (1.0 - q))
-        * d ** (1.0 / (1.0 - q))
+        * np.float_power(d, 1.0 / (1.0 - q))
     )
     g_margin = float(np.min(grad_bound - grad))
     h_margin = float(np.min(height_bound - f))

@@ -20,7 +20,7 @@ import numpy as np
 from . import asymptotics, equation, pdecheck, phasespace, shooting
 from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config, validate
 from .errors import ProfileError
-from .integrate import IntegratorOptions, integrate_profile
+from .integrate import SLOPE_TOL, IntegratorOptions, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
 from .report import (
     RunReport,
@@ -77,10 +77,9 @@ def _run_solve(cfg: RunConfig) -> tuple:
         "bracket_lo": result.bracket_lo,
         "bracket_hi": result.bracket_hi,
         "iterations": result.iterations,
-        "slope_bound": cfg.slope_tol * sol.xi0 ** sol.params.sigma,
+        "slope_bound": SLOPE_TOL * sol.xi0 ** sol.params.sigma,
         "match_residual": result.match.residual,
         "matched_xi0": result.match.xi0,
-        "history_length": len(result.history),
         "profile": _profile_summary(sol),
     }
 
@@ -105,7 +104,8 @@ def _run_asymptotics(cfg: RunConfig) -> tuple:
     d = equation.log_grid(xi0 - hi, xi0 - lo, 80)
     chart = "interface_fit.svg", [
         ("computed", d, sol.eval_f(xi0 - d)),
-        ("predicted", d, expansion.amplitude * d**expansion.theta),
+        ("predicted", d, expansion.amplitude
+                      * np.float_power(d, expansion.theta)),
     ], dict(title="interface expansion (log-log)", xlabel="xi0 - xi",
             ylabel="log10 f", logy=True)
     return sol, chart, {

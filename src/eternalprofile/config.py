@@ -17,12 +17,9 @@ keys (``INTEGRATOR_KEYS``) take their defaults from
                      (default shooting.BETA_TOL, at least
                      shooting.MIN_BETA_TOL); below about 1e-10 the
                      bracket gets no narrower, only costlier
-    rtol, atol       integrator tolerances (the coarse stage of a
+    rtol             integrator tolerance (the coarse stage of a
                      solve runs at rtol >= shooting.COARSE_TOL**2)
-    delta0           series launch offset
-    contact_eps      contact threshold in f units
-    slope_tol        tangency tolerance
-    horizon          integration cap, > delta0 (default: derived)
+    horizon          integration cap > DELTA0            (default: derived)
     output_dir       artifact directory                  (default ".")
     emit_plots       true | false                        (default false)
     sweep_betas      comma-separated beta list (sweep mode)
@@ -42,9 +39,7 @@ from .shooting import BETA_TOL, MIN_BETA_TOL
 MODES = ("solve", "classify", "asymptotics", "phase", "verify", "sweep")
 
 #: Keys passed on to ``IntegratorOptions`` under the same names.
-INTEGRATOR_KEYS = (
-    "rtol", "atol", "delta0", "contact_eps", "slope_tol", "horizon"
-)
+INTEGRATOR_KEYS = ("rtol", "horizon")
 
 
 @dataclass
@@ -58,10 +53,6 @@ class RunConfig:
     beta: Optional[float] = None
     beta_tol: float = BETA_TOL
     rtol: float = IntegratorOptions.rtol
-    atol: float = IntegratorOptions.atol
-    delta0: float = IntegratorOptions.delta0
-    contact_eps: float = IntegratorOptions.contact_eps
-    slope_tol: float = IntegratorOptions.slope_tol
     horizon: Optional[float] = IntegratorOptions.horizon
     output_dir: str = "."
     emit_plots: bool = False
@@ -160,6 +151,5 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"beta_tol must be >= {MIN_BETA_TOL!r} (4 eps), got {cfg.beta_tol}"
         )
-    for key in ("rtol", "atol", "delta0", "contact_eps", "slope_tol"):
-        if not getattr(cfg, key) > 0:
-            raise ConfigError(f"{key} must be > 0, got {getattr(cfg, key)}")
+    if not cfg.rtol > 0:
+        raise ConfigError(f"rtol must be > 0, got {cfg.rtol}")

@@ -1,7 +1,7 @@
 """Cauchy-problem integrator for the profile ODE in F = f^m form.
 
 The profile equation of ``equation`` is integrated from its origin
-series launch at xi = delta0, with F(0) = 1 and F'(0) = 0.  Integration
+series launch at xi = DELTA0, with F(0) = 1 and F'(0) = 0.  Integration
 stops at one of three events: f = F^{1/m} falls to the contact threshold,
 f' turns non-negative, or the horizon cap is reached.  ``integrate_profile``
 alone classifies the run, from its end state.
@@ -25,36 +25,38 @@ from .solution import Classification, LimitProfile, ProfileSolution, StopReason
 #: Horizon cap, in units of ``absorption_scale``, when none is given.
 HORIZON_FACTOR = 50.0
 
-#: A slope event with f within this many ``contact_eps`` of zero is a
+#: Origin launch offset (also of the matching's forward leg), contact
+#: threshold in f units, and tangency tolerance in F' units, rescaled by
+#: xi0^sigma at contact.
+DELTA0 = 1e-6
+CONTACT_EPS = 1e-7
+SLOPE_TOL = 1e-4
+
+#: DOP853 atol of every forward run and both matching legs, in F units.
+#: It is meant to lie far below the contact level CONTACT_EPS ** m, so
+#: that contact is resolved in relative terms; that holds only for
+#: m < 16/7, and for larger m the contact level falls below ATOL.
+ATOL = 1e-16
+
+#: A slope event with f within this many CONTACT_EPS of zero is a
 #: tangential (CandidateB) contact.
 GRAZE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Tolerances, launch/stop configuration and the tangency threshold.
+    """Tolerance, horizon and slope event of a forward run.
 
-    ``contact_eps`` is the stopping threshold in f units.  ``atol`` is
-    meant to lie far below the contact level ``contact_eps ** m``, so
-    that the contact event is resolved in relative terms.  With the
-    defaults (``atol`` = 1e-16, ``contact_eps`` = 1e-7) that holds only
-    for m < 16/7; for larger m the contact level falls below ``atol``.
-    ``slope_tol`` is in F' units and is rescaled by xi0^sigma at
-    contact; a slope event within ``GRAZE_FACTOR * contact_eps`` of zero
-    also counts as tangential.  ``shooting.solve`` runs its bracket scan
-    and bisections at max(``rtol``, COARSE_TOL**2) and only its
-    certification samples at ``rtol``.
+    ``shooting.solve`` runs its bracket scan and bisections at
+    max(``rtol``, COARSE_TOL**2) and only its certification samples at
+    ``rtol``.
     """
 
     rtol: float = 1e-10
-    atol: float = 1e-16
-    delta0: float = 1e-6
-    contact_eps: float = 1e-7
     horizon: Optional[float] = None  # None: HORIZON_FACTOR * absorption_scale
     #: stop when f' turns non-negative; disable to follow growing
     #: solutions (e.g. the small-beta regime) out to the horizon
     slope_event: bool = True
-    slope_tol: float = 1e-4
 
 
 def integrate_profile(
@@ -64,21 +66,20 @@ def integrate_profile(
 ) -> ProfileSolution:
     """Integrate the profile Cauchy problem and classify it where it stops.
 
-    A contact at xi0 is ClassA if F' < -slope_tol xi0^sigma, CandidateB
+    A contact at xi0 is ClassA if F' < -SLOPE_TOL xi0^sigma, CandidateB
     if |F'| is within that bound, else Undetermined.  A slope event is
-    ClassC, or CandidateB at xi0 = xi1 if f <= GRAZE_FACTOR * contact_eps
+    ClassC, or CandidateB at xi0 = xi1 if f <= GRAZE_FACTOR * CONTACT_EPS
     there.  Any other stop is Undetermined.
     """
-    delta0 = opts.delta0
-    F0, Fp0 = origin_series(p, e.beta, delta0)
+    F0, Fp0 = origin_series(p, e.beta, DELTA0)
     horizon = opts.horizon
     if horizon is None:
         horizon = HORIZON_FACTOR * absorption_scale(p)
-    elif not horizon > delta0:
+    elif not horizon > DELTA0:
         raise DomainError(
-            f"horizon must be > delta0 = {delta0!r}, got {horizon!r}"
+            f"horizon must be > delta0 = {DELTA0!r}, got {horizon!r}"
         )
-    F_contact = opts.contact_eps**p.m
+    F_contact = CONTACT_EPS**p.m
 
     def ev_contact(xi, y):
         return y[0] - F_contact
@@ -93,12 +94,12 @@ def integrate_profile(
     ev_slope.direction = 1
 
     sol = solve_ivp(
-        profile_rhs(p, e.beta, (0.1 * opts.contact_eps) ** p.m),
-        (delta0, horizon),
+        profile_rhs(p, e.beta, (0.1 * CONTACT_EPS) ** p.m),
+        (DELTA0, horizon),
         [F0, Fp0],
         method="DOP853",
         rtol=opts.rtol,
-        atol=opts.atol,
+        atol=ATOL,
         events=(
             [ev_contact, ev_slope]
             if opts.slope_event
@@ -113,7 +114,7 @@ def integrate_profile(
     if sol.status == 1 and len(sol.t_events[0]):
         stop = StopReason.CONTACT_ZERO
         xi0 = xi1 = end
-        bound = opts.slope_tol * end**p.sigma
+        bound = SLOPE_TOL * end**p.sigma
         Fp = float(sol.y[1, -1])
         if Fp < -bound:
             cls = Classification.CLASS_A
@@ -123,7 +124,7 @@ def integrate_profile(
         stop = StopReason.SLOPE_SIGN_CHANGE
         xi1 = end
         f_end = f_from_F(p.m, sol.y[0, -1:], sol.y[1, -1:])[0][0]
-        if f_end <= GRAZE_FACTOR * opts.contact_eps:
+        if f_end <= GRAZE_FACTOR * CONTACT_EPS:
             cls, xi0 = Classification.CANDIDATE_B, end
         else:
             cls = Classification.CLASS_C
@@ -142,9 +143,8 @@ def integrate_profile(
         xi1=xi1,
         classification=cls,
         stop_reason=stop,
-        delta0=delta0,
         dense=piecewise(
-            [delta0, np.nextafter(end, np.inf)],
+            [DELTA0, np.nextafter(end, np.inf)],
             [functools.partial(origin_series, p, e.beta), sol.sol],
         ),
     )
@@ -154,8 +154,6 @@ def integrate_limit_profile(
     p: Params,
     horizon: float,
     guard: float = 1e12,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> LimitProfile:
     """Solve the beta -> 0 limit problem H'' + (N-1)/xi H' = xi^sigma H^{q/m}.
 
@@ -180,8 +178,8 @@ def integrate_limit_profile(
         (delta0, horizon),
         [H0, Hp0],
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-10,
+        atol=1e-12,
         events=[ev_guard],
         dense_output=True,
     )

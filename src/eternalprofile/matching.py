@@ -52,6 +52,7 @@ from .equation import (
     profile_rhs,
 )
 from .errors import BracketFailure, StepFailureError
+from .integrate import ATOL, DELTA0
 from .model import Params, exponents_from_beta
 from .solution import Classification, ProfileSolution, StopReason
 
@@ -60,10 +61,8 @@ from .solution import Classification, ProfileSolution, StopReason
 #: value, it only keeps overshooting trial stages finite.
 _F_FLOOR = 1e-280
 
-#: DOP853 tolerances of both legs.
+#: DOP853 rtol of both legs (their atol is integrate's ATOL).
 RTOL = 1e-12
-ATOL = 1e-16
-DELTA0 = 1e-6               # forward Taylor launch offset
 LAUNCH_F = 1e-6             # floor of the interface-side launch, in A d^theta
 TAIL_F = 1e-9               # height of the last stored interface sample
 MID_FRAC = 0.5              # matching point as a fraction of xi0
@@ -353,7 +352,6 @@ def _assemble_profile(p: Params, beta: float, xi0: float, legs) -> ProfileSoluti
         xi1=xi0,
         classification=Classification.CANDIDATE_B,
         stop_reason=StopReason.CONTACT_ZERO,
-        delta0=DELTA0,
         dense=piecewise(
             [DELTA0, *np.nextafter([xi_mid, bwd.t[0]], np.inf), xi0],
             [functools.partial(origin_series, p, beta), ode_f, ode_b,

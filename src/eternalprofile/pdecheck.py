@@ -102,11 +102,11 @@ def launch_curvature(sol: ProfileSolution) -> float:
     remaining corrections (powers 4, sigma+4, 2 sigma+2) are separated
     from xi^2 by at least min(2, sigma+2) and enter a least-squares fit
     on 64 log-spaced points of the window [2e-6, 1e-3].  The window
-    starts at or above the launch offset delta0 so the fit sees the
+    starts at or above the launch offset grid[0] so the fit sees the
     integrated solution, not the launch series itself.
     """
     sigma, N = sol.params.sigma, sol.params.N
-    lo, hi = max(2e-6, sol.delta0), 1e-3
+    lo, hi = max(2e-6, float(sol.grid[0])), 1e-3
     if not lo < hi:
         raise DomainError(f"empty curvature window ({lo}, {hi})")
     xi = log_grid(lo, hi, 64)
@@ -126,7 +126,7 @@ def interface_slope_integral(sol: ProfileSolution) -> float:
 
     evaluated by composite Simpson quadrature on 4097 nodes of the dense
     output plus the closed-form contribution of the series launch segment
-    [0, delta0].
+    [0, grid[0]].
     """
     from scipy.integrate import simpson
 
@@ -135,13 +135,12 @@ def interface_slope_integral(sol: ProfileSolution) -> float:
     p, e = sol.params, sol.exps
     N, sigma = p.N, p.sigma
     coef = e.alpha + N * e.beta
-    end = float(sol.grid[-1])
-    xi = np.linspace(sol.delta0, end, 4097)
+    d0, end = float(sol.grid[0]), float(sol.grid[-1])
+    xi = np.linspace(d0, end, 4097)
     f = sol.eval_f(xi)
     integrand = xi ** (N - 1) * (xi**sigma * f**p.q - coef * f)
     total = simpson(integrand, x=xi)
     # launch segment with f ~ f0
-    d0 = sol.delta0
     total += sol.f0**p.q * d0 ** (N + sigma) / (N + sigma)
     total -= coef * sol.f0 * d0**N / N
     return float(sol.xi0 ** (1 - N) * total)

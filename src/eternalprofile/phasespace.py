@@ -113,7 +113,7 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
 
     eta is accumulated by trapezoidal quadrature over the stored grid,
     anchored at the closed-form contribution of the series launch
-    segment [0, delta0] where f is indistinguishable from f(0).
+    segment [0, grid[0]] where f is indistinguishable from f(0).
     """
     from scipy.integrate import cumulative_trapezoid
 

@@ -6,7 +6,8 @@ float is written as the string "NaN", "Infinity" or "-Infinity".  CSV
 rows use shortest round-trip decimals too.  Identical inputs therefore
 produce byte-identical artifacts, and parsing them gives back the same
 doubles.  That holds across CPUs too (see ``equation``), except for the
-``asymptotics`` fits, which call LAPACK and ``np.log``.
+``asymptotics`` fits under another BLAS kernel: their samples come from
+scipy's LSODA, which calls BLAS.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ class StopReason(enum.Enum):
 class ProfileSolution:
     """Dense numerical profile in the F = f^m variables.
 
-    ``grid`` starts at the launch offset delta0 and ends at the stopping
+    ``grid`` starts at the launch offset and ends at the stopping
     event, or, for a matched profile, a tail distance short of ``xi0``.
     ``dense`` evaluates (F, F') at any xi >= 0: the profile up to xi0, or
     up to and including grid[-1] when ``xi0`` is unknown, and zero beyond.
@@ -50,7 +50,6 @@ class ProfileSolution:
     xi1: Optional[float]
     classification: Classification
     stop_reason: StopReason
-    delta0: float
     dense: Callable = field(repr=False, compare=False)
     f0: float = 1.0
 

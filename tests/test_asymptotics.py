@@ -100,7 +100,7 @@ def test_amplitude_closed_forms(solved):
 
 
 def test_fit_interface_rejects_forward_profile(solved):
-    # a forward ClassA run stops at f = contact_eps, short of its
+    # a forward ClassA run stops at f = CONTACT_EPS, short of its
     # interface; only a matched profile anchors the fit
     case = (2.0, 0.5, 1)
     p = make_params(*case)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs for every mode, plus artifact determinism."""
 
 import json
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -249,4 +250,5 @@ def test_report_echoes_full_config(tmp_path):
     config = read_report(out)["config"]
     assert config["m"] == 2.0
     assert config["beta_tol"] == 1e-8
-    assert config["contact_eps"] == 1e-7
+    assert config["rtol"] == 1e-10
+    assert set(config) == set(asdict(RunConfig()))

@@ -82,6 +82,14 @@ FULL_MESSAGES = {
         ("m = 2\nq = 0.5\nN = 1\nmode = fly\n", "mode"),
         ("m = 2\nq = 0.5\nN = 1\nwibble = 3\n", "unknown key"),
         ("m = 2\nq = 0.5\nN = 1\nuse_seeds = true\n", "line 4.*use_seeds"),
+        # launch offset, atol, contact threshold and tangency tolerance are
+        # constants of the integrator, not settings
+        ("m = 2\nq = 0.5\nN = 1\natol = 1e-12\n", "line 4: unknown key 'atol'"),
+        ("m = 2\nq = 0.5\nN = 1\ndelta0 = 1e-4\n", "line 4: unknown key 'delta0'"),
+        ("m = 2\nq = 0.5\nN = 1\ncontact_eps = 1e-7\n",
+         "line 4: unknown key 'contact_eps'"),
+        ("m = 2\nq = 0.5\nN = 1\nslope_tol = 1e-4\n",
+         "line 4: unknown key 'slope_tol'"),
         ("m = 2\nq = 0.5\nN = one\n", "integer"),
         ("m = 2\nq = 0.5\nN = 1\nm = 3\n", "duplicate"),
         ("m = 2\nq = 0.5\nN = 1\nemit_plots = maybe\n", "boolean"),

@@ -140,8 +140,8 @@ def test_absorption_scale_is_where_the_limit_profile_doubles(triple):
 
 
 #: End states of a run at (2, 0.5, 1) that stops at xi = 2, where the
-#: contact bound slope_tol xi^sigma is 2e-4 and the graze bound on f is
-#: GRAZE_FACTOR * contact_eps = 1e-6, reached at F = 1e-12: (status, F,
+#: contact bound SLOPE_TOL xi^sigma is 2e-4 and the graze bound on f is
+#: GRAZE_FACTOR * CONTACT_EPS = 1e-6, reached at F = 1e-12: (status, F,
 #: F', contact event) -> (stop reason, class, xi0, xi1).
 END_STATES = {
     "contact, steep": ((1, 1e-14, -1e-3, True), (CONTACT, A, 2.0, 2.0)),
@@ -194,7 +194,7 @@ def test_grazing_run_near_beta_star_is_candidate_b():
 
 @pytest.mark.parametrize("beta, cls", [(0.25, C), (4.0, A)])
 def test_forward_profile_pieces_meet_at_their_breaks(monkeypatch, beta, cls):
-    # origin series below delta0, the run up to and including its end,
+    # origin series below its launch offset, the run up to and including its end,
     # zero beyond; a negative xi reads the origin series at 0
     runs = []
 
@@ -206,7 +206,7 @@ def test_forward_profile_pieces_meet_at_their_breaks(monkeypatch, beta, cls):
     p = make_params(2.0, 0.5, 1)
     sol = integrate_profile(p, exponents_from_beta(p, beta))
     assert sol.classification is cls
-    d0, end = sol.delta0, float(sol.grid[-1])
+    d0, end = float(sol.grid[0]), float(sol.grid[-1])
     below = np.nextafter(d0, 0.0)
     xi = np.array([-1.0, 0.0, below, d0, end, np.nextafter(end, np.inf), 2 * end])
     origin = origin_series(p, beta, np.array([0.0, 0.0, below]))

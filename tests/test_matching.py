@@ -18,6 +18,7 @@ from eternalprofile._dop853 import halve_long_steps, solve_ivp
 from eternalprofile.equation import (
     InterfaceSeries,
     launch_distance,
+    log_grid,
     origin_series,
     profile_rhs,
 )
@@ -298,7 +299,7 @@ def test_matched_profile_dense_is_continuous(solved):
     # interface series); probe across each boundary
     sol = solved[(2.0, 0.5, 1)].final_profile
     xi0 = sol.xi0
-    for x in (sol.delta0, 0.5 * xi0, float(sol.grid[-1])):
+    for x in (float(sol.grid[0]), 0.5 * xi0, float(sol.grid[-1])):
         left = sol.eval_F(x * (1.0 - 1e-9))
         right = sol.eval_F(x * (1.0 + 1e-9))
         assert left[0] == pytest.approx(right[0], rel=1e-6, abs=1e-12)
@@ -451,6 +452,22 @@ def test_eval_f_follows_series_beyond_stored_tail(solved, case):
         sol.eval_f(xi), F ** (1.0 / sol.params.m), rtol=1e-12
     )
     assert sol.eval_f(sol.xi0) == 0.0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_profile_inside_backward_launch_solves_the_equation(solved, case):
+    # inside the backward launch the matched profile is the truncated
+    # interface series; the equation, integrated outward from far below
+    # (interface_samples), must give the same f there.  Each depth is
+    # snapped to xi0 - (xi0 - d), so that xi0 - d is exact and the
+    # rounding of xi does not count as a difference.
+    sol = solved[case].final_profile
+    p, beta, xi0 = sol.params, sol.exps.beta, sol.xi0
+    d0 = InterfaceSeries(p, beta, xi0, LAUNCH_F).d0
+    d = xi0 - (xi0 - log_grid(1e-9 * xi0, d0, 20))
+    d_s, f_s, _ = interface_samples(p, beta, xi0, d)
+    np.testing.assert_array_equal(d_s, d)
+    np.testing.assert_allclose(sol.eval_f(xi0 - d), f_s, rtol=1e-10, atol=0.0)
 
 
 def test_tail_stays_inside_a_launch_deeper_than_tail_height(monkeypatch):

@@ -20,7 +20,7 @@ OPTIONS = {
     "cli.run": ["out_dir", "plots"],
     "cli.main": ["argv"],
     "integrate.integrate_profile": ["opts"],
-    "integrate.integrate_limit_profile": ["guard", "rtol", "atol"],
+    "integrate.integrate_limit_profile": ["guard"],
     "pdecheck.profile_ode_residual": ["delta"],
     "shooting.bracket_beta": ["opts"],
     "shooting.bisect_beta": ["beta_tol", "opts"],
@@ -55,7 +55,7 @@ def _options():
 
 def test_public_options_are_pinned():
     assert _options() == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 20
+    assert sum(map(len, OPTIONS.values())) == 18
 
 
 def test_no_module_reads_the_environment():
