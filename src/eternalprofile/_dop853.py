@@ -9,9 +9,10 @@ follow ``scipy.integrate.solve_ivp`` with ``method="DOP853"`` (Hairer,
 Norsett & Wanner, *Solving ODEs I*, II.5 and II.10), so both take the
 same steps up to rounding in the order of summation.
 
-Each trial step runs ``_step``, which is generated at import from the
-module's own committed tableau, a copy of scipy's that a test checks
-entry for entry, as straight-line code on local floats.  A dense run
+Each trial step is straight-line code on local floats, compiled at import
+from the committed tableau (a copy of scipy's that a test checks entry for
+entry) and a template of the right-hand side; a ``profile_rhs`` result
+carries one with its equation inline (``step_for``).  A dense run
 records each accepted step and builds its interpolant, which costs
 three more evaluations of the right-hand side, when the segment is
 first read; only the step on which an event fires builds it at once.
@@ -182,41 +183,61 @@ _EXTRA = tuple(
 _D = tuple(_nonzero(row) for row in D)
 
 
-def _generate_step():
-    """``_step``, one DOP853 trial step compiled as straight-line code.
-
-    ``_step(fun, t, h, ya, yb, fa, fb)`` evaluates stages 1..11 at
-    ``t + c h``, and returns the new state, the stages 0..11 of each
-    component and the two components' E5 and E3 error sums, not yet
-    scaled.  Each row of the tableau is summed left to right from 0.0
-    over its nonzero entries, written as literals, so every float
-    rounds as in a loop over the row.  An exception raised by ``fun``
-    propagates.
+def rhs_factory(rhs, args):
+    """``factory(*args)``, compiled once from ``rhs``, the template of a
+    right-hand side at ``x``, ``(F, Fp)`` into ``{a}``, ``{b}``.  A call
+    binds ``args`` as closure cells and returns ``rhs(x, y)``, carrying
+    the trial step ``step(t, h, t_new, ya, yb, fa, fb)`` with the template
+    written out as ``dop853_step``.  The step evaluates stages 1..11 at
+    ``t + c h`` and the end point at ``t_new = t + h``, and returns the new
+    state, each component's stages 0..11 and E5 and E3 error sums, not yet
+    scaled, and the right-hand side at the new state.  Tableau rows are
+    summed left to right from 0.0 over their nonzero entries, written as
+    literals, so every float rounds as in a loop.  Exceptions propagate.
     """
     k = [("fa", "fb")] + [(f"a{s}", f"b{s}") for s in range(1, N_STAGES)]
 
     def dot(i, row):
         return " + ".join(["0.0"] + [f"{k[j][i]} * {w!r}" for j, w in row])
 
-    lines = ["def _step(fun, t, h, ya, yb, fa, fb):"]
+    def stage(x, F, Fp, a, b):
+        return [f"x = {x}", f"F = {F}", f"Fp = {Fp}",
+                *rhs.format(a=a, b=b).splitlines()]
+
+    step = []
     for s in range(1, N_STAGES):
         row = _nonzero(A[s])
-        lines.append(f"    a{s}, b{s} = fun(t + {C[s]!r} * h, "
-                     f"(ya + ({dot(0, row)}) * h, yb + ({dot(1, row)}) * h))")
+        step += stage(f"t + {C[s]!r} * h", f"ya + ({dot(0, row)}) * h",
+                      f"yb + ({dot(1, row)}) * h", *k[s])
     w, e5, e3 = _nonzero(B), _nonzero(E5), _nonzero(E3)
-    lines += [
-        f"    na = ya + h * ({dot(0, w)})",
-        f"    nb = yb + h * ({dot(1, w)})",
-        f"    return (na, nb, ({', '.join(a for a, _ in k)}), "
+    step += [
+        f"na = ya + h * ({dot(0, w)})",
+        f"nb = yb + h * ({dot(1, w)})",
+        *stage("t_new", "na", "nb", "ga", "gb"),
+        f"return (na, nb, ({', '.join(a for a, _ in k)}), "
         f"({', '.join(b for _, b in k)}), {dot(0, e5)}, {dot(1, e5)}, "
-        f"{dot(0, e3)}, {dot(1, e3)})",
+        f"{dot(0, e3)}, {dot(1, e3)}, ga, gb)",
     ]
+    lines = [f"def factory({', '.join(args)}):",
+             "    def rhs(x, y):", "        F, Fp = y",
+             *("        " + ln for ln in rhs.format(a="a", b="b").splitlines()),
+             "        return (a, b)",
+             "    def step(t, h, t_new, ya, yb, fa, fb):",
+             *("        " + ln for ln in step),
+             "    rhs.dop853_step = step", "    return rhs"]
     namespace = {}
     exec(compile("\n".join(lines) + "\n", "<dop853 step>", "exec"), namespace)
-    return namespace["_step"]
+    return namespace["factory"]
 
 
-_step = _generate_step()
+#: the generic step, whose right-hand side is a call of ``fun``
+_generic = rhs_factory("{a}, {b} = fun(x, (F, Fp))", ["fun"])
+
+
+def step_for(fun):
+    """The trial step of ``fun``: the one it carries as ``dop853_step``,
+    as a ``profile_rhs`` result does, else the generic step calling it."""
+    return getattr(fun, "dop853_step", None) or _generic(fun).dop853_step
 
 
 def solve_ivp(fun, t_span, y0, method="RK45", dense_output=False, events=None,
@@ -243,10 +264,9 @@ def solve_ivp(fun, t_span, y0, method="RK45", dense_output=False, events=None,
 def _eval(fun, t, y0, y1):
     """fun(t, y) where an overflow or a division by zero gives inf, as in numpy."""
     try:
-        a, b = fun(t, (y0, y1))
+        return fun(t, (y0, y1))
     except (OverflowError, ZeroDivisionError):
         return math.inf, math.inf
-    return a, b
 
 
 def _rms(a, b):
@@ -405,6 +425,7 @@ def halve_long_steps(odesol, max_step):
     re-taken as two fixed half-steps from its start node, which cuts the
     order-7 interpolant's error there about 2^8-fold."""
     fun = odesol.interpolants.fun
+    trial = step_for(fun)
     segments, ts = _Segments(fun), [odesol.ts[0]]
     for item, t, t_end in zip(odesol.interpolants.items, odesol.ts, odesol.ts[1:]):
         if abs(t_end - t) <= max_step:
@@ -415,8 +436,8 @@ def halve_long_steps(odesol, max_step):
         ya, yb = item.y_old if isinstance(item, _Interpolant) else item[2:4]
         fa, fb = fun(t, (ya, yb))
         for t_new in (t + 0.5 * (t_end - t), t_end):
-            na, nb, k0, k1, *_ = _step(fun, t, t_new - t, ya, yb, fa, fb)
-            ga, gb = fun(t_new, (na, nb))
+            na, nb, k0, k1, *_, ga, gb = trial(t, t_new - t, t_new, ya, yb,
+                                               fa, fb)
             segments.items.append((t, t_new, ya, yb, na, nb, ga, gb, k0, k1))
             ts.append(t_new)
             t, ya, yb, fa, fb = t_new, na, nb, ga, gb
@@ -529,6 +550,7 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
         warn(f"`rtol` is too small. Setting `rtol = {100 * EPS}`.", stacklevel=3)
         rtol = 100 * EPS
     direction = -1.0 if tf < t0 else 1.0
+    trial = step_for(fun)
 
     fa, fb = _eval(fun, t0, ya, yb)
     h_abs, nfev = _initial_step(fun, t0, ya, yb, fa, fb, tf, max_step,
@@ -573,16 +595,17 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
                 h_abs = abs(h)
                 nfev += N_STAGES
                 try:
-                    na, nb, k0, k1, e50, e51, e30, e31 = _step(
-                        fun, t, h, ya, yb, fa, fb)
-                    ga, gb = fun(t_new, (na, nb))
+                    (na, nb, k0, k1, e50, e51, e30, e31, ga,
+                     gb) = trial(t, h, t_new, ya, yb, fa, fb)
                 except (OverflowError, ZeroDivisionError):
                     # where these raise on floats, numpy returns inf or
                     # nan, and the error norm rejects the step
                     error_norm = math.inf
                 else:
-                    s0 = atol + max(abs(ya), abs(na)) * rtol
-                    s1 = atol + max(abs(yb), abs(nb)) * rtol
+                    # max and min below as the builtins pick, without calls
+                    s0, s1, a0, a1 = abs(ya), abs(yb), abs(na), abs(nb)
+                    s0 = atol + (a0 if a0 > s0 else s0) * rtol
+                    s1 = atol + (a1 if a1 > s1 else s1) * rtol
                     e50 /= s0
                     e51 /= s1
                     e30 /= s0
@@ -597,11 +620,11 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
                         # scipy's error sums include f(t_new) with weight 0
                         error_norm = math.nan
                 if error_norm < 1:
-                    if error_norm == 0:
-                        factor = MAX_FACTOR
-                    else:
-                        factor = min(MAX_FACTOR,
-                                     SAFETY * error_norm ** ERROR_EXPONENT)
+                    factor = MAX_FACTOR
+                    if error_norm != 0:
+                        factor = SAFETY * error_norm ** ERROR_EXPONENT
+                        if not factor < MAX_FACTOR:
+                            factor = MAX_FACTOR
                     if rejected:
                         factor = min(1, factor)
                     h_abs *= factor
@@ -620,11 +643,12 @@ def _dop853(fun, t_span, y0, dense_output, events, rtol=1e-3, atol=1e-6,
 
         y = (ya, yb)
         if events is not None:
-            g_new = [ev(t, y) for ev in events]
-            active = [
-                i for i, (go, gn, dr) in enumerate(zip(g, g_new, event_dir))
-                if (go <= 0 <= gn and dr >= 0) or (go >= 0 >= gn and dr <= 0)
-            ]
+            g_new, active = [], []
+            for i, (ev, go, dr) in enumerate(zip(events, g, event_dir)):
+                gn = ev(t, y)
+                g_new.append(gn)
+                if (go <= 0 <= gn and dr >= 0) or (go >= 0 >= gn and dr <= 0):
+                    active.append(i)
             if active:
                 if sol is None and dense_output:
                     sol = segments[-1]      # recorded and counted above

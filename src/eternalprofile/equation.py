@@ -13,12 +13,13 @@ d = xi0 - xi (``InterfaceSeries``; series at a singular point as in
 Ascher, Mattheij & Russell 1995, interface expansions as in Vazquez
 2007).  Its coefficients come from one linear recursion; off the
 critical line m + q = 2 their table depends only on (m, q, N) and is
-built once per triple.  The integrators in
-``integrate`` and ``matching`` take their right-hand side and launch
-states from here, and every profile is evaluated off its grid by one
-``piecewise`` evaluator; only ``pdecheck`` keeps its own, deliberately
-independent, residual, and ``asymptotics`` its closed-form K0-K3
-constants, which check the leading terms of the series.
+built once per triple.  The integrators in ``integrate`` and
+``matching`` take their launch states from here, and their right-hand
+side, written once as a template that also gives its DOP853 step.
+Every profile is evaluated off its grid by one ``piecewise``
+evaluator; only ``pdecheck`` keeps its own, deliberately independent,
+residual, and ``asymptotics`` its closed-form K0-K3 constants, which
+check the leading terms of the series.
 
 One arithmetic rule makes the same input give the same bits on every
 CPU: products of computed floats are sums of elementwise products in a
@@ -35,8 +36,31 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._dop853 import rhs_factory
+
 if TYPE_CHECKING:
     from .model import Params
+
+
+#: The right-hand side (F', F'') of the profile equation at xi = x and
+#: (F, F') = (F, Fp), into the names {a} and {b}: the one place the
+#: equation is written.  The line with Nm1 = N - 1 is kept for N > 1.
+_RHS = """\
+Fc = F if F > F_floor else F_floor
+f = Fc**inv_m
+fp = Fp * f / (m * Fc)    # f' = F' f^(1-m) / m
+{b} = -alpha * f + beta * x * fp + x**sigma * f**q
+{b} -= Nm1 / x * Fp
+{a} = Fp"""
+
+
+#: ``profile_rhs`` factories for N = 1 and N > 1, compiled at import
+_RHS_FACTORIES = tuple(
+    rhs_factory("\n".join(ln for ln in _RHS.splitlines()
+                          if radial or "Nm1" not in ln),
+                ("alpha", "beta", "inv_m", "m", "q", "sigma", "Nm1", "F_floor"))
+    for radial in (False, True)
+)
 
 
 def profile_rhs(p: Params, beta: float, F_floor: float):
@@ -46,24 +70,11 @@ def profile_rhs(p: Params, beta: float, F_floor: float):
     clamp keeps the field finite when trial stages overshoot below the
     contact threshold; the clamped region is never part of an accepted
     solution.  beta = 0 with F_floor = 0 gives the limit problem
-    H'' + (N-1)/xi H' = xi^sigma H^{q/m}.
+    H'' + (N-1)/xi H' = xi^sigma H^{q/m}.  Its DOP853 step is ``dop853_step``.
     """
-    m, q, N, sigma = p.m, p.q, p.N, p.sigma
-    alpha = 2.0 * beta / (m - 1.0)
-    inv_m = 1.0 / m
-    Nm1 = N - 1
-
-    def rhs(xi, y):
-        F, Fp = y
-        Fc = F if F > F_floor else F_floor
-        f = Fc**inv_m
-        fp = Fp * f / (m * Fc)    # f' = F' F^{(1-m)/m} / m
-        Fpp = -alpha * f + beta * xi * fp + xi**sigma * f**q
-        if Nm1:
-            Fpp -= Nm1 / xi * Fp
-        return (Fp, Fpp)
-
-    return rhs
+    m = p.m
+    return _RHS_FACTORIES[p.N > 1](2.0 * beta / (m - 1.0), beta, 1.0 / m, m,
+                                   p.q, p.sigma, p.N - 1, F_floor)
 
 
 def origin_series(p: Params, beta: float, xi):
@@ -96,11 +107,16 @@ CRITICAL_ROWS = 16
 MAX_COLUMNS = 48
 
 
+@functools.lru_cache(maxsize=8)
+def _toeplitz_index(n: int):
+    """Index into (s, 0) of the lower-triangular Toeplitz matrix of s."""
+    i, j = np.indices((n, n))
+    return np.where(i >= j, i - j, n)
+
+
 def _lower_toeplitz(s):
     """Matrix of the truncated product with the power series s."""
-    n = len(s)
-    i, j = np.indices((n, n))
-    return np.where(i >= j, s[(i - j) % n], 0.0)
+    return np.append(s, 0.0)[_toeplitz_index(len(s))]
 
 
 def _forward_solve(L, b):

@@ -9,10 +9,13 @@ step at ``max_step = 1/64``, below every step the controller would pick
 here, so that both take identical steps and every other difference is
 rounding in the stages and the interpolant.
 
-The generated straight-line step and the deferred interpolants are held
-to the loops they replaced, copied below as the reference, bit for bit.
+The generated straight-line steps, the generic one and the profile
+equation's with its right-hand side inline, and the deferred
+interpolants are held to the loops they replaced, copied below as the
+reference, bit for bit.
 """
 
+import builtins
 import random
 import struct
 
@@ -30,14 +33,15 @@ from eternalprofile import (
     integrate,
     integrate_profile,
     make_params,
+    solve,
 )
-from eternalprofile import _dop853
+from eternalprofile import _dop853, matching
 from eternalprofile._dop853 import (
     _Solution,
-    _step,
     halve_long_steps,
     sample,
     solve_ivp,
+    step_for,
 )
 from eternalprofile.equation import origin_series, profile_rhs
 from eternalprofile.solution import StopReason
@@ -381,12 +385,19 @@ def bits(x):
     return struct.pack("<d", x)
 
 
+def contact_floor(p):
+    """F_floor of a forward classification's right-hand side."""
+    return (0.1 * 1e-7) ** p.m
+
+
 def profile_draws(case, rng, n):
-    """n (fun, t, h, y) draws on a forward run at 0.9 beta* and a backward
-    run from its end, with steps of either sign up to twice the local one."""
+    """n (fun, F_floor, t, h, y) draws on a forward run at 0.9 beta* and a
+    backward run from its end, with steps of either sign up to twice the
+    local one."""
     p = make_params(*case)
     beta = 0.9 * BETA_STAR[case]
-    fun = profile_rhs(p, beta, (0.1 * 1e-7) ** p.m)
+    floor = contact_floor(p)
+    fun = profile_rhs(p, beta, floor)
     fwd = solve_ivp(fun, (1e-6, 1e3), origin_series(p, beta, 1e-6),
                     method="DOP853", events=[turning], **TOL)
     assert fwd.status == 1
@@ -403,29 +414,121 @@ def profile_draws(case, rng, n):
             h = local * rng.uniform(0.05, 2.0)
             if abs(h) > 0.5 * t:
                 h = 0.5 * t * (1.0 if h > 0 else -1.0)
-            draws.append((fun, t, h, tuple(map(float, run.y[:, i]))))
+            draws.append((fun, floor, t, h, tuple(map(float, run.y[:, i]))))
     return draws
 
 
+def floor_draws(case, rng, n):
+    """n draws a few floors above the contact, falling, whose forward
+    stages mostly overshoot below F_floor."""
+    p = make_params(*case)
+    floor = contact_floor(p)
+    fun = profile_rhs(p, 0.9 * BETA_STAR[case], floor)
+    return [(fun, floor, rng.uniform(0.5, 3.0),
+             rng.choice((-1.0, 1.0)) * rng.uniform(1e-4, 0.2),
+             (floor * rng.uniform(0.5, 1e3), -rng.uniform(1e-8, 1e-2)))
+            for _ in range(n)]
+
+
 def oscillator_draws(rng, n):
-    return [(oscillator, rng.uniform(0.0, 10.0),
+    return [(oscillator, None, rng.uniform(0.0, 10.0),
              rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 0.5),
              (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
             for _ in range(n)]
+
+
+def generic(fun):
+    """``fun`` behind a plain call, which takes the generic step."""
+    return lambda t, y: fun(t, y)
 
 
 def test_generated_step_matches_the_loop_bit_for_bit():
     rng = random.Random(20261018)
     draws = (oscillator_draws(rng, 400)
              + profile_draws((2.0, 0.5, 1), rng, 400)
-             + profile_draws((1.2, 0.3, 1), rng, 400))
+             + profile_draws((2.0, 0.5, 3), rng, 400)
+             + profile_draws((1.2, 0.3, 1), rng, 400)
+             + floor_draws((2.0, 0.5, 1), rng, 200)
+             + floor_draws((2.0, 0.5, 3), rng, 200))
     assert len(draws) >= 1000
-    assert sum(h < 0 for _, _, h, _ in draws) > 300
-    for fun, t, h, (ya, yb) in draws:
+    assert sum(h < 0 for _, _, _, h, _ in draws) > 300
+    inlined = clamped = 0
+    for fun, floor, t, h, (ya, yb) in draws:
+        t_new = t + h
+        h = t_new - t                   # as the kernel passes them
         fa, fb = fun(t, (ya, yb))
-        ref = loop_step(fun, t, h, ya, yb, fa, fb)
-        ours = _step(fun, t, h, ya, yb, fa, fb)
-        assert bits(ours) == bits(ref), (t, h, ya, yb)
+        states = []
+
+        def spy(x, y):
+            states.append(y[0])
+            return fun(x, y)
+
+        ref = loop_step(spy, t, h, ya, yb, fa, fb)
+        ref += tuple(fun(t_new, ref[:2]))
+        steps = [step_for(generic(fun))]
+        if floor is not None:
+            assert step_for(fun) is fun.dop853_step
+            steps.append(step_for(fun))
+            inlined += 1
+            clamped += min(states) < floor
+        for trial in steps:
+            ours = trial(t, h, t_new, ya, yb, fa, fb)
+            assert bits(ours) == bits(ref), (t, h, ya, yb)
+    assert inlined >= 1600
+    assert clamped >= 100
+
+
+def test_inlined_step_runs_as_the_generic_step(monkeypatch):
+    # solve_ivp with a profile_rhs result takes its inlined step; behind
+    # a plain call the same right-hand side takes the generic step
+    runs = []
+
+    def twin(fun, t_span, y0, **kwargs):
+        ours = solve_ivp(fun, t_span, y0, **kwargs)
+        ref = solve_ivp(generic(fun), t_span, y0, **kwargs)
+        assert step_for(fun) is fun.dop853_step
+        assert bits(ours.t.tolist()) == bits(ref.t.tolist())
+        assert bits(ours.y.tolist()) == bits(ref.y.tolist())
+        assert (ours.nfev, ours.status) == (ref.nfev, ref.status)
+        if ours.t_events is not None:
+            assert bits([te.tolist() for te in ours.t_events]) == bits(
+                [te.tolist() for te in ref.t_events])
+        if ours.sol is not None:
+            mid = 0.5 * (ours.t[1:] + ours.t[:-1])
+            assert ours.sol(mid).tobytes() == ref.sol(mid).tobytes()
+        runs.append((kwargs["rtol"], len(kwargs.get("events") or ()),
+                     ours.status))
+        return ours
+
+    monkeypatch.setattr(integrate, "solve_ivp", twin)
+    monkeypatch.setattr(matching, "solve_ivp", twin)
+    p = make_params(2.0, 0.5, 3)
+    solve(p)
+    integrate.integrate_limit_profile(p, 10.0)
+    # forward classifications with both events, stopped by one; both
+    # matching legs at the loose and the tight rtol; the limit profile
+    assert any(n == 2 and status == 1 for _, n, status in runs)
+    assert {rtol for rtol, n, _ in runs if n == 0} >= {1e-6, 1e-12}
+    assert any(n == 1 for _, n, _ in runs)
+
+
+def test_no_code_is_compiled_per_solve(monkeypatch):
+    # the steps are compiled once at import; a step compiled per beta
+    # would cost milliseconds per residual evaluation
+    calls = []
+
+    def counted(builtin):
+        def call(*args, **kwargs):
+            calls.append(builtin.__name__)
+            return builtin(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(builtins, "compile", counted(builtins.compile))
+    monkeypatch.setattr(builtins, "exec", counted(builtins.exec))
+    result = solve(make_params(2.0, 0.5, 1))
+    assert result.match is not None
+    assert calls == []
 
 
 def test_overflow_in_a_middle_stage_rejects_the_trial():

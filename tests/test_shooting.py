@@ -317,19 +317,26 @@ def test_coarse_rtol_keeps_the_coarse_history(case):
 
 
 def test_coarse_rtol_saves_trial_steps(monkeypatch):
+    # every trial step of a run goes through the step that step_for picks
     steps = []
-    step = _dop853._step
+    step_for = _dop853.step_for
 
-    def counting_step(*args):
-        steps.append(None)
-        return step(*args)
+    def counting_step_for(fun):
+        trial = step_for(fun)
 
-    monkeypatch.setattr(_dop853, "_step", counting_step)
+        def counting(*args):
+            steps.append(None)
+            return trial(*args)
+
+        return counting
+
+    monkeypatch.setattr(_dop853, "step_for", counting_step_for)
     counts = []
     for rtol in (1e-10, shooting.COARSE_TOL**2):
         steps.clear()
         _coarse_stage(make_params(1.5, 0.5, 2), rtol)
         counts.append(len(steps))
+    assert counts[0] > 0
     assert counts[1] <= 0.6 * counts[0]
 
 
