@@ -9,10 +9,11 @@ follow ``scipy.integrate.solve_ivp`` with ``method="DOP853"`` (Hairer,
 Norsett & Wanner, *Solving ODEs I*, II.5 and II.10), so both take the
 same steps up to rounding in the order of summation.
 
-Each trial step is straight-line code on local floats, compiled at import
+Each trial step is straight-line code on local floats, compiled once
 from the committed tableau (a copy of scipy's that a test checks entry for
 entry) and a template of the right-hand side; a ``profile_rhs`` result
-carries one with its equation inline (``step_for``).  A dense run
+carries one with its equation inline, and any other right-hand side
+takes the generic step, built on first use (``step_for``).  A dense run
 records each accepted step and builds its interpolant, which costs
 three more evaluations of the right-hand side, when the segment is
 first read; only the step on which an event fires builds it at once.
@@ -32,6 +33,7 @@ scipy unchanged, and only then is scipy imported.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from types import SimpleNamespace
@@ -230,14 +232,16 @@ def rhs_factory(rhs, args):
     return namespace["factory"]
 
 
-#: the generic step, whose right-hand side is a call of ``fun``
-_generic = rhs_factory("{a}, {b} = fun(x, (F, Fp))", ["fun"])
+@functools.cache
+def _generic():
+    """Factory of the generic step, whose right-hand side calls ``fun``."""
+    return rhs_factory("{a}, {b} = fun(x, (F, Fp))", ["fun"])
 
 
 def step_for(fun):
     """The trial step of ``fun``: the one it carries as ``dop853_step``,
     as a ``profile_rhs`` result does, else the generic step calling it."""
-    return getattr(fun, "dop853_step", None) or _generic(fun).dop853_step
+    return getattr(fun, "dop853_step", None) or _generic()(fun).dop853_step
 
 
 def solve_ivp(fun, t_span, y0, method="RK45", dense_output=False, events=None,

@@ -119,7 +119,7 @@ def predict_expansion(p: Params, e: Exponents, xi0: float) -> InterfaceExpansion
     )
 
 
-#: Default fit depths as fractions of xi0.  The leading-order window sits
+#: Fit depths as fractions of xi0.  The leading-order window sits
 #: where the analytic corrections (linear and higher in xi0 - xi) are
 #: negligible; the second-order window is wider so the two correction
 #: powers can be separated.
@@ -144,16 +144,14 @@ def _lstsq2(a, b, y):
 
 
 def fit_interface(
-    sol: ProfileSolution,
-    window: Optional[Tuple[float, float]] = None,
-    with_second_order: bool = False,
+    sol: ProfileSolution, with_second_order: bool = False
 ) -> InterfaceFit:
     """Fit the interface expansion against fresh near-contact samples.
 
     The profile must be matched, as ``solve`` returns it: its ``xi0``
     lies beyond the stored grid (``ProfileError`` otherwise).
-    FIT_POINTS log-spaced samples span ``window`` (default LEAD_WINDOW
-    below xi0); the second-order fit adds as many across SECOND_WINDOW.
+    FIT_POINTS log-spaced samples span LEAD_WINDOW below xi0; the
+    second-order fit adds as many across SECOND_WINDOW.
     The samples are produced by re-integrating the equation outward from
     a launch point far below the fit window (see
     ``matching.interface_samples``), anchored at the profile's (beta,
@@ -171,11 +169,7 @@ def fit_interface(
         raise ProfileError("fit_interface requires a matched profile")
     xi0 = float(sol.xi0)
     expansion = predict_expansion(sol.params, sol.exps, xi0)
-    if window is None:
-        window = (xi0 * (1.0 - LEAD_WINDOW[1]), xi0 * (1.0 - LEAD_WINDOW[0]))
-    lo, hi = window
-    if not 0.0 < lo < hi < xi0:
-        raise WindowError(f"window ({lo}, {hi}) not inside (0, {xi0})")
+    lo, hi = xi0 * (1.0 - LEAD_WINDOW[1]), xi0 * (1.0 - LEAD_WINDOW[0])
     d_hi, d_lo = xi0 - lo, xi0 - hi
     beta = sol.exps.beta
     d_grid = log_grid(d_lo, d_hi, FIT_POINTS)

@@ -2,6 +2,7 @@
 
 Usage: eternalprofile <mode> --config <path> [--out <dir>] [--plots]
 with mode one of solve, classify, asymptotics, phase, verify, sweep.
+The command line alone sets the mode, --out (default ".") and --plots.
 Sweep mode classifies each job in process and reports the jobs in
 input order: the betas of ``sweep_betas`` first, then the triples of
 ``sweep_params`` at ``beta`` (default 1).
@@ -13,12 +14,11 @@ import argparse
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import asymptotics, equation, pdecheck, phasespace, shooting
-from .config import INTEGRATOR_KEYS, MODES, RunConfig, load_config, validate
+from .config import INTEGRATOR_KEYS, RunConfig, load_config, validate
 from .errors import ProfileError
 from .integrate import SLOPE_TOL, IntegratorOptions, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
@@ -200,27 +200,23 @@ _RUNNERS = {
     "verify": _run_verify,
     "sweep": _run_sweep,
 }
+MODES = tuple(_RUNNERS)
 
 
-def run(cfg: RunConfig, out_dir=None, plots: Optional[bool] = None) -> RunReport:
-    """Dispatch a validated configuration and write its artifacts.
+def run(cfg: RunConfig, mode: str, out_dir, plots: bool) -> RunReport:
+    """Run ``mode`` on ``cfg`` and write its artifacts into ``out_dir``.
 
     The profile CSV and the chart are written once the analysis has
     succeeded, so a failed run leaves only its report.
     """
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_plots = cfg.emit_plots if plots is None else plots
-    report = RunReport(
-        config=asdict(cfg),
-        mode=cfg.mode,
-        versions=collect_versions(),
-    )
+    report = RunReport(asdict(cfg), mode, versions=collect_versions())
     try:
-        profile, chart, report.results = _RUNNERS[cfg.mode](cfg)
+        profile, chart, report.results = _RUNNERS[mode](cfg)
         if profile is not None:
             export_profile_csv(profile, out / "profile.csv")
-        if emit_plots and chart is not None:
+        if plots and chart is not None:
             name, series, labels = chart
             line_chart(series, out / name, **labels)
     except ProfileError as exc:
@@ -240,19 +236,18 @@ def main(argv=None) -> int:
     for mode in MODES:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", required=True, help="key=value config file")
-        sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument(
             "--plots", action="store_true", help="emit SVG charts"
         )
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cfg.mode = args.mode        # the command line's mode wins
-        validate(cfg)
+        validate(cfg, args.mode)
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run(cfg, out_dir=args.out, plots=args.plots or None)
+    report = run(cfg, args.mode, args.out, args.plots)
     if report.status != "ok":
         print(f"error: {report.results.get('error')}", file=sys.stderr)
         return 1

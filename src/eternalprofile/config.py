@@ -10,8 +10,6 @@ keys (``INTEGRATOR_KEYS``) take their defaults from
 ``integrate.IntegratorOptions``.  The keys:
 
     m, q, N          problem parameters (N a positive integer)
-    mode             solve | classify | asymptotics | phase | verify |
-                     sweep
     beta             exponent for classify (optional elsewhere)
     beta_tol         relative width of the reported bracket
                      (default shooting.BETA_TOL, at least
@@ -20,10 +18,11 @@ keys (``INTEGRATOR_KEYS``) take their defaults from
     rtol             integrator tolerance (the coarse stage of a
                      solve runs at rtol >= shooting.COARSE_TOL**2)
     horizon          integration cap > DELTA0            (default: derived)
-    output_dir       artifact directory                  (default ".")
-    emit_plots       true | false                        (default false)
     sweep_betas      comma-separated beta list (sweep mode)
     sweep_params     semicolon-separated m:q:N triples (sweep mode)
+
+``mode``, ``output_dir`` and ``emit_plots`` are unknown keys: the command
+line alone sets the mode, the output directory and the charts (``cli``).
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from .errors import ConfigError
 from .integrate import IntegratorOptions
 from .shooting import BETA_TOL, MIN_BETA_TOL
 
-MODES = ("solve", "classify", "asymptotics", "phase", "verify", "sweep")
-
 #: Keys passed on to ``IntegratorOptions`` under the same names.
 INTEGRATOR_KEYS = ("rtol", "horizon")
 
@@ -49,25 +46,12 @@ class RunConfig:
     m: float = 0.0
     q: float = 0.0
     N: int = 0
-    mode: str = "solve"
     beta: Optional[float] = None
     beta_tol: float = BETA_TOL
     rtol: float = IntegratorOptions.rtol
     horizon: Optional[float] = IntegratorOptions.horizon
-    output_dir: str = "."
-    emit_plots: bool = False
     sweep_betas: List[float] = field(default_factory=list)
     sweep_params: List[Tuple[float, float, int]] = field(default_factory=list)
-
-
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-
-
-def _mode(raw: str) -> str:
-    if raw not in MODES:
-        raise ValueError(raw)
-    return raw
 
 
 def _floats(raw: str) -> List[float]:
@@ -87,24 +71,21 @@ def _triples(raw: str) -> List[Tuple[float, float, int]]:
 _NUMBER = (float, "a number")
 
 #: key -> (parser, what the value must be); a parser signals a bad value
-#: with ValueError or KeyError.
+#: with ValueError.
 _KEYS = {
     "m": _NUMBER,
     "q": _NUMBER,
     "N": (int, "an integer"),
-    "mode": (_mode, f"one of {'|'.join(MODES)}"),
     "beta": _NUMBER,
     "beta_tol": _NUMBER,
     **{key: _NUMBER for key in INTEGRATOR_KEYS},
-    "output_dir": (str, "a path"),
-    "emit_plots": (lambda raw: _BOOL[raw.lower()], "a boolean"),
     "sweep_betas": (_floats, "comma-separated numbers"),
     "sweep_params": (_triples, "semicolon-separated m:q:N triples"),
 }
 
 
 def load_config(path) -> RunConfig:
-    """Parse a configuration file; ``validate`` checks it for its mode."""
+    """Parse a configuration file; ``validate`` checks it for a mode."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -126,24 +107,24 @@ def load_config(path) -> RunConfig:
         parse, expected = _KEYS[key]
         try:
             setattr(cfg, key, parse(raw))
-        except (ValueError, KeyError):
+        except ValueError:
             raise ConfigError(
                 f"line {lineno}: {key} must be {expected}, got {raw!r}"
             ) from None
     return cfg
 
 
-def validate(cfg: RunConfig) -> None:
-    """Raise ConfigError unless ``cfg`` is complete for its mode."""
-    if cfg.mode == "sweep":
+def validate(cfg: RunConfig, mode: str) -> None:
+    """Raise ConfigError unless ``cfg`` is complete for ``mode``."""
+    if mode == "sweep":
         if not cfg.sweep_betas and not cfg.sweep_params:
             raise ConfigError("sweep mode requires sweep_betas or sweep_params")
         if cfg.sweep_betas and not (cfg.m and cfg.q and cfg.N):
             raise ConfigError("sweep over betas requires m, q and N")
     else:
         if not (cfg.m and cfg.q and cfg.N):
-            raise ConfigError(f"mode {cfg.mode!r} requires m, q and N")
-    if cfg.mode == "classify" and cfg.beta is None:
+            raise ConfigError(f"mode {mode!r} requires m, q and N")
+    if mode == "classify" and cfg.beta is None:
         raise ConfigError("classify mode requires beta")
     if cfg.beta is not None and cfg.beta <= 0:
         raise ConfigError(f"beta must be > 0, got {cfg.beta}")

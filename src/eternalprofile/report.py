@@ -30,7 +30,8 @@ CSV_HEADER = "xi,F,Fprime,f,fprime"
 
 @dataclass
 class RunReport:
-    """Everything a run produced, plus the effective configuration."""
+    """Everything a run produced; ``config`` is the configuration file's
+    settings with defaults resolved, whatever ``--out`` and ``--plots``."""
 
     config: dict
     mode: str

@@ -11,6 +11,7 @@ from eternalprofile import (
     integrate_profile,
     interface_case,
     make_params,
+    matching,
     predict_expansion,
 )
 from eternalprofile.asymptotics import (
@@ -134,12 +135,18 @@ def test_fit_window_defaults_near_interface(solved):
     assert sol.xi0 * 0.999 < lo < hi < sol.xi0
 
 
-def test_fit_interface_rejects_bad_window(solved):
+def test_fit_interface_needs_twenty_samples_in_its_window(solved, monkeypatch):
+    # keep every fifth of the 80 samples positive: 16 are left to fit
     sol = solved[(2.0, 0.5, 1)].final_profile
-    with pytest.raises(WindowError):
-        fit_interface(sol, window=(2.0, 1.0))
-    with pytest.raises(WindowError):
-        fit_interface(sol, window=(0.5, sol.xi0 * 2.0))
+    samples = matching.interface_samples
+
+    def sparse(*args):
+        d, f, fp = samples(*args)
+        return d, np.where(np.arange(f.size) % 5 == 0, f, 0.0), fp
+
+    monkeypatch.setattr(matching, "interface_samples", sparse)
+    with pytest.raises(WindowError, match="only 16 usable samples"):
+        fit_interface(sol)
 
 
 def test_upper_bounds_hold_on_outer_half(solved):

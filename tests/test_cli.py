@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from eternalprofile import Classification, cli, shooting
-from eternalprofile.cli import main
-from eternalprofile.config import MODES, RunConfig
+from eternalprofile.cli import MODES, main
+from eternalprofile.config import RunConfig
 from eternalprofile.report import parse_profile_csv
 from eternalprofile.solution import ProfileSolution
 
@@ -166,8 +166,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_command_line_mode_is_validated(tmp_path, capsys):
-    # the file leaves the mode at its default, solve, which needs no beta;
-    # the command line asks for classify, which does
+    # the file is complete for solve, which needs no beta; the command
+    # line asks for classify, which does
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"
     assert main(["classify", "--config", cfg, "--out", str(out)]) == 2
@@ -175,14 +175,14 @@ def test_command_line_mode_is_validated(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-def test_file_mode_gives_way_to_command_line_mode(tmp_path):
-    # classify would need beta; the solve asked for on the command line
-    # does not, so the file's own mode must not be validated
+def test_file_mode_gives_way_to_command_line_mode(tmp_path, capsys):
+    # the command line alone sets the mode, so a file that names one is
+    # rejected before anything runs
     cfg = write_cfg(tmp_path, BASE + "mode = classify\n")
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    report = read_report(out)
-    assert (report["mode"], report["status"]) == ("solve", "ok")
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "line 4: unknown key 'mode'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_evaluates_the_profile_in_batches(tmp_path, monkeypatch):
@@ -196,8 +196,8 @@ def test_verify_evaluates_the_profile_in_batches(tmp_path, monkeypatch):
         return eval_F(self, xi)
 
     monkeypatch.setattr(ProfileSolution, "eval_F", counted)
-    cfg = RunConfig(m=1.2, q=0.3, N=1, mode="verify")
-    assert cli.run(cfg, out_dir=tmp_path).status == "ok"
+    cfg = RunConfig(m=1.2, q=0.3, N=1)
+    assert cli.run(cfg, "verify", tmp_path, False).status == "ok"
     assert len(calls) <= 60     # one call per stencil point makes 332
 
 
@@ -234,13 +234,17 @@ def test_horizon_below_launch_point_fails(tmp_path, horizon):
     assert "DomainError" in report["results"]["error"]
 
 
+#: The keys a configuration file may set, each echoed in report.json.
+FILE_KEYS = {"m", "q", "N", "beta", "beta_tol", "rtol", "horizon",
+             "sweep_betas", "sweep_params"}
+
+
 def test_report_parses_with_tab_and_non_ascii_in_config(tmp_path):
     out = tmp_path / "out\tdir-\u03be"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(BASE + f"beta = 0.1\noutput_dir = {out}\n", encoding="utf-8")
-    assert main(["classify", "--config", str(cfg)]) == 0
+    cfg = write_cfg(tmp_path, BASE + "beta = 0.1\n", name="run\t\u03be.cfg")
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert report["config"]["output_dir"] == str(out)
+    assert (report["status"], set(report["config"])) == ("ok", FILE_KEYS)
 
 
 def test_report_echoes_full_config(tmp_path):
@@ -251,4 +255,33 @@ def test_report_echoes_full_config(tmp_path):
     assert config["m"] == 2.0
     assert config["beta_tol"] == 1e-8
     assert config["rtol"] == 1e-10
-    assert set(config) == set(asdict(RunConfig()))
+    assert set(config) == set(asdict(RunConfig())) == FILE_KEYS
+
+
+def test_report_holds_no_command_line_setting(tmp_path):
+    # the mode is reported once, as the run's; the output directory and
+    # the charts appear nowhere in the report
+    cfg = write_cfg(tmp_path, BASE + "beta = 0.1\n")
+    out = tmp_path / "outA"
+    assert main(["classify", "--config", cfg, "--out", str(out), "--plots"]) == 0
+    assert (out / "profile.svg").is_file()
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
+    assert report["mode"] == "classify"
+    assert not {"mode", "output_dir", "emit_plots", "out", "plots"} & set(
+        report["config"])
+    assert "outA" not in text
+
+
+def test_out_and_plots_leave_the_artifacts_unchanged(tmp_path, monkeypatch):
+    # the first run writes into the current directory, --out's default
+    cfg = write_cfg(tmp_path, BASE + "beta = 0.1\n")
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert main(["classify", "--config", cfg]) == 0
+    assert main(["classify", "--config", cfg, "--out", str(there), "--plots"]) == 0
+    assert not list(here.glob("*.svg"))
+    assert (there / "profile.svg").is_file()
+    for name in ("report.json", "profile.csv"):
+        assert (here / name).read_bytes() == (there / name).read_bytes()

@@ -4,9 +4,9 @@ from dataclasses import asdict
 
 import pytest
 
+from eternalprofile.cli import MODES
 from eternalprofile.config import (
     INTEGRATOR_KEYS,
-    MODES,
     RunConfig,
     load_config,
     validate,
@@ -24,12 +24,10 @@ def write(tmp_path, text):
 
 def test_minimal_config(tmp_path):
     cfg = load_config(write(tmp_path, "m = 2\nq = 0.5\nN = 1\n"))
-    validate(cfg)
+    validate(cfg, "solve")
     assert (cfg.m, cfg.q, cfg.N) == (2.0, 0.5, 1)
-    assert cfg.mode == "solve"
     assert cfg.beta_tol == 1e-8
     assert cfg.rtol == 1e-10
-    assert cfg.emit_plots is False
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -40,20 +38,15 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 
 
 def test_all_modes_accepted(tmp_path):
+    body = "m = 2\nq = 0.5\nN = 1\nbeta = 0.5\nsweep_betas = 0.1, 1\n"
+    cfg = load_config(write(tmp_path, body))
     for mode in MODES:
-        body = f"m = 2\nq = 0.5\nN = 1\nmode = {mode}\n"
-        if mode == "classify":
-            body += "beta = 0.5\n"
-        if mode == "sweep":
-            body += "sweep_betas = 0.1, 1\n"
-        cfg = load_config(write(tmp_path, body))
-        validate(cfg)
-        assert cfg.mode == mode
+        validate(cfg, mode)
 
 
 def test_sweep_params_triples(tmp_path):
     cfg = load_config(
-        write(tmp_path, "mode = sweep\nsweep_params = 2:0.5:1; 1.5:0.5:2\n")
+        write(tmp_path, "sweep_params = 2:0.5:1; 1.5:0.5:2\n")
     )
     assert cfg.sweep_params == [(2.0, 0.5, 1), (1.5, 0.5, 2)]
 
@@ -63,11 +56,9 @@ FULL_MESSAGES = {
     "m = 2\nq = 0.5\nN = one\n": "line 3: N must be an integer, got 'one'",
     "m = 2\nq = 0.5\nN = 1\nrtol = fast\n":
         "line 4: rtol must be a number, got 'fast'",
-    "m = 2\nq = 0.5\nN = 1\nemit_plots = maybe\n":
-        "line 4: emit_plots must be a boolean, got 'maybe'",
-    "m = 2\nq = 0.5\nN = 1\nmode = fly\n":
-        "line 4: mode must be one of "
-        "solve|classify|asymptotics|phase|verify|sweep, got 'fly'",
+    # the mode, the output directory and the charts are set on the
+    # command line only
+    "m = 2\nq = 0.5\nN = 1\nmode = fly\n": "line 4: unknown key 'mode'",
     "m = 2\nq = 0.5\nN = 1\nsweep_params = 2:0.5\nmode = sweep\n":
         "line 4: sweep_params must be semicolon-separated m:q:N triples, "
         "got '2:0.5'",
@@ -92,11 +83,12 @@ FULL_MESSAGES = {
          "line 4: unknown key 'slope_tol'"),
         ("m = 2\nq = 0.5\nN = one\n", "integer"),
         ("m = 2\nq = 0.5\nN = 1\nm = 3\n", "duplicate"),
-        ("m = 2\nq = 0.5\nN = 1\nemit_plots = maybe\n", "boolean"),
+        ("m = 2\nq = 0.5\nN = 1\nemit_plots = maybe\n",
+         "line 4: unknown key 'emit_plots'"),
+        ("m = 2\nq = 0.5\nN = 1\noutput_dir = out\n",
+         "line 4: unknown key 'output_dir'"),
         ("m = 2\nq = 0.5\nN = 1\nrtol = fast\n", "number"),
         ("m 2\n", "key = value"),
-        ("m = 2\nq = 0.5\nN = 1\nmode = classify\n", "beta"),
-        ("mode = sweep\n", "sweep"),
         ("m = 2\nq = 0.5\nN = 1\nbeta = -1\n", "beta"),
         ("m = 2\nq = 0.5\nN = 1\nrtol = 0\n", "rtol"),
         ("m = 2\nq = 0.5\nN = 1\nbeta_tol = 1e-17\n", "beta_tol"),
@@ -106,9 +98,26 @@ FULL_MESSAGES = {
 )
 def test_malformed_config_rejected(tmp_path, body, fragment):
     with pytest.raises(ConfigError, match="(?i)" + fragment) as exc:
-        validate(load_config(write(tmp_path, body)))
+        validate(load_config(write(tmp_path, body)), "solve")
     if body in FULL_MESSAGES:
         assert str(exc.value) == FULL_MESSAGES[body]
+
+
+@pytest.mark.parametrize(
+    "mode, body, message",
+    [
+        ("classify", "m = 2\nq = 0.5\nN = 1\n", "classify mode requires beta"),
+        ("sweep", "", "sweep mode requires sweep_betas or sweep_params"),
+        ("sweep", "sweep_betas = 0.1\n", "sweep over betas requires m, q and N"),
+        ("phase", "sweep_params = 2:0.5:1\n", "mode 'phase' requires m, q and N"),
+    ],
+    ids=["classify-beta", "sweep-jobs", "sweep-betas-triple", "phase-triple"],
+)
+def test_mode_requirements_rejected(tmp_path, mode, body, message):
+    cfg = load_config(write(tmp_path, body))
+    with pytest.raises(ConfigError) as exc:
+        validate(cfg, mode)
+    assert str(exc.value) == message
 
 
 def test_defaults_come_from_the_solver():
@@ -128,4 +137,5 @@ def test_to_dict_round_trip(tmp_path):
     cfg = load_config(write(tmp_path, "m = 2\nq = 0.5\nN = 1\nrtol = 1e-9\n"))
     d = asdict(cfg)
     assert d["rtol"] == 1e-9
-    assert set(d) >= {"m", "q", "N", "mode", "beta_tol", "output_dir"}
+    assert set(d) == {"m", "q", "N", "beta", "beta_tol", "rtol", "horizon",
+                      "sweep_betas", "sweep_params"}

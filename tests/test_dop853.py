@@ -513,7 +513,7 @@ def test_inlined_step_runs_as_the_generic_step(monkeypatch):
 
 
 def test_no_code_is_compiled_per_solve(monkeypatch):
-    # the steps are compiled once at import; a step compiled per beta
+    # the profile steps are compiled once at import; a step compiled per beta
     # would cost milliseconds per residual evaluation
     calls = []
 

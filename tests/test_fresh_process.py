@@ -1,5 +1,5 @@
-"""Runs in fresh interpreters: what a solve imports, and its bits under
-another BLAS kernel or without numpy's SIMD extensions.
+"""Runs in fresh interpreters: what a solve imports and compiles, and its
+bits under another BLAS kernel or without numpy's SIMD extensions.
 
 The solve path needs no scipy, so a fresh ``import eternalprofile`` and
 every solve must leave it unloaded.
@@ -82,6 +82,28 @@ def test_solve_loads_no_scipy():
     code = ("from eternalprofile import make_params, solve\n"
             "solve(make_params(2, 0.5, 1))\n")
     assert run_child(code + SCIPY_MODULES) == "[]\n"
+
+
+def test_import_and_solve_build_no_generic_step():
+    # the package's right-hand sides carry their own DOP853 step, so the
+    # generic one, whose template calls ``fun``, is never compiled
+    code = (
+        "import builtins\n"
+        "sources = []\n"
+        "def counted(source, filename, *args, _compile=builtins.compile, **kw):\n"
+        "    if filename == '<dop853 step>':\n"
+        "        sources.append(source)\n"
+        "    return _compile(source, filename, *args, **kw)\n"
+        "builtins.compile = counted\n"
+        "from eternalprofile import integrate_limit_profile, make_params, solve\n"
+        "at_import = len(sources)\n"
+        "solve(make_params(2, 0.5, 1))\n"
+        "solve(make_params(1.2, 0.3, 1))\n"
+        "integrate_limit_profile(make_params(2, 0.5, 3), 10.0)\n"
+        "print(at_import, len(sources),"
+        " sum('fun(x, (F, Fp))' in s for s in sources))\n"
+    )
+    assert run_child(code) == "2 2 0\n"
 
 
 @pytest.mark.parametrize("mode", ["solve", "classify", "verify"])

@@ -1,23 +1,26 @@
-"""Every parameter with a default in the package's public functions.
+"""Every parameter with a default in the package's public functions, and
+every field of the run configuration and of the integrator options.
 
-Each such parameter is a setting that tests and benchmarks must cover.
-A value no caller changes belongs in the code as a constant, and one the
-code can work out from its inputs is computed.  A new option edits this
-list, and CHANGES.md names the caller that needs a value other than the
-default.
+Each such parameter or field is a setting that tests and benchmarks must
+cover.  A value no caller changes belongs in the code as a constant, and
+one the code can work out from its inputs is computed.  A new option,
+configuration key or integrator field edits these lists, and CHANGES.md
+names the caller that needs a value other than the default.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
 import eternalprofile
+from eternalprofile.config import RunConfig
+from eternalprofile.integrate import IntegratorOptions
 
 OPTIONS = {
-    "asymptotics.fit_interface": ["window", "with_second_order"],
-    "cli.run": ["out_dir", "plots"],
+    "asymptotics.fit_interface": ["with_second_order"],
     "cli.main": ["argv"],
     "integrate.integrate_profile": ["opts"],
     "integrate.integrate_limit_profile": ["guard"],
@@ -28,6 +31,12 @@ OPTIONS = {
     "shooting.monotonicity_check": ["opts"],
     "svgplot.line_chart": ["title", "xlabel", "ylabel", "logy"],
 }
+
+#: The keys of a configuration file; the mode, the output directory and
+#: the charts are set on the command line only.
+CONFIG_KEYS = ["m", "q", "N", "beta", "beta_tol", "rtol", "horizon",
+               "sweep_betas", "sweep_params"]
+INTEGRATOR_FIELDS = ["rtol", "horizon", "slope_event"]
 
 
 def _options():
@@ -53,9 +62,16 @@ def _options():
     return found
 
 
+def _fields(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 def test_public_options_are_pinned():
     assert _options() == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 18
+    assert sum(map(len, OPTIONS.values())) == 15
+    assert _fields(RunConfig) == CONFIG_KEYS
+    assert _fields(IntegratorOptions) == INTEGRATOR_FIELDS
+    assert (len(CONFIG_KEYS), len(INTEGRATOR_FIELDS)) == (9, 3)
 
 
 def test_no_module_reads_the_environment():
