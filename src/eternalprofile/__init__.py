@@ -29,7 +29,6 @@ from .errors import (
     WindowError,
 )
 from .integrate import (
-    IntegratorOptions,
     integrate_limit_profile,
     integrate_profile,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "Exponents",
-    "IntegratorOptions",
     "InterfaceCase",
     "InterfaceExpansion",
     "InterfaceFit",

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, equation, pdecheck, phasespace, shooting
-from .config import INTEGRATOR_KEYS, RunConfig, load_config, validate
+from .config import RunConfig, load_config, validate
 from .errors import ProfileError
-from .integrate import SLOPE_TOL, IntegratorOptions, integrate_profile
+from .integrate import SLOPE_TOL, integrate_profile
 from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
 from .report import (
     RunReport,
@@ -30,12 +30,6 @@ from .report import (
 )
 from .solution import ProfileSolution
 from .svgplot import line_chart
-
-
-def _integrator_options(cfg: RunConfig) -> IntegratorOptions:
-    return IntegratorOptions(
-        **{key: getattr(cfg, key) for key in INTEGRATOR_KEYS}
-    )
 
 
 def _profile_summary(sol: ProfileSolution) -> dict:
@@ -54,7 +48,7 @@ def _profile_summary(sol: ProfileSolution) -> dict:
 
 def _solve(cfg: RunConfig) -> shooting.ShootingResult:
     p = make_params(cfg.m, cfg.q, cfg.N)
-    return shooting.solve(p, beta_tol=cfg.beta_tol, opts=_integrator_options(cfg))
+    return shooting.solve(p, beta_tol=cfg.beta_tol, rtol=cfg.rtol)
 
 
 def _profile_chart(sol: ProfileSolution, title: str) -> tuple:
@@ -87,7 +81,7 @@ def _run_solve(cfg: RunConfig) -> tuple:
 def _run_classify(cfg: RunConfig) -> tuple:
     p = make_params(cfg.m, cfg.q, cfg.N)
     e = exponents_from_beta(p, cfg.beta)
-    sol = integrate_profile(p, e, _integrator_options(cfg))
+    sol = integrate_profile(p, e, cfg.rtol)
     chart = _profile_chart(sol, f"profile at beta={cfg.beta:g}")
     return sol, chart, {"beta": cfg.beta, "profile": _profile_summary(sol)}
 
@@ -172,14 +166,13 @@ def _run_verify(cfg: RunConfig) -> tuple:
 
 
 def _run_sweep(cfg: RunConfig) -> tuple:
-    opts = _integrator_options(cfg)
     beta = cfg.beta if cfg.beta is not None else 1.0
     points = [(cfg.m, cfg.q, cfg.N, b) for b in cfg.sweep_betas]
     points += [(m, q, N, beta) for m, q, N in cfg.sweep_params]
     jobs = []
     for m, q, N, b in points:
         p = make_params(m, q, N)
-        sol = integrate_profile(p, exponents_from_beta(p, b), opts)
+        sol = integrate_profile(p, exponents_from_beta(p, b), cfg.rtol)
         jobs.append({
             "m": m,
             "q": q,

@@ -5,9 +5,7 @@ starting with ``#`` are ignored.  One table, ``_KEYS``, drives the
 grammar: it maps each key to the parser of its value and to the phrase
 that says what the value must be.  An unknown key, then a duplicate, is
 rejected with its line number; a value its parser refuses is reported
-as ``line {n}: {key} must be {expected}, got {raw!r}``.  The integrator
-keys (``INTEGRATOR_KEYS``) take their defaults from
-``integrate.IntegratorOptions``.  The keys:
+as ``line {n}: {key} must be {expected}, got {raw!r}``.  The keys:
 
     m, q, N          problem parameters (N a positive integer)
     beta             exponent for classify (optional elsewhere)
@@ -15,14 +13,17 @@ keys (``INTEGRATOR_KEYS``) take their defaults from
                      (default shooting.BETA_TOL, at least
                      shooting.MIN_BETA_TOL); below about 1e-10 the
                      bracket gets no narrower, only costlier
-    rtol             integrator tolerance (the coarse stage of a
+    rtol             forward-run tolerance of classify, sweep and the
+                     certification samples of a solve (default
+                     integrate.CLASSIFY_RTOL; the coarse stage of a
                      solve runs at rtol >= shooting.COARSE_TOL**2)
-    horizon          integration cap > DELTA0            (default: derived)
     sweep_betas      comma-separated beta list (sweep mode)
     sweep_params     semicolon-separated m:q:N triples (sweep mode)
 
 ``mode``, ``output_dir`` and ``emit_plots`` are unknown keys: the command
 line alone sets the mode, the output directory and the charts (``cli``).
+``horizon`` is unknown too: every forward run stops at
+``integrate.HORIZON_FACTOR`` absorption scales.
 """
 
 from __future__ import annotations
@@ -32,11 +33,8 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .errors import ConfigError
-from .integrate import IntegratorOptions
+from .integrate import CLASSIFY_RTOL
 from .shooting import BETA_TOL, MIN_BETA_TOL
-
-#: Keys passed on to ``IntegratorOptions`` under the same names.
-INTEGRATOR_KEYS = ("rtol", "horizon")
 
 
 @dataclass
@@ -48,8 +46,7 @@ class RunConfig:
     N: int = 0
     beta: Optional[float] = None
     beta_tol: float = BETA_TOL
-    rtol: float = IntegratorOptions.rtol
-    horizon: Optional[float] = IntegratorOptions.horizon
+    rtol: float = CLASSIFY_RTOL
     sweep_betas: List[float] = field(default_factory=list)
     sweep_params: List[Tuple[float, float, int]] = field(default_factory=list)
 
@@ -78,7 +75,7 @@ _KEYS = {
     "N": (int, "an integer"),
     "beta": _NUMBER,
     "beta_tol": _NUMBER,
-    **{key: _NUMBER for key in INTEGRATOR_KEYS},
+    "rtol": _NUMBER,
     "sweep_betas": (_floats, "comma-separated numbers"),
     "sweep_params": (_triples, "semicolon-separated m:q:N triples"),
 }

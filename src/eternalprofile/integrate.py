@@ -1,17 +1,17 @@
 """Cauchy-problem integrator for the profile ODE in F = f^m form.
 
 The profile equation of ``equation`` is integrated from its origin
-series launch at xi = DELTA0, with F(0) = 1 and F'(0) = 0.  Integration
-stops at one of three events: f = F^{1/m} falls to the contact threshold,
-f' turns non-negative, or the horizon cap is reached.  ``integrate_profile``
-alone classifies the run, from its end state.
+series launch at xi = DELTA0, with F(0) = 1 and F'(0) = 0, at a relative
+tolerance ``rtol`` (default CLASSIFY_RTOL).  Integration stops at one of
+three events: f = F^{1/m} falls to the contact threshold, f' turns
+non-negative, or the horizon cap HORIZON_FACTOR * ``absorption_scale``
+is reached.  ``integrate_profile`` alone classifies the run, from its
+end state.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +22,11 @@ from .model import Exponents, Params
 from .solution import Classification, LimitProfile, ProfileSolution, StopReason
 
 
-#: Horizon cap, in units of ``absorption_scale``, when none is given.
+#: DOP853 rtol of a forward run when none is given; ``shooting.solve``
+#: runs only its certification samples at the caller's rtol.
+CLASSIFY_RTOL = 1e-10
+
+#: Horizon cap of every forward run, in units of ``absorption_scale``.
 HORIZON_FACTOR = 50.0
 
 #: Origin launch offset (also of the matching's forward leg), contact
@@ -43,26 +47,10 @@ ATOL = 1e-16
 GRAZE_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class IntegratorOptions:
-    """Tolerance, horizon and slope event of a forward run.
-
-    ``shooting.solve`` runs its bracket scan and bisections at
-    max(``rtol``, COARSE_TOL**2) and only its certification samples at
-    ``rtol``.
-    """
-
-    rtol: float = 1e-10
-    horizon: Optional[float] = None  # None: HORIZON_FACTOR * absorption_scale
-    #: stop when f' turns non-negative; disable to follow growing
-    #: solutions (e.g. the small-beta regime) out to the horizon
-    slope_event: bool = True
-
-
 def integrate_profile(
     p: Params,
     e: Exponents,
-    opts: IntegratorOptions = IntegratorOptions(),
+    rtol: float = CLASSIFY_RTOL,
 ) -> ProfileSolution:
     """Integrate the profile Cauchy problem and classify it where it stops.
 
@@ -72,13 +60,6 @@ def integrate_profile(
     there.  Any other stop is Undetermined.
     """
     F0, Fp0 = origin_series(p, e.beta, DELTA0)
-    horizon = opts.horizon
-    if horizon is None:
-        horizon = HORIZON_FACTOR * absorption_scale(p)
-    elif not horizon > DELTA0:
-        raise DomainError(
-            f"horizon must be > delta0 = {DELTA0!r}, got {horizon!r}"
-        )
     F_contact = CONTACT_EPS**p.m
 
     def ev_contact(xi, y):
@@ -95,16 +76,12 @@ def integrate_profile(
 
     sol = solve_ivp(
         profile_rhs(p, e.beta, (0.1 * CONTACT_EPS) ** p.m),
-        (DELTA0, horizon),
+        (DELTA0, HORIZON_FACTOR * absorption_scale(p)),
         [F0, Fp0],
         method="DOP853",
-        rtol=opts.rtol,
+        rtol=rtol,
         atol=ATOL,
-        events=(
-            [ev_contact, ev_slope]
-            if opts.slope_event
-            else [ev_contact]
-        ),
+        events=[ev_contact, ev_slope],
         dense_output=True,
     )
 
@@ -150,17 +127,14 @@ def integrate_profile(
     )
 
 
-def integrate_limit_profile(
-    p: Params,
-    horizon: float,
-    guard: float = 1e12,
-) -> LimitProfile:
+def integrate_limit_profile(p: Params, horizon: float) -> LimitProfile:
     """Solve the beta -> 0 limit problem H'' + (N-1)/xi H' = xi^sigma H^{q/m}.
 
     H is strictly increasing; integration stops early if H reaches the
-    overflow ``guard``.
+    overflow guard 1e12.
     """
     delta0 = 1e-8
+    guard = 1e12
     if not horizon > delta0:
         raise DomainError(
             f"horizon must be > delta0 = {delta0!r}, got {horizon!r}"

@@ -4,9 +4,8 @@ A converged profile f generates the solution
 u(t, x) = exp(-alpha t) f(|x| exp(beta t)), positive for all times with
 support shrinking exponentially.  The checks here never reuse the
 integrator's right-hand side: the profile ODE residual is formed from
-finite differences of the dense output, the interface slope from an
-integral identity over f, and the PDE residual from finite differences
-of u itself in t and r.
+finite differences of the dense output, and the PDE residual from finite
+differences of u itself in t and r.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .equation import log_grid
-from .errors import DomainError, ProfileError, RegionError
+from .errors import DomainError, RegionError
 from .solution import ProfileSolution
 
 
@@ -117,33 +116,6 @@ def launch_curvature(sol: ProfileSolution) -> float:
     scale = np.abs(basis).max(axis=0)
     coef, *_ = np.linalg.lstsq(basis / scale, dev, rcond=None)
     return float(2.0 * coef[0] / scale[0])
-
-
-def interface_slope_integral(sol: ProfileSolution) -> float:
-    """F'(xi0) from the integral identity
-
-        F'(xi0) = xi0^{1-N} int_0^{xi0} s^{N-1} [s^sigma f^q - (alpha+N beta) f] ds,
-
-    evaluated by composite Simpson quadrature on 4097 nodes of the dense
-    output plus the closed-form contribution of the series launch segment
-    [0, grid[0]].
-    """
-    from scipy.integrate import simpson
-
-    if sol.xi0 is None:
-        raise ProfileError("interface_slope_integral requires a finite xi0")
-    p, e = sol.params, sol.exps
-    N, sigma = p.N, p.sigma
-    coef = e.alpha + N * e.beta
-    d0, end = float(sol.grid[0]), float(sol.grid[-1])
-    xi = np.linspace(d0, end, 4097)
-    f = sol.eval_f(xi)
-    integrand = xi ** (N - 1) * (xi**sigma * f**p.q - coef * f)
-    total = simpson(integrand, x=xi)
-    # launch segment with f ~ f0
-    total += sol.f0**p.q * d0 ** (N + sigma) / (N + sigma)
-    total -= coef * sol.f0 * d0**N / N
-    return float(sol.xi0 ** (1 - N) * total)
 
 
 def pde_residual(

@@ -53,7 +53,6 @@ class PhasePortrait:
     Y_values: np.ndarray
     Z_values: np.ndarray
     W_values: np.ndarray
-    source_profile_ref: str = ""
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,13 @@ def _phase_coords(p: Params, e: Exponents, xi, f, fp):
     return X, Y, Z, W
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x from x[0]: scipy's
+    ``cumulative_trapezoid(y, x, initial=0.0)``, in its own expression."""
+    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
 def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
     """Map a contacting profile onto its phase trajectory.
 
@@ -115,8 +121,6 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
     anchored at the closed-form contribution of the series launch
     segment [0, grid[0]] where f is indistinguishable from f(0).
     """
-    from scipy.integrate import cumulative_trapezoid
-
     p, e = sol.params, sol.exps
     _require_subcritical(p)
     if sol.xi0 is None:
@@ -134,7 +138,7 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
         * xi_all[0] ** (sigma / 2.0 + 1.0)
         / ((sigma / 2.0 + 1.0) * sqm)
     )
-    eta = launch + cumulative_trapezoid(integrand, xi_all, initial=0.0)
+    eta = launch + _cumulative_trapezoid(integrand, xi_all)
     keep = xi_all >= START_CUTOFF * float(sol.xi0)
     X, Y, Z, W = _phase_coords(p, e, xi_all[keep], f_all[keep], fp_all[keep])
     return PhasePortrait(
@@ -145,7 +149,6 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
         Y_values=Y,
         Z_values=Z,
         W_values=W,
-        source_profile_ref=f"beta={e.beta!r}",
     )
 
 

@@ -18,13 +18,13 @@ such an end pays for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BracketFailure, DomainError, ProfileError
-from .integrate import IntegratorOptions, integrate_profile
+from .integrate import CLASSIFY_RTOL, integrate_profile
 from .matching import RTOL as MATCH_RTOL, MatchResult, match_profile
 from .model import Params, exponents_from_beta
 from .solution import Classification, ProfileSolution
@@ -96,16 +96,14 @@ def _check_beta_tol(beta_tol: float) -> None:
         )
 
 
-def _classify_at(
-    p: Params, beta: float, opts: IntegratorOptions
-) -> ProfileSolution:
+def _classify_at(p: Params, beta: float, rtol: float) -> ProfileSolution:
     """One forward integration at beta, classified by its stop event."""
-    return integrate_profile(p, exponents_from_beta(p, beta), opts)
+    return integrate_profile(p, exponents_from_beta(p, beta), rtol)
 
 
 def bracket_beta(
     p: Params,
-    opts: IntegratorOptions = IntegratorOptions(),
+    rtol: float = CLASSIFY_RTOL,
 ) -> Tuple[float, float]:
     """Geometric scan for a (ClassC, ClassA) bracket around beta*.
 
@@ -113,12 +111,12 @@ def bracket_beta(
     found, keeping the last ClassC sample on the way as the C end.  Only
     when there is none does it scan down from beta = 1/2 until a ClassC
     sample is found, lowering the A end at every ClassA sample on the way
-    down.  Each beta is classified once.
+    down.  Each beta is classified once, by a forward run at ``rtol``.
     """
     lo = hi = None
     beta = 1.0
     for _ in range(SCAN_EXP_LIMIT + 1):
-        cls = _classify_at(p, beta, opts).classification
+        cls = _classify_at(p, beta, rtol).classification
         if cls in _A_SIDE:
             hi = beta
             break
@@ -133,7 +131,7 @@ def bracket_beta(
         return lo, hi
     beta = 0.5
     for _ in range(SCAN_EXP_LIMIT + 1):
-        cls = _classify_at(p, beta, opts).classification
+        cls = _classify_at(p, beta, rtol).classification
         if cls is Classification.CLASS_C:
             lo = beta
             break
@@ -151,9 +149,11 @@ def bisect_beta(
     p: Params,
     bracket: Tuple[float, float],
     beta_tol: float = BETA_TOL,
-    opts: IntegratorOptions = IntegratorOptions(),
+    rtol: float = CLASSIFY_RTOL,
 ) -> ShootingResult:
     """Bisect the (ClassC, ClassA) bracket down to relative width beta_tol.
+
+    Each midpoint is classified by one forward run at ``rtol``.
 
     CandidateB midpoints (grazing contact, which forward integration
     cannot split further) are treated as the A side so the bracket keeps
@@ -170,7 +170,7 @@ def bisect_beta(
     final = None
     while hi - lo > beta_tol * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
-        final = _classify_at(p, mid, opts)
+        final = _classify_at(p, mid, rtol)
         cls = final.classification
         history.append((mid, cls))
         if cls is Classification.CLASS_C:
@@ -183,7 +183,7 @@ def bisect_beta(
             )
         beta_star = 0.5 * (lo + hi)
     if final is None:
-        final = _classify_at(p, beta_star, opts)
+        final = _classify_at(p, beta_star, rtol)
     return ShootingResult(
         beta_star=beta_star,
         bracket_lo=lo,
@@ -222,17 +222,17 @@ def _bisected(
 def solve(
     p: Params,
     beta_tol: float = BETA_TOL,
-    opts: IntegratorOptions = IntegratorOptions(),
+    rtol: float = CLASSIFY_RTOL,
 ) -> ShootingResult:
     """Full pipeline: bracket, seed bisection, matching, certification.
 
     The scan and the bisection to SEED_TOL (or beta_tol, when wider)
     only seed the matching stage, so they run at
-    rtol = max(opts.rtol, COARSE_TOL**2), and the last midpoint's stop
+    rtol = max(rtol, COARSE_TOL**2), and the last midpoint's stop
     point seeds xi0.  The two-sided matching stage then solves for
     (beta*, xi0), so final_profile, the matched profile, is tangential
     at the interface by construction.  Forward classifications at
-    beta*(1 -+ beta_tol/2), with the caller's opts, certify a (ClassC,
+    beta*(1 -+ beta_tol/2), at the caller's rtol, certify a (ClassC,
     ClassA or CandidateB) bracket around the matched beta*.  An end on
     the wrong side doubles its offset from beta* until it agrees.  Where
     it would pass the coarse bracket's end it takes that end instead,
@@ -245,10 +245,10 @@ def solve(
     scan, in the order made.
     """
     _check_beta_tol(beta_tol)
-    coarse_opts = replace(opts, rtol=max(opts.rtol, COARSE_TOL**2))
+    coarse_rtol = max(rtol, COARSE_TOL**2)
     coarse_tol = max(COARSE_TOL, beta_tol)
     seed = bisect_beta(
-        p, bracket_beta(p, coarse_opts), max(SEED_TOL, beta_tol), coarse_opts
+        p, bracket_beta(p, coarse_rtol), max(SEED_TOL, beta_tol), coarse_rtol
     )
     # the forward stop point lies short of the interface, by 4-24 % on
     # the reference cases
@@ -283,7 +283,7 @@ def solve(
     )):
         offset = end - beta_star
         while True:
-            cls = _classify_at(p, end, opts).classification
+            cls = _classify_at(p, end, rtol).classification
             history.append((end, cls))
             if cls in side:
                 break
@@ -292,7 +292,7 @@ def solve(
             if abs(offset) >= abs(caps[i] - beta_star):
                 if coarse is None:
                     rest = bisect_beta(
-                        p, seed_bracket, coarse_tol, coarse_opts
+                        p, seed_bracket, coarse_tol, coarse_rtol
                     )
                     history.extend(rest.history)
                     coarse = (rest.bracket_lo, rest.bracket_hi)
@@ -316,7 +316,6 @@ def monotonicity_check(
     p: Params,
     beta1: float,
     beta2: float,
-    opts: IntegratorOptions = IntegratorOptions(),
 ) -> MonotonicityReport:
     """Verify that profiles decrease pointwise as beta increases.
 
@@ -328,8 +327,8 @@ def monotonicity_check(
         raise DomainError(
             f"need 0 < beta1 < beta2, got ({beta1}, {beta2})"
         )
-    sol1 = integrate_profile(p, exponents_from_beta(p, beta1), opts)
-    sol2 = integrate_profile(p, exponents_from_beta(p, beta2), opts)
+    sol1 = integrate_profile(p, exponents_from_beta(p, beta1))
+    sol2 = integrate_profile(p, exponents_from_beta(p, beta2))
     xi = np.linspace(0.0, min(sol1.xi_max, sol2.xi_max), 201)[1:]
     gap = sol1.eval_f(xi) - sol2.eval_f(xi)
     min_gap = float(gap.min())

@@ -13,7 +13,6 @@ import pytest
 
 from eternalprofile import (
     InterfaceCase,
-    IntegratorOptions,
     exponents_from_beta,
     fit_interface,
     integrate_limit_profile,
@@ -30,7 +29,9 @@ from eternalprofile import (
     to_phase_coords,
 )
 from eternalprofile.cli import main as cli_main
-from eternalprofile.integrate import absorption_scale
+from eternalprofile._dop853 import solve_ivp
+from eternalprofile.equation import origin_series, profile_rhs
+from eternalprofile.integrate import ATOL, DELTA0, absorption_scale
 from eternalprofile.phasespace import limit_point_check
 from eternalprofile.shooting import monotonicity_check
 
@@ -193,17 +194,25 @@ def test_criterion_10_launch_correctness():
 
 
 def test_criterion_11_limit_problem():
+    # the forward run at beta = 1e-3 is followed past its slope event,
+    # where integrate_profile stops, out to the horizon
     p = make_params(2.0, 0.5, 1)
+    beta = 1e-3
     horizon = 50.0 * absorption_scale(p)
-    prof = integrate_profile(
-        p,
-        exponents_from_beta(p, 1e-3),
-        IntegratorOptions(slope_event=False, horizon=horizon),
+    prof = solve_ivp(
+        profile_rhs(p, beta, 0.0),
+        (DELTA0, horizon),
+        list(origin_series(p, beta, DELTA0)),
+        method="DOP853",
+        rtol=1e-10,
+        atol=ATOL,
+        dense_output=True,
     )
     lim = integrate_limit_profile(p, horizon)
     delta = 0.5 * lim.horizon
     xi = np.linspace(0.0, delta, 400)
-    F, _ = prof.eval_F(xi)
+    # the run starts at DELTA0, where F differs from F(0) = 1 by 1e-15
+    F = prof.sol(np.maximum(xi, DELTA0))[0]
     H, _ = lim.eval_H(xi)
     rel = float(np.max(np.abs(F - H) / np.abs(H)))
     assert rel <= 0.01, f"deviation {rel:.2%} on [0, {delta:.2f}]"

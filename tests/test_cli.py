@@ -114,7 +114,7 @@ def test_sweep_returns_jobs_in_input_order(tmp_path, monkeypatch):
     stub = SimpleNamespace(
         classification=Classification.CLASS_C, xi0=None, xi1=1.0
     )
-    monkeypatch.setattr(cli, "integrate_profile", lambda p, e, opts: stub)
+    monkeypatch.setattr(cli, "integrate_profile", lambda p, e, rtol: stub)
     betas = [0.01 * (i + 1) for i in range(10002)]
     cfg = write_cfg(
         tmp_path, BASE + "sweep_betas = " + ", ".join(map(repr, betas)) + "\n"
@@ -224,19 +224,9 @@ def test_phase_fails_before_it_solves(tmp_path, monkeypatch):
     assert sorted(f.name for f in out.iterdir()) == ["report.json"]
 
 
-@pytest.mark.parametrize("horizon", ["0", "-1"])
-def test_horizon_below_launch_point_fails(tmp_path, horizon):
-    cfg = write_cfg(tmp_path, BASE + f"beta = 0.5\nhorizon = {horizon}\n")
-    out = tmp_path / "out"
-    assert main(["classify", "--config", cfg, "--out", str(out)]) == 1
-    report = read_report(out)
-    assert report["status"] == "failed"
-    assert "DomainError" in report["results"]["error"]
-
-
 #: The keys a configuration file may set, each echoed in report.json.
-FILE_KEYS = {"m", "q", "N", "beta", "beta_tol", "rtol", "horizon",
-             "sweep_betas", "sweep_params"}
+FILE_KEYS = {"m", "q", "N", "beta", "beta_tol", "rtol", "sweep_betas",
+             "sweep_params"}
 
 
 def test_report_parses_with_tab_and_non_ascii_in_config(tmp_path):

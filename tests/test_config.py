@@ -5,14 +5,9 @@ from dataclasses import asdict
 import pytest
 
 from eternalprofile.cli import MODES
-from eternalprofile.config import (
-    INTEGRATOR_KEYS,
-    RunConfig,
-    load_config,
-    validate,
-)
+from eternalprofile.config import RunConfig, load_config, validate
 from eternalprofile.errors import ConfigError
-from eternalprofile.integrate import IntegratorOptions
+from eternalprofile.integrate import CLASSIFY_RTOL
 from eternalprofile.shooting import BETA_TOL
 
 
@@ -73,14 +68,16 @@ FULL_MESSAGES = {
         ("m = 2\nq = 0.5\nN = 1\nmode = fly\n", "mode"),
         ("m = 2\nq = 0.5\nN = 1\nwibble = 3\n", "unknown key"),
         ("m = 2\nq = 0.5\nN = 1\nuse_seeds = true\n", "line 4.*use_seeds"),
-        # launch offset, atol, contact threshold and tangency tolerance are
-        # constants of the integrator, not settings
+        # launch offset, atol, contact threshold, tangency tolerance and
+        # horizon are constants of the integrator, not settings
         ("m = 2\nq = 0.5\nN = 1\natol = 1e-12\n", "line 4: unknown key 'atol'"),
         ("m = 2\nq = 0.5\nN = 1\ndelta0 = 1e-4\n", "line 4: unknown key 'delta0'"),
         ("m = 2\nq = 0.5\nN = 1\ncontact_eps = 1e-7\n",
          "line 4: unknown key 'contact_eps'"),
         ("m = 2\nq = 0.5\nN = 1\nslope_tol = 1e-4\n",
          "line 4: unknown key 'slope_tol'"),
+        ("m = 2\nq = 0.5\nN = 1\nhorizon = 10\n",
+         "line 4: unknown key 'horizon'"),
         ("m = 2\nq = 0.5\nN = one\n", "integer"),
         ("m = 2\nq = 0.5\nN = 1\nm = 3\n", "duplicate"),
         ("m = 2\nq = 0.5\nN = 1\nemit_plots = maybe\n",
@@ -122,10 +119,8 @@ def test_mode_requirements_rejected(tmp_path, mode, body, message):
 
 def test_defaults_come_from_the_solver():
     cfg = RunConfig()
-    opts = IntegratorOptions()
     assert cfg.beta_tol == BETA_TOL
-    for key in INTEGRATOR_KEYS:
-        assert getattr(cfg, key) == getattr(opts, key), key
+    assert cfg.rtol == CLASSIFY_RTOL
 
 
 def test_missing_file():
@@ -137,5 +132,5 @@ def test_to_dict_round_trip(tmp_path):
     cfg = load_config(write(tmp_path, "m = 2\nq = 0.5\nN = 1\nrtol = 1e-9\n"))
     d = asdict(cfg)
     assert d["rtol"] == 1e-9
-    assert set(d) == {"m", "q", "N", "beta", "beta_tol", "rtol", "horizon",
+    assert set(d) == {"m", "q", "N", "beta", "beta_tol", "rtol",
                       "sweep_betas", "sweep_params"}

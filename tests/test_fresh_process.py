@@ -106,9 +106,13 @@ def test_import_and_solve_build_no_generic_step():
     assert run_child(code) == "2 2 0\n"
 
 
-@pytest.mark.parametrize("mode", ["solve", "classify", "verify"])
+#: What each mode needs beyond (m, q, N).
+MODE_KEYS = {"classify": "beta = 0.1\n", "sweep": "sweep_betas = 0.05, 1\n"}
+
+
+@pytest.mark.parametrize("mode", ["solve", "classify", "verify", "sweep"])
 def test_cli_mode_loads_no_scipy(tmp_path, mode):
-    extra = "beta = 0.1\n" if mode == "classify" else ""
+    extra = MODE_KEYS.get(mode, "")
     cfg = write_cfg(tmp_path / "run.cfg", (1.2, 0.3, 1), extra)
     out = str(tmp_path / "out")
     assert run_child(cli_code(mode, cfg, out) + SCIPY_MODULES) == "[]\n"

@@ -5,11 +5,10 @@ import types
 import numpy as np
 import pytest
 
-from eternalprofile import integrate
+from eternalprofile import _dop853, integrate
 from eternalprofile import (
     Classification,
     DomainError,
-    IntegratorOptions,
     StopReason,
     exponents_from_beta,
     integrate_limit_profile,
@@ -58,14 +57,6 @@ def test_large_beta_classifies_A():
     assert float(sol.Fprime_values[-1]) < 0
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0, 1e-6])
-def test_horizon_at_or_below_launch_point_raises(horizon):
-    p = make_params(2.0, 0.5, 1)
-    opts = IntegratorOptions(horizon=horizon)
-    with pytest.raises(DomainError, match="horizon"):
-        integrate_profile(p, exponents_from_beta(p, 0.5), opts)
-
-
 def test_small_beta_classifies_C():
     p = make_params(2.0, 0.5, 1)
     sol = integrate_profile(p, exponents_from_beta(p, 0.05))
@@ -97,18 +88,6 @@ def test_dense_output_zero_beyond_contact():
     assert np.all(Fp == 0.0)
 
 
-def test_slope_event_can_be_disabled():
-    p = make_params(2.0, 0.5, 1)
-    e = exponents_from_beta(p, 1e-3)
-    stopped = integrate_profile(p, e)
-    assert stopped.stop_reason is StopReason.SLOPE_SIGN_CHANGE
-    free = integrate_profile(
-        p, e, IntegratorOptions(slope_event=False, horizon=10.0)
-    )
-    assert free.stop_reason is StopReason.HORIZON_REACHED
-    assert float(free.grid[-1]) == pytest.approx(10.0)
-
-
 def test_limit_profile_increasing_and_matches_series():
     p = make_params(2.0, 0.5, 1)
     lim = integrate_limit_profile(p, horizon=5.0)
@@ -135,7 +114,12 @@ def test_absorption_scale_is_where_the_limit_profile_doubles(triple):
     # the closed form reads the scale off the origin series; the limit
     # profile H reaches 2 within a few percent of it
     p = make_params(*triple)
-    doubled = integrate_limit_profile(p, horizon=1e4, guard=2.0).horizon
+    lim = integrate_limit_profile(p, horizon=1e4)
+    doubled = _dop853.brentq(
+        lambda xi: float(lim.eval_H(np.array([xi]))[0][0]) - 2.0,
+        float(lim.grid[0]),
+        lim.horizon,
+    )
     assert absorption_scale(p) == pytest.approx(doubled, rel=0.05)
 
 

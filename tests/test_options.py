@@ -1,11 +1,11 @@
 """Every parameter with a default in the package's public functions, and
-every field of the run configuration and of the integrator options.
+every field of the run configuration.
 
 Each such parameter or field is a setting that tests and benchmarks must
 cover.  A value no caller changes belongs in the code as a constant, and
-one the code can work out from its inputs is computed.  A new option,
-configuration key or integrator field edits these lists, and CHANGES.md
-names the caller that needs a value other than the default.
+one the code can work out from its inputs is computed.  A new option or
+configuration key edits these lists, and CHANGES.md names the caller
+that needs a value other than the default.
 """
 
 import ast
@@ -17,26 +17,22 @@ from pathlib import Path
 
 import eternalprofile
 from eternalprofile.config import RunConfig
-from eternalprofile.integrate import IntegratorOptions
 
 OPTIONS = {
     "asymptotics.fit_interface": ["with_second_order"],
     "cli.main": ["argv"],
-    "integrate.integrate_profile": ["opts"],
-    "integrate.integrate_limit_profile": ["guard"],
+    "integrate.integrate_profile": ["rtol"],
     "pdecheck.profile_ode_residual": ["delta"],
-    "shooting.bracket_beta": ["opts"],
-    "shooting.bisect_beta": ["beta_tol", "opts"],
-    "shooting.solve": ["beta_tol", "opts"],
-    "shooting.monotonicity_check": ["opts"],
+    "shooting.bracket_beta": ["rtol"],
+    "shooting.bisect_beta": ["beta_tol", "rtol"],
+    "shooting.solve": ["beta_tol", "rtol"],
     "svgplot.line_chart": ["title", "xlabel", "ylabel", "logy"],
 }
 
 #: The keys of a configuration file; the mode, the output directory and
 #: the charts are set on the command line only.
-CONFIG_KEYS = ["m", "q", "N", "beta", "beta_tol", "rtol", "horizon",
-               "sweep_betas", "sweep_params"]
-INTEGRATOR_FIELDS = ["rtol", "horizon", "slope_event"]
+CONFIG_KEYS = ["m", "q", "N", "beta", "beta_tol", "rtol", "sweep_betas",
+               "sweep_params"]
 
 
 def _options():
@@ -68,10 +64,9 @@ def _fields(cls):
 
 def test_public_options_are_pinned():
     assert _options() == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 15
+    assert sum(map(len, OPTIONS.values())) == 13
     assert _fields(RunConfig) == CONFIG_KEYS
-    assert _fields(IntegratorOptions) == INTEGRATOR_FIELDS
-    assert (len(CONFIG_KEYS), len(INTEGRATOR_FIELDS)) == (9, 3)
+    assert len(CONFIG_KEYS) == 8
 
 
 def test_no_module_reads_the_environment():

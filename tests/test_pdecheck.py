@@ -20,7 +20,6 @@ from eternalprofile import (
 from eternalprofile.errors import RegionError
 from eternalprofile.pdecheck import (
     eternal_trace,
-    interface_slope_integral,
     radial_mass,
     support_radius,
 )
@@ -202,6 +201,31 @@ def test_eternal_trace_support_and_mass(solved):
         assert radial_mass(s, sol.params.N) > 0
     with pytest.raises(DomainError):
         eternal_trace(sol, (0.0, 1.0), 1)
+
+
+def interface_slope_integral(sol):
+    """F'(xi0) from the integral identity
+
+        F'(xi0) = xi0^{1-N} int_0^{xi0} s^{N-1} [s^sigma f^q - (alpha+N beta) f] ds,
+
+    evaluated by composite Simpson quadrature on 4097 nodes of the dense
+    output plus the closed-form contribution of the series launch segment
+    [0, grid[0]].
+    """
+    from scipy.integrate import simpson
+
+    p, e = sol.params, sol.exps
+    N, sigma = p.N, p.sigma
+    coef = e.alpha + N * e.beta
+    d0, end = float(sol.grid[0]), float(sol.grid[-1])
+    xi = np.linspace(d0, end, 4097)
+    f = sol.eval_f(xi)
+    integrand = xi ** (N - 1) * (xi**sigma * f**p.q - coef * f)
+    total = simpson(integrand, x=xi)
+    # launch segment with f ~ f0
+    total += sol.f0**p.q * d0 ** (N + sigma) / (N + sigma)
+    total -= coef * sol.f0 * d0**N / N
+    return float(sol.xi0 ** (1 - N) * total)
 
 
 def test_interface_slope_integral_agrees_with_contact_slope(solved):

@@ -13,6 +13,7 @@ from eternalprofile import (
     to_phase_coords,
 )
 from eternalprofile.phasespace import (
+    _cumulative_trapezoid,
     coordinate_identity_residual,
     limit_point_check,
     vector_field,
@@ -87,6 +88,22 @@ def test_trajectory_reaches_limit_point(sub_case):
 def test_eta_is_increasing(sub_case):
     portrait = to_phase_coords(sub_case.final_profile)
     assert np.all(np.diff(portrait.eta_values) > 0)
+
+
+def test_cumulative_trapezoid_is_scipys(sub_case):
+    from scipy.integrate import cumulative_trapezoid
+
+    # bit for bit, on a profile's stored grid and on a random one
+    sol = sub_case.final_profile
+    rng = np.random.default_rng(7)
+    samples = [
+        (sol.f_values, sol.grid),
+        (rng.normal(size=257), np.sort(rng.uniform(0.0, 3.0, 257))),
+    ]
+    for y, x in samples:
+        np.testing.assert_array_equal(
+            _cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0)
+        )
 
 
 def test_coordinate_identity(sub_case):

@@ -14,7 +14,6 @@ from eternalprofile import (
     BracketFailure,
     Classification,
     DomainError,
-    IntegratorOptions,
     bisect_beta,
     bracket_beta,
     make_params,
@@ -83,7 +82,7 @@ def test_bisection_stops_at_the_smallest_beta_tol(monkeypatch):
     boundary = 1.0 / 3.0
     calls = []
 
-    def step_classify(p, beta, opts):
+    def step_classify(p, beta, rtol):
         calls.append(beta)
         assert len(calls) < 200, "bisection does not terminate"
         cls = (Classification.CLASS_C if beta < boundary
@@ -220,9 +219,9 @@ def _record_classify_rtol(monkeypatch):
     calls = []
     classify, match = shooting._classify_at, shooting.match_profile
 
-    def recording_classify(p, beta, opts):
-        calls.append((beta, opts.rtol))
-        return classify(p, beta, opts)
+    def recording_classify(p, beta, rtol):
+        calls.append((beta, rtol))
+        return classify(p, beta, rtol)
 
     def marking_match(*args):
         calls.append(None)
@@ -258,9 +257,9 @@ def test_xi0_seed_comes_from_the_last_midpoint(monkeypatch):
         shooting._classify_at, shooting.match_profile, shooting.bisect_beta
     )
 
-    def recording_classify(p, beta, opts):
+    def recording_classify(p, beta, rtol):
         betas.append(beta)
-        return classify(p, beta, opts)
+        return classify(p, beta, rtol)
 
     def recording_bisect(*args):
         seeds.append(bisect(*args))
@@ -285,7 +284,7 @@ def test_xi0_seed_comes_from_the_last_midpoint(monkeypatch):
 
 def test_caller_rtol_above_coarse_rtol_runs_everywhere(monkeypatch):
     calls = _record_classify_rtol(monkeypatch)
-    solve(make_params(2.0, 0.5, 1), opts=IntegratorOptions(rtol=1e-5))
+    solve(make_params(2.0, 0.5, 1), rtol=1e-5)
     rtols = {call[1] for call in calls if call is not None}
     assert rtols == {1e-5}
 
@@ -294,15 +293,14 @@ def test_matched_beta_star_ignores_caller_rtol_up_to_coarse_rtol():
     # everything before matching runs at the coarse rtol, so the caller's
     # rtol changes only the certification samples
     p = make_params(1.2, 0.3, 1)
-    betas = {solve(p, opts=IntegratorOptions(rtol=rtol)).beta_star
+    betas = {solve(p, rtol=rtol).beta_star
              for rtol in (shooting.COARSE_TOL**2, 1e-8, 1e-12)}
     assert len(betas) == 1
 
 
 def _coarse_stage(p, rtol):
-    opts = IntegratorOptions(rtol=rtol)
-    bracket = bracket_beta(p, opts)
-    return bracket, bisect_beta(p, bracket, shooting.COARSE_TOL, opts).history
+    bracket = bracket_beta(p, rtol)
+    return bracket, bisect_beta(p, bracket, shooting.COARSE_TOL, rtol).history
 
 
 @pytest.mark.parametrize(
@@ -367,8 +365,8 @@ def _watch_certification(monkeypatch, override=lambda n, sol: sol):
         shooting._classify_at, shooting.match_profile, shooting.bisect_beta
     )
 
-    def watching_classify(p, beta, opts):
-        sol = classify(p, beta, opts)
+    def watching_classify(p, beta, rtol):
+        sol = classify(p, beta, rtol)
         if matched and not bisecting:
             sol = override(len(samples), sol)
             samples.append(beta)
@@ -378,13 +376,13 @@ def _watch_certification(monkeypatch, override=lambda n, sol: sol):
         matched.append(match(*args))
         return matched[-1]
 
-    def recording_bisect(p, bracket, beta_tol, opts):
+    def recording_bisect(p, bracket, beta_tol, rtol):
         bisecting.append(bracket)
         try:
-            result = bisect(p, bracket, beta_tol, opts)
+            result = bisect(p, bracket, beta_tol, rtol)
         finally:
             bisecting.pop()
-        bisections.append((beta_tol, opts, result))
+        bisections.append((beta_tol, rtol, result))
         return result
 
     monkeypatch.setattr(shooting, "_classify_at", watching_classify)
@@ -411,9 +409,9 @@ def test_failed_certification_widens_its_end(monkeypatch, solved, side):
     beta = result.beta_star
     assert beta == solved[case].beta_star
     # the seed bisection is the only bisection
-    [(tol, opts, coarse)] = bisections
+    [(tol, rtol, coarse)] = bisections
     assert tol == shooting.SEED_TOL
-    assert opts == IntegratorOptions(rtol=shooting.COARSE_TOL**2)
+    assert rtol == shooting.COARSE_TOL**2
     # the failed end is classified again at twice its offset, and the
     # other end certifies on its first sample
     lo, hi = shooting._certified_bracket(beta, 1e-8)
@@ -435,17 +433,17 @@ def test_undetermined_end_stops_at_the_coarse_bracket(monkeypatch):
     # every certification sample after the low end's first is forced
     # Undetermined; the bisection continued for the cap is left alone
     p = make_params(1.2, 0.3, 1)
-    opts = IntegratorOptions(rtol=shooting.COARSE_TOL**2)
-    whole = bisect_beta(p, bracket_beta(p, opts), shooting.COARSE_TOL, opts)
+    rtol = shooting.COARSE_TOL**2
+    whole = bisect_beta(p, bracket_beta(p, rtol), shooting.COARSE_TOL, rtol)
     undetermined = _reclassified(Classification.UNDETERMINED)
     samples, bisections = _watch_certification(
         monkeypatch, lambda n, sol: undetermined(sol) if n >= 1 else sol
     )
     result = solve(p)
     beta = result.beta_star
-    [(seed_tol, seed_opts, seed), (tol, rest_opts, coarse)] = bisections
+    [(seed_tol, seed_rtol, seed), (tol, rest_rtol, coarse)] = bisections
     assert (seed_tol, tol) == (shooting.SEED_TOL, shooting.COARSE_TOL)
-    assert seed_opts == rest_opts == opts
+    assert seed_rtol == rest_rtol == rtol
     # the continued bisection runs the midpoints and ends at the bracket
     # of one bisection from the scan bracket to COARSE_TOL
     assert seed.history + coarse.history == whole.history
@@ -493,8 +491,8 @@ def _half_on_a_side(monkeypatch):
     as a scan at rtol 1e-4 reads it."""
     classify = shooting._classify_at
 
-    def half_on_a_side(p, beta, opts):
-        sol = classify(p, beta, opts)
+    def half_on_a_side(p, beta, rtol):
+        sol = classify(p, beta, rtol)
         if beta == 0.5:
             return dataclasses.replace(
                 sol, classification=Classification.CANDIDATE_B)
@@ -579,15 +577,14 @@ def test_bracket_contains_matched_beta_at_tight_beta_tol(case, beta_tol):
     assert len(result.history) == result.iterations
 
 
-@pytest.mark.parametrize("kwarg", ["tol", "match_opts"])
+@pytest.mark.parametrize("kwarg", ["tol", "match_opts", "opts"])
 def test_solve_has_no_tolerance_records(kwarg):
     with pytest.raises(TypeError):
         solve(make_params(2.0, 0.5, 1), **{kwarg: None})
 
 
 def test_option_records_are_not_exported():
-    assert "IntegratorOptions" in eternalprofile.__all__
-    for name in ("ClassifyTolerances", "MatchOptions"):
+    for name in ("ClassifyTolerances", "IntegratorOptions", "MatchOptions"):
         assert name not in eternalprofile.__all__
         assert not hasattr(eternalprofile, name)
 
