@@ -423,6 +423,15 @@ class _Solution:
         y = _nested(coef, x) + np.array([s.y_old for s in parts]).T[:, seg]
         return y[:, 0] if t.ndim == 0 else y
 
+    def at(self, t):
+        """The solution at a scalar t, as a tuple of floats: the segment
+        that ``__call__`` picks, read by its interpolant's ``at``."""
+        i = int(np.searchsorted(self.ts_sorted, t, side=self.side)) - 1
+        i = min(max(i, 0), self.n_segments - 1)
+        if not self.ascending:
+            i = self.n_segments - 1 - i
+        return self.interpolants[i].at(t)
+
 
 def halve_long_steps(odesol, max_step):
     """``odesol`` of a dense run with each step longer than ``max_step``

@@ -124,6 +124,7 @@ def integrate_profile(
             [DELTA0, np.nextafter(end, np.inf)],
             [functools.partial(origin_series, p, e.beta), sol.sol],
         ),
+        odesol=sol.sol,
     )
 
 

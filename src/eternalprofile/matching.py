@@ -26,10 +26,14 @@ costs one residual evaluation.
 The legs cost what their accuracy asks for, not what stiffness asks
 for, so Newton starts loose (an inexact Newton method: Dembo, Eisenstat
 & Steihaug 1982; Deuflhard 2004).  Both legs run at LOOSE_RTOL until a
-step is below LOOSE_XTOL; the residual is then re-evaluated in place at
-RTOL and the same iteration goes on to the XTOL stop, so the converged
-point is the one a tight-only iteration finds.  The RTOL legs keep
-their dense output, and the profile is built from those of that point.
+step is below LOOSE_XTOL, near the accuracy of the loose residual, so
+the cheap stage converges as far as it can before the RTOL legs, 3-5x
+the cost per evaluation, take over; the residual is then re-evaluated
+in place at RTOL and the same iteration goes on to the XTOL stop, so
+the converged point is the one a tight-only iteration finds.  The RTOL
+legs keep their dense output, and the profile is built from those of
+that point.  ``seed_xi0`` gives Newton its xi0 from the same rescaling
+family, with one backward leg on a forward run already made.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._dop853 import halve_long_steps, sample, solve_ivp
+from ._dop853 import brentq, halve_long_steps, sample, solve_ivp
 from .equation import (
     InterfaceSeries,
     f_from_F,
@@ -69,7 +73,7 @@ MID_FRAC = 0.5              # matching point as a fraction of xi0
 MAX_STEP_FRAC = 1.0 / 256.0  # spacing of the stored grid, relative to xi
 XTOL = 1e-13                # Newton stops once each step is <= XTOL |x|
 LOOSE_RTOL = 1e-6           # rtol of both legs in Newton's first iterations
-LOOSE_XTOL = 1e-5           # the legs tighten to RTOL once a step is <= this
+LOOSE_XTOL = 1e-8           # the legs tighten to RTOL once a step is <= this
 LOOSE_FD_REL_STEP = 1e-3    # sqrt(LOOSE_RTOL): step of the first beta-column
 MIN_STEP_FACTOR = 1e-3      # damping below which a Newton step gives up
 MAX_NFEV = 100              # residual evaluations per matching solve
@@ -87,35 +91,77 @@ class MatchResult:
     profile: Optional[ProfileSolution] = None
 
 
+def _leg(rhs, t_span, y0, rtol, direction, beta, xi0):
+    """One leg of the profile equation at ``rtol``, dense only at RTOL."""
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol,
+                    atol=ATOL, dense_output=rtol == RTOL)
+    if not sol.success:
+        raise StepFailureError(
+            f"{direction} integration failed at beta={beta!r}, "
+            f"xi0={xi0!r}: {sol.message}"
+        )
+    return sol
+
+
+def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs):
+    """Backward leg from the interface series at d0 = u0 xi0 to
+    xi_mid = MID_FRAC xi0; returns (run, the interface series)."""
+    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    xi_start, xi_mid = xi0 - series.d0, MID_FRAC * xi0
+    if not xi_start > xi_mid:
+        raise BracketFailure(
+            f"interface launch {xi_start} inside matching point {xi_mid}"
+        )
+    bwd = _leg(rhs, (xi_start, xi_mid), series(series.d0), rtol, "backward",
+               beta, xi0)
+    return bwd, series
+
+
 def _legs(p: Params, beta: float, xi0: float, rtol: float):
-    """Forward leg from the origin series at DELTA0, then backward leg from
-    the interface series at d0 = u0 xi0, both integrated to xi_mid.
+    """Forward leg from the origin series at DELTA0 and the backward leg,
+    both integrated to xi_mid.
 
     Returns (forward run, backward run, the interface series, the
     right-hand side of both legs).
     """
     rhs = profile_rhs(p, beta, _F_FLOOR)
-    xi_mid = MID_FRAC * xi0
-
-    def leg(t_span, y0, direction):
-        sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol,
-                        atol=ATOL, dense_output=rtol == RTOL)
-        if not sol.success:
-            raise StepFailureError(
-                f"{direction} integration failed at beta={beta!r}, "
-                f"xi0={xi0!r}: {sol.message}"
-            )
-        return sol
-
-    fwd = leg((DELTA0, xi_mid), origin_series(p, beta, DELTA0), "forward")
-    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
-    xi_start = xi0 - series.d0
-    if not xi_start > xi_mid:
-        raise BracketFailure(
-            f"interface launch {xi_start} inside matching point {xi_mid}"
-        )
-    bwd = leg((xi_start, xi_mid), series(series.d0), "backward")
+    fwd = _leg(rhs, (DELTA0, MID_FRAC * xi0), origin_series(p, beta, DELTA0),
+               rtol, "forward", beta, xi0)
+    bwd, series = _backward_leg(p, beta, xi0, rtol, rhs)
     return fwd, bwd, series, rhs
+
+
+def seed_xi0(p: Params, run: ProfileSolution, rtol: float) -> float:
+    """xi0 at the forward ``run``'s beta from the rescaling family.
+
+    One backward leg at ``rtol``, with its interface at the run's stop
+    point xi_n, gives the backward F at the matching point for every
+    xi0: F_b(MID_FRAC xi0; xi0) = (xi0 / xi_n)^P F_b(MID_FRAC xi_n; xi_n)
+    (see ``_residuals``).  The seed is the xi0 at which the run's own
+    dense F meets it, a root found by ``brentq`` in plain floats on the
+    run's interpolant; no forward run is added.  A leg that fails, or no
+    root inside the run, raises BracketFailure naming the seed.
+    """
+    beta, xi_n = run.exps.beta, run.xi_max
+    try:
+        bwd, _ = _backward_leg(p, beta, xi_n, rtol,
+                               profile_rhs(p, beta, _F_FLOOR))
+    except (BracketFailure, StepFailureError) as err:
+        raise BracketFailure(f"xi0 seed failed for {p}: {err}") from err
+    F_n = float(bwd.y[0, -1])
+    P = 2.0 * p.m / (p.m - 1.0)
+    odesol = run.odesol
+
+    def gap(xi0):
+        return odesol.at(MID_FRAC * xi0)[0] - (xi0 / xi_n) ** P * F_n
+
+    lo, hi = float(run.grid[0]) / MID_FRAC, xi_n / MID_FRAC
+    if not gap(hi) < 0.0 < gap(lo):
+        raise BracketFailure(
+            f"xi0 seed failed for {p}: the backward leg from xi0 = {xi_n!r} "
+            f"at beta = {beta!r} meets no xi0 in [{lo!r}, {hi!r}]"
+        )
+    return brentq(gap, lo, hi)
 
 
 def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):

@@ -128,4 +128,5 @@ def rescale_profile(profile: ProfileSolution, a: float) -> ProfileSolution:
         xi1=None if profile.xi1 is None else profile.xi1 / s,
         f0=a * profile.f0,
         dense=piecewise([np.nextafter(end / s, np.inf)], [stretched]),
+        odesol=None,
     )

@@ -8,7 +8,8 @@ bisects only to SEED_TOL, and hands the resulting estimates to the
 two-sided matching stage, which pins down (beta*, xi0) to near machine
 precision.  The scan and the bisection only have to seed Newton, so
 they run at rtol = max(rtol, COARSE_TOL**2), and xi0 is seeded from the
-stop point of the last midpoint.  Two forward classifications at the
+last midpoint's run through the rescaling family
+(``matching.seed_xi0``).  Two forward classifications at the
 caller's rtol just below and just above the matched beta* then certify
 a bracket of relative width beta_tol around it; an end that disagrees
 doubles its offset from beta* until it agrees or reaches the end of the
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import BracketFailure, DomainError, ProfileError
 from .integrate import CLASSIFY_RTOL, integrate_profile
-from .matching import RTOL as MATCH_RTOL, MatchResult, match_profile
+from .matching import RTOL as MATCH_RTOL, MatchResult, match_profile, seed_xi0
 from .model import Params, exponents_from_beta
 from .solution import Classification, ProfileSolution
 
@@ -228,8 +229,10 @@ def solve(
 
     The scan and the bisection to SEED_TOL (or beta_tol, when wider)
     only seed the matching stage, so they run at
-    rtol = max(rtol, COARSE_TOL**2), and the last midpoint's stop
-    point seeds xi0.  The two-sided matching stage then solves for
+    rtol = max(rtol, COARSE_TOL**2), and xi0 is seeded from the last
+    midpoint's run by ``matching.seed_xi0``, with one backward leg at
+    that rtol; a seed that fails raises BracketFailure before Newton
+    runs.  The two-sided matching stage then solves for
     (beta*, xi0), so final_profile, the matched profile, is tangential
     at the interface by construction.  Forward classifications at
     beta*(1 -+ beta_tol/2), at the caller's rtol, certify a (ClassC,
@@ -250,10 +253,8 @@ def solve(
     seed = bisect_beta(
         p, bracket_beta(p, coarse_rtol), max(SEED_TOL, beta_tol), coarse_rtol
     )
-    # the forward stop point lies short of the interface, by 4-24 % on
-    # the reference cases
     matched = match_profile(
-        p, seed.beta_star, seed.final_profile.xi_max * 1.02
+        p, seed.beta_star, seed_xi0(p, seed.final_profile, coarse_rtol)
     )
     if not matched.success:
         raise BracketFailure(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
@@ -52,6 +52,9 @@ class ProfileSolution:
     stop_reason: StopReason
     dense: Callable = field(repr=False, compare=False)
     f0: float = 1.0
+    #: A forward run's DOP853 dense solution, whose ``at`` reads one point
+    #: in plain floats; None for a matched or rescaled profile.
+    odesol: Any = field(default=None, repr=False, compare=False)
 
     @property
     def xi_max(self) -> float:

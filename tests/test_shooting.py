@@ -1,6 +1,7 @@
 """Bracketing, bisection and the full solve pipeline."""
 
 import dataclasses
+import itertools
 import math
 import types
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import eternalprofile
-from eternalprofile import shooting
+from eternalprofile import matching, shooting
 from eternalprofile import (
     BracketFailure,
     Classification,
@@ -251,7 +252,8 @@ def test_coarse_stage_runs_at_coarse_rtol(monkeypatch):
 
 def test_xi0_seed_comes_from_the_last_midpoint(monkeypatch):
     # Newton starts at the seed bracket's midpoint, with xi0 from the
-    # stop point of the seed bisection's last midpoint, run only once
+    # rescaling family on the seed bisection's last midpoint, run only
+    # once; the seed lies within 1 % of the matched xi0
     betas, seeds, guesses = [], [], []
     classify, match, bisect = (
         shooting._classify_at, shooting.match_profile, shooting.bisect_beta
@@ -272,14 +274,91 @@ def test_xi0_seed_comes_from_the_last_midpoint(monkeypatch):
     monkeypatch.setattr(shooting, "_classify_at", recording_classify)
     monkeypatch.setattr(shooting, "bisect_beta", recording_bisect)
     monkeypatch.setattr(shooting, "match_profile", recording_match)
-    solve(make_params(2.0, 0.5, 1))
-    [seed] = seeds
-    assert guesses == [(seed.beta_star, seed.final_profile.xi_max * 1.02)]
-    last = seed.history[-1][0]
-    assert seed.final_profile.exps.beta == last
-    assert betas.count(last) == 1
-    width = (seed.bracket_hi - seed.bracket_lo) / seed.beta_star
-    assert shooting.COARSE_TOL < width <= shooting.SEED_TOL
+    for case in sorted(BETA_STAR):
+        for calls in (betas, seeds, guesses):
+            calls.clear()
+        p = make_params(*case)
+        result = solve(p)
+        [seed] = seeds
+        xi0_seed = matching.seed_xi0(
+            p, seed.final_profile, shooting.COARSE_TOL**2
+        )
+        assert guesses == [(seed.beta_star, xi0_seed)], case
+        assert xi0_seed == pytest.approx(result.match.xi0, rel=1e-2), case
+        last = seed.history[-1][0]
+        assert seed.final_profile.exps.beta == last
+        assert betas.count(last) == 1
+        width = (seed.bracket_hi - seed.bracket_lo) / seed.beta_star
+        assert shooting.COARSE_TOL < width <= shooting.SEED_TOL
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(1.5, 0.9, 1), (1.5, 0.9, 3), (2.0, 0.7, 3), (2.0, 0.9, 1), (2.0, 0.9, 3)],
+)
+def test_seed_failure_is_typed_and_ends_before_newton(monkeypatch, case):
+    # no root of the seed equation inside the last midpoint's run, or the
+    # seed leg's interface launch inside its matching point (q -> 1)
+    evals = []
+    residuals = matching._residuals
+
+    def recording(p, x, *args):
+        evals.append(x)
+        return residuals(p, x, *args)
+
+    monkeypatch.setattr(matching, "_residuals", recording)
+    with pytest.raises(BracketFailure, match="xi0 seed failed"):
+        solve(make_params(*case))
+    assert evals == []
+
+
+#: beta* of every point of the 50-point grid that solves, as solved
+#: before the xi0 seed came from the rescaling family.  Newton's start
+#: moves its last half digit: 4.5e-13 relative at (1.1, 0.3, 1).
+GRID_BETA_STAR = {
+    (1.1, 0.1, 1): 0.09019105592003064,
+    (1.1, 0.1, 3): 0.3429052632098644,
+    (1.1, 0.3, 1): 0.08221130607234914,
+    (1.1, 0.3, 3): 0.3112018930088174,
+    (1.1, 0.5, 1): 0.07288966789770271,
+    (1.1, 0.5, 3): 0.27303452667589245,
+    (1.1, 0.7, 1): 0.06187747730750465,
+    (1.1, 0.7, 3): 0.22379922913503877,
+    (1.1, 0.9, 1): 0.051176631571925986,
+    (1.1, 0.9, 3): 0.14670289407653353,
+    (1.5, 0.1, 1): 0.32153967698599717,
+    (1.5, 0.1, 3): 0.9400739896969865,
+    (1.5, 0.3, 1): 0.29567590133043103,
+    (1.5, 0.3, 3): 0.821188129058239,
+    (1.5, 0.5, 1): 0.2738612787526347,
+    (1.5, 0.5, 3): 0.6943650748294654,
+    (1.5, 0.7, 1): 0.25891488328290724,
+    (1.5, 0.7, 3): 0.5498385854090255,
+    (2.0, 0.1, 1): 0.561426096747833,
+    (2.0, 0.1, 3): 1.2678110954057307,
+    (2.0, 0.3, 1): 0.534075218702576,
+    (2.0, 0.3, 3): 1.1176635904000374,
+    (2.0, 0.5, 1): 0.5138348204162319,
+    (2.0, 0.5, 3): 0.9606206342366391,
+    (2.0, 0.7, 1): 0.5027408250733805,
+}
+
+
+def test_grid_points_solve_or_fail_with_a_bracket_failure():
+    # m in {1.1, 1.5, 2, 3, 5}, q in {0.1, 0.3, 0.5, 0.7, 0.9}, N in {1, 3}
+    solved = {}
+    for case in itertools.product(
+        (1.1, 1.5, 2.0, 3.0, 5.0), (0.1, 0.3, 0.5, 0.7, 0.9), (1, 3)
+    ):
+        try:
+            result = solve(make_params(*case))
+        except BracketFailure:
+            continue
+        assert result.bracket_lo < result.beta_star < result.bracket_hi, case
+        solved[case] = result.beta_star
+    assert solved.keys() == GRID_BETA_STAR.keys()
+    for case, beta_star in solved.items():
+        assert beta_star == pytest.approx(GRID_BETA_STAR[case], rel=1e-12), case
 
 
 def test_caller_rtol_above_coarse_rtol_runs_everywhere(monkeypatch):
