@@ -143,25 +143,25 @@ def _lstsq2(a, b, y):
     return (y0 - r01 * c1) / r00, c1
 
 
-def fit_interface(
-    sol: ProfileSolution, with_second_order: bool = False
-) -> InterfaceFit:
+def fit_interface(sol: ProfileSolution) -> InterfaceFit:
     """Fit the interface expansion against fresh near-contact samples.
 
     The profile must be matched, as ``solve`` returns it: its ``xi0``
     lies beyond the stored grid (``ProfileError`` otherwise).
-    FIT_POINTS log-spaced samples span LEAD_WINDOW below xi0; the
-    second-order fit adds as many across SECOND_WINDOW.
+    FIT_POINTS log-spaced samples span LEAD_WINDOW below xi0; on a
+    sub-critical profile (m + q < 2), the only case with a known
+    second-order term, the second-order fit adds as many across
+    SECOND_WINDOW, and ``second_order_hat`` is None otherwise.
     The samples are produced by re-integrating the equation outward from
     a launch point far below the fit window (see
     ``matching.interface_samples``), anchored at the profile's (beta,
     xi0); stored grids cannot reach these depths.  The leading order is
     a linear least-squares fit of log f against log(xi0 - xi), with logs
-    by ``math.log`` and powers by ``np.float_power``.  The
-    second-order coefficient, when requested, is fit jointly with a
-    linear analytic correction, with theta and amplitude frozen at their
-    predicted values: the correction powers differ by less than one from
-    each other, so a fully free fit is ill-conditioned.
+    by ``math.log`` and powers by ``np.float_power``.  The second-order
+    coefficient is fit jointly with a linear analytic correction, with
+    theta and amplitude frozen at their predicted values: the correction
+    powers differ by less than one from each other, so a fully free fit
+    is ill-conditioned.
     """
     from .matching import interface_samples
 
@@ -169,6 +169,7 @@ def fit_interface(
         raise ProfileError("fit_interface requires a matched profile")
     xi0 = float(sol.xi0)
     expansion = predict_expansion(sol.params, sol.exps, xi0)
+    with_second_order = expansion.case is InterfaceCase.SUB_CRITICAL
     lo, hi = xi0 * (1.0 - LEAD_WINDOW[1]), xi0 * (1.0 - LEAD_WINDOW[0])
     d_hi, d_lo = xi0 - lo, xi0 - hi
     beta = sol.exps.beta

@@ -21,7 +21,7 @@ from . import asymptotics, equation, pdecheck, phasespace, shooting
 from .config import RunConfig, load_config, validate
 from .errors import ProfileError
 from .integrate import SLOPE_TOL, integrate_profile
-from .model import InterfaceCase, interface_case, make_params, exponents_from_beta
+from .model import make_params, exponents_from_beta
 from .report import (
     RunReport,
     collect_versions,
@@ -91,8 +91,7 @@ def _run_asymptotics(cfg: RunConfig) -> tuple:
     sol = result.final_profile
     xi0 = float(sol.xi0)
     expansion = asymptotics.predict_expansion(sol.params, sol.exps, xi0)
-    sub = interface_case(sol.params) is InterfaceCase.SUB_CRITICAL
-    fit = asymptotics.fit_interface(sol, with_second_order=sub)
+    fit = asymptotics.fit_interface(sol)
     bounds = asymptotics.upper_bounds_check(sol)
     lo, hi = fit.fit_window
     d = equation.log_grid(xi0 - hi, xi0 - lo, 80)
@@ -144,7 +143,7 @@ def _run_verify(cfg: RunConfig) -> tuple:
     # the r^{sigma+2} series term of u^m, so the order check stays away
     # from r = 0
     r_grid = np.linspace(0.05 * xi0, 0.5 * xi0, 6)
-    pde = pdecheck.pde_residual(sol, [-0.5, 0.0, 0.5], r_grid, h=1e-2)
+    pde = pdecheck.pde_residual(sol, [-0.5, 0.0, 0.5], r_grid)
     trace = pdecheck.eternal_trace(sol, (-2.0, 2.0), 5)
     chart = "residual.svg", [("relative ODE residual", xi, ode_res)], dict(
         title="profile ODE residual", xlabel="xi", ylabel="log10 residual", logy=True

@@ -100,6 +100,9 @@ SERIES_XI0_TOL = 1e-14
 #: Candidate launch depths u0 = d0 / xi0, shallowest first.
 LAUNCH_LADDER = 2.0 ** (-0.5 * np.arange(4.0, 120.0))
 
+#: Floor of the interface-side launch, in A d^theta.
+LAUNCH_F = 1e-6
+
 #: Powers of u kept in each column of the interface-series table, off and
 #: on the critical line, and the most powers of z = kappa u^gamma.
 SERIES_ROWS = 12
@@ -361,12 +364,12 @@ class InterfaceSeries:
     launches, at ``d0 = u0 xi0``: u0 is the shallowest point of
     LAUNCH_LADDER whose truncation estimate times u0 / theta -- the
     relative shift of xi0 it implies -- is at most SERIES_XI0_TOL, but
-    never deeper than where A d^theta = ``f_floor``.  A launch fixed in u
+    never deeper than where A d^theta = LAUNCH_F.  A launch fixed in u
     keeps the backward leg on the rescaling family in xi0.  The kept
     terms serve every depth down to the interface.
     """
 
-    def __init__(self, p: Params, beta: float, xi0: float, f_floor: float):
+    def __init__(self, p: Params, beta: float, xi0: float):
         from .model import InterfaceCase, interface_case
 
         m, q = p.m, p.q
@@ -396,7 +399,7 @@ class InterfaceSeries:
         self.m, self.theta, self.xi0 = m, theta, xi0
         self.gamma, self.kappa = gamma, kappa
         self.amplitude = A1 * xi0 ** (2.0 / (m - 1.0) - theta)
-        u_floor = launch_distance(self, f_floor) / xi0
+        u_floor = launch_distance(self, LAUNCH_F) / xi0
         u = np.append(LAUNCH_LADDER[LAUNCH_LADDER > u_floor], u_floor)
         i, cut = _truncation(table, kappa, gamma, theta, u)
         self.d0 = float(u[i]) * xi0

@@ -67,7 +67,6 @@ _F_FLOOR = 1e-280
 
 #: DOP853 rtol of both legs (their atol is integrate's ATOL).
 RTOL = 1e-12
-LAUNCH_F = 1e-6             # floor of the interface-side launch, in A d^theta
 TAIL_F = 1e-9               # height of the last stored interface sample
 MID_FRAC = 0.5              # matching point as a fraction of xi0
 MAX_STEP_FRAC = 1.0 / 256.0  # spacing of the stored grid, relative to xi
@@ -106,7 +105,7 @@ def _leg(rhs, t_span, y0, rtol, direction, beta, xi0):
 def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs):
     """Backward leg from the interface series at d0 = u0 xi0 to
     xi_mid = MID_FRAC xi0; returns (run, the interface series)."""
-    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    series = InterfaceSeries(p, beta, xi0)
     xi_start, xi_mid = xi0 - series.d0, MID_FRAC * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
@@ -179,7 +178,7 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
 
     Returns (d, f, fprime_wrt_xi) restricted to 2 d_launch < d < xi0.
     """
-    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    series = InterfaceSeries(p, beta, xi0)
     d_values = np.sort(np.asarray(d_values, dtype=float))
     launch_f = min(
         1e-13, 0.01 * series.amplitude * d_values[0] ** series.theta
@@ -230,8 +229,9 @@ def _residuals(p: Params, x, rtol=RTOL):
     at a fixed u0 = d0 / xi0 with a series exact to ~1e-14, so the leg
     follows the family and the column agrees with a central difference
     to the latter's own error.  Where the launch rests on its floor
-    (A d^theta = LAUNCH_F, super-critical with gamma below ~0.5), the
-    truncation error of the series breaks the symmetry instead.
+    (A d^theta = ``equation.LAUNCH_F``, super-critical with gamma below
+    ~0.5), the truncation error of the series breaks the symmetry
+    instead.
     """
     beta, xi0 = float(x[0]), float(x[1])
     if beta <= 0.0 or xi0 <= 0.0:

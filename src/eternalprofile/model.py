@@ -83,10 +83,9 @@ def make_params(m: float, q: float, N: int) -> Params:
 
 
 def exponents_from_beta(p: Params, beta: float) -> Exponents:
-    """Return (beta, alpha) with alpha = 2 beta / (m - 1)."""
+    """Return (beta, alpha) with alpha = 2 beta / (m - 1); ``Exponents``
+    rejects beta <= 0."""
     beta = float(beta)
-    if not beta > 0:
-        raise DomainError(f"beta must be > 0, got {beta}")
     return Exponents(beta=beta, alpha=2.0 * beta / (p.m - 1.0))
 
 

@@ -20,6 +20,9 @@ from .equation import log_grid
 from .errors import DomainError, RegionError
 from .solution import ProfileSolution
 
+ODE_DELTA = 1e-4    # F'' difference step of profile_ode_residual
+PDE_H = 1e-2        # stencil width of pde_residual in t and r
+
 
 @dataclass(frozen=True)
 class SolutionSample:
@@ -58,18 +61,16 @@ def support_radius(profile: ProfileSolution, t: float) -> float:
     return profile.xi0 * math.exp(-profile.exps.beta * t)
 
 
-def profile_ode_residual(
-    sol: ProfileSolution, xi: np.ndarray, delta: float = 1e-4
-) -> np.ndarray:
+def profile_ode_residual(sol: ProfileSolution, xi: np.ndarray) -> np.ndarray:
     """Relative residual of the profile ODE from the dense output.
 
     F'' is recovered by a central difference of the dense F' so the
     check is independent of the integrator's internal right-hand side.
     The residual is normalized pointwise by the largest term magnitude.
-    The default step balances the O(delta^2) truncation error against
+    The step ODE_DELTA balances the O(delta^2) truncation error against
     interpolation noise in the dense output.
     """
-    p, e, pw = sol.params, sol.exps, np.float_power
+    p, e, pw, delta = sol.params, sol.exps, np.float_power, ODE_DELTA
     xi = np.asarray(xi, dtype=float)
     F, Fp = sol.eval_F(xi)
     _, Fp_hi = sol.eval_F(xi + delta)
@@ -119,20 +120,17 @@ def launch_curvature(sol: ProfileSolution) -> float:
 
 
 def pde_residual(
-    profile: ProfileSolution,
-    t_grid: Sequence[float],
-    r_grid: Sequence[float],
-    h: float,
+    profile: ProfileSolution, t_grid: Sequence[float], r_grid: Sequence[float]
 ) -> ResidualReport:
     """Finite-difference residual of the PDE at the given space-time grid.
 
     Approximates d_t u - Lap(u^m) + r^sigma u^q with second-order central
-    differences, the radial Laplacian at r = 0 by 2N (u^m(h) - u^m(0)) / h^2;
-    also reruns at h/2 and h/4 to estimate the empirical convergence
-    order of the maximum residual.  Every point must keep five stencil
-    widths from the interface.  At each time, each stencil node
-    (t +- h, r +- h and r itself) is evaluated over the whole radial
-    grid at once.
+    differences of width h = PDE_H, the radial Laplacian at r = 0 by
+    2N (u^m(h) - u^m(0)) / h^2; also reruns at h/2 and h/4 to estimate
+    the empirical convergence order of the maximum residual.  Every
+    point must keep five stencil widths from the interface.  At each
+    time, each stencil node (t +- h, r +- h and r itself) is evaluated
+    over the whole radial grid at once.
     """
     if profile.xi0 is None:
         raise DomainError("pde_residual requires a compactly supported profile")
@@ -181,17 +179,17 @@ def pde_residual(
             float(np.max(np.concatenate(rel))),
         )
 
-    max0, rms0, rel0 = sweep(h)
+    max0, rms0, rel0 = sweep(PDE_H)
     orders = []
     prev = max0
-    step = h
+    step = PDE_H
     for _ in range(2):
         step /= 2.0
         cur, _, _ = sweep(step)
         orders.append(math.log2(prev / cur) if cur > 0 else float("inf"))
         prev = cur
     return ResidualReport(
-        h=h,
+        h=PDE_H,
         max_residual=max0,
         rms_residual=rms0,
         max_relative=rel0,

@@ -52,7 +52,6 @@ class PhasePortrait:
     X_values: np.ndarray
     Y_values: np.ndarray
     Z_values: np.ndarray
-    W_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
     )
     eta = launch + _cumulative_trapezoid(integrand, xi_all)
     keep = xi_all >= START_CUTOFF * float(sol.xi0)
-    X, Y, Z, W = _phase_coords(p, e, xi_all[keep], f_all[keep], fp_all[keep])
+    X, Y, Z, _ = _phase_coords(p, e, xi_all[keep], f_all[keep], fp_all[keep])
     return PhasePortrait(
         params=p,
         exps=e,
@@ -148,7 +147,6 @@ def to_phase_coords(sol: ProfileSolution) -> PhasePortrait:
         X_values=X,
         Y_values=Y,
         Z_values=Z,
-        W_values=W,
     )
 
 

@@ -62,12 +62,14 @@ def collect_versions() -> dict:
 
 def _jsonable(obj):
     """Normalize nested values to plain JSON-compatible types; a
-    non-finite float becomes the string "NaN", "Infinity" or "-Infinity"."""
+    non-finite float becomes the string "NaN", "Infinity" or "-Infinity".
+    A profile's evaluators, ``dense`` and ``odesol``, are left out; any
+    other callable reaches the encoder and fails there."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
-            if f.name != "dense"
+            if f.name not in ("dense", "odesol")
         }
     if isinstance(obj, enum.Enum):
         return _jsonable(obj.value)
@@ -84,10 +86,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
-    if callable(obj):
-        return repr(obj)
     return obj
 
 

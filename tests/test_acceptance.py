@@ -86,7 +86,7 @@ def test_criterion_04_second_order_term(solved):
     sol = solved[(1.2, 0.3, 1)].final_profile
     assert interface_case(sol.params) is InterfaceCase.SUB_CRITICAL
     expn = predict_expansion(sol.params, sol.exps, sol.xi0)
-    fit = fit_interface(sol, with_second_order=True)
+    fit = fit_interface(sol)
     rel = abs(fit.second_order_hat / expn.second_order_coeff - 1.0)
     assert rel <= 0.10, f"second-order coefficient off by {rel:.2%}"
     _report(4, f"(1.2,0.3,1): {rel:.1e}")
@@ -142,7 +142,7 @@ def test_criterion_07_residuals(solved):
         worst = max(worst, res)
     sol = solved[(2.0, 0.5, 1)].final_profile
     r_grid = np.linspace(0.05 * sol.xi0, 0.5 * sol.xi0, 6)
-    report = pde_residual(sol, [-0.5, 0.0, 0.5], r_grid, h=1e-2)
+    report = pde_residual(sol, [-0.5, 0.0, 0.5], r_grid)
     assert all(1.7 <= o <= 2.3 for o in report.orders), report.orders
     _report(
         7,

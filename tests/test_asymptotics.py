@@ -118,7 +118,7 @@ def test_fit_interface_recovers_theta_and_amplitude(solved):
         sol = result.final_profile
         expn = predict_expansion(sol.params, sol.exps, sol.xi0)
         sub = interface_case(sol.params) is InterfaceCase.SUB_CRITICAL
-        fit = fit_interface(sol, with_second_order=sub)
+        fit = fit_interface(sol)
         assert fit.theta_hat == pytest.approx(expn.theta, rel=0.02), case
         assert fit.amplitude_hat == pytest.approx(expn.amplitude, rel=0.05), case
         if sub:

@@ -712,6 +712,13 @@ def test_call_matches_scipy_bit_for_bit(t_span):
                   lo - 0.5, hi + 0.5):
             assert_same_bits(odesol(s), scipy_call(odesol, s))
             assert_same_bits(odesol(float(s)), scipy_call(odesol, float(s)))
+        # ``at`` reads one point in plain floats from the segment that
+        # ``__call__`` picks: at every node, every segment midpoint and
+        # past either end
+        mids = 0.5 * (odesol.ts[:-1] + odesol.ts[1:])
+        for s in np.concatenate([odesol.ts, mids, [lo - 1.0, lo - 1e-12,
+                                                   hi + 1e-9, hi + 1.0]]):
+            assert_same_bits(np.array(odesol.at(float(s))), odesol(float(s)))
 
 
 def test_call_on_a_zero_length_run_matches_scipy():

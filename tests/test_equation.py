@@ -19,7 +19,6 @@ from eternalprofile.equation import (
     piecewise,
     profile_rhs,
 )
-from eternalprofile.matching import LAUNCH_F
 
 #: (q, N) on the critical line m = 2 - q.
 CRITICAL = [(0.5, 2), (0.3, 1), (0.7, 3), (0.2, 2)]
@@ -95,7 +94,7 @@ def test_limit_profile_launches_from_origin_series():
 def test_interface_series_array_equals_scalar_calls(m, q, N, beta, xi0):
     # the matched profile's tail samples come from one array call, its
     # backward launch from a scalar call; both must round alike
-    series = InterfaceSeries(make_params(m, q, N), beta, xi0, LAUNCH_F)
+    series = InterfaceSeries(make_params(m, q, N), beta, xi0)
     d = np.geomspace(1e-9, 1e-2, 257)
     F, Fp = series(d)
     ref = np.array([series(float(x)) for x in d])
@@ -120,7 +119,7 @@ def test_supercritical_column_zero_is_reduced_solution(m, q, N):
 def test_critical_series_is_closed_form_at_beta_star(q, N):
     # on m + q = 2 at beta*, f = (2u)^k (1 - u/2)^k with u = d / xi0
     p, beta, xi0, _ = critical_profile(q, N)
-    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    series = InterfaceSeries(p, beta, xi0)
     k = 1.0 / (1.0 - q)
     d = np.geomspace(1e-6, 1.0, 40) * series.d0
     F, _ = series(d)
@@ -136,7 +135,7 @@ def test_subcritical_first_correction_is_K0(m, q, N, beta):
     # ``asymptotics``, derived independently of the recursion
     p = make_params(m, q, N)
     xi0 = 1.7
-    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    series = InterfaceSeries(p, beta, xi0)
     expn = predict_expansion(p, exponents_from_beta(p, beta), xi0)
     assert series.amplitude == pytest.approx(expn.amplitude, rel=1e-13)
     table = _series_table(m, q, N, False)
@@ -241,7 +240,7 @@ def test_sympy_derivation_critical():
     # m = 3/2, q = 1/2, beta = 1/2: s = A1^{1-q} = 1/3 solves
     # 6 s^2 + s - 1 = 0, so a = s^2 = 1/9 and b = beta s = 1/6
     c = sympy_coefficients("3/2", "1/2", 3, 2, "1/9", "1/6", 1, 0)
-    series = InterfaceSeries(make_params(1.5, 0.5, 3), 0.5, 1.0, LAUNCH_F)
+    series = InterfaceSeries(make_params(1.5, 0.5, 3), 0.5, 1.0)
     assert series.amplitude == pytest.approx(1.0 / 9.0, rel=1e-15)
     for (j, _), v in c.items():
         assert series.coefficients[j, 0] == pytest.approx(

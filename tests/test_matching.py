@@ -13,7 +13,7 @@ from eternalprofile import (
     predict_expansion,
     solve,
 )
-from eternalprofile import matching, shooting
+from eternalprofile import equation, matching, shooting
 from eternalprofile._dop853 import halve_long_steps, solve_ivp
 from eternalprofile.equation import (
     InterfaceSeries,
@@ -25,7 +25,6 @@ from eternalprofile.equation import (
 from eternalprofile.matching import (
     ATOL,
     DELTA0,
-    LAUNCH_F,
     LOOSE_FD_REL_STEP,
     LOOSE_RTOL,
     MAX_STEP_FRAC,
@@ -323,7 +322,7 @@ def test_matched_profile_dense_tail_is_interface_series(solved):
     for case in [(2.0, 0.5, 1), (1.2, 0.3, 1)]:
         sol = solved[case].final_profile
         p, xi0 = sol.params, sol.xi0
-        series = InterfaceSeries(p, sol.exps.beta, xi0, LAUNCH_F)
+        series = InterfaceSeries(p, sol.exps.beta, xi0)
         xi = np.append(
             xi0 - series.d0 * np.geomspace(1e-4, 0.5, 50), [xi0, 1.01 * xi0]
         )
@@ -387,7 +386,7 @@ def test_floor_launch_uses_optimally_truncated_series():
     # smallest term it still beats the leading term there (2.3e-4)
     p = make_params(1.7, 0.5, 2)
     beta, xi0 = 0.6198964661312343, 2.903231843256818   # matched
-    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    series = InterfaceSeries(p, beta, xi0)
 
     def end_state(d):
         leg = solve_ivp(
@@ -415,7 +414,7 @@ def test_series_state_consistent_with_expansion():
     p = make_params(1.2, 0.3, 1)
     beta, xi0 = 0.14, 1.5
     expn = predict_expansion(p, exponents_from_beta(p, beta), xi0)
-    series = InterfaceSeries(p, beta, xi0, LAUNCH_F)
+    series = InterfaceSeries(p, beta, xi0)
     mt = p.m * expn.theta
     L = mt * (mt - 1.0)
     b10 = ((p.N - 1) * mt / L - p.sigma) / (p.m * mt * (mt + 1.0) / L - p.q)
@@ -459,7 +458,7 @@ def test_eval_f_follows_series_beyond_stored_tail(solved, case):
     d_tail = launch_distance(expn, TAIL_F)
     assert sol.xi0 - float(sol.grid[-1]) == pytest.approx(d_tail, rel=1e-9)
     xi = sol.xi0 - np.array([0.5, 0.1, 0.01]) * d_tail
-    F, _ = InterfaceSeries(sol.params, sol.exps.beta, sol.xi0, LAUNCH_F)(sol.xi0 - xi)
+    F, _ = InterfaceSeries(sol.params, sol.exps.beta, sol.xi0)(sol.xi0 - xi)
     np.testing.assert_allclose(
         sol.eval_f(xi), F ** (1.0 / sol.params.m), rtol=1e-12
     )
@@ -475,7 +474,7 @@ def test_profile_inside_backward_launch_solves_the_equation(solved, case):
     # rounding of xi does not count as a difference.
     sol = solved[case].final_profile
     p, beta, xi0 = sol.params, sol.exps.beta, sol.xi0
-    d0 = InterfaceSeries(p, beta, xi0, LAUNCH_F).d0
+    d0 = InterfaceSeries(p, beta, xi0).d0
     d = xi0 - (xi0 - log_grid(1e-9 * xi0, d0, 20))
     d_s, f_s, _ = interface_samples(p, beta, xi0, d)
     np.testing.assert_array_equal(d_s, d)
@@ -486,7 +485,7 @@ def test_tail_stays_inside_a_launch_deeper_than_tail_height(monkeypatch):
     # with the launch below TAIL_F, interface-series samples out to the
     # TAIL_F level would lie past the launch, where the truncated series
     # is no longer the profile: f < 0 there, and float_power warns
-    monkeypatch.setattr(matching, "LAUNCH_F", 1e-20)
+    monkeypatch.setattr(equation, "LAUNCH_F", 1e-20)
     sol = solve(make_params(1.61, 0.5, 1)).final_profile
     assert np.all(np.diff(sol.grid) > 0)
     assert np.all(sol.F_values >= 0.0)

@@ -19,10 +19,8 @@ import eternalprofile
 from eternalprofile.config import RunConfig
 
 OPTIONS = {
-    "asymptotics.fit_interface": ["with_second_order"],
     "cli.main": ["argv"],
     "integrate.integrate_profile": ["rtol"],
-    "pdecheck.profile_ode_residual": ["delta"],
     "shooting.bracket_beta": ["rtol"],
     "shooting.bisect_beta": ["beta_tol", "rtol"],
     "shooting.solve": ["beta_tol", "rtol"],
@@ -64,7 +62,7 @@ def _fields(cls):
 
 def test_public_options_are_pinned():
     assert _options() == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 13
+    assert sum(map(len, OPTIONS.values())) == 11
     assert _fields(RunConfig) == CONFIG_KEYS
     assert len(CONFIG_KEYS) == 8
 

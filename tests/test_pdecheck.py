@@ -17,6 +17,7 @@ from eternalprofile import (
     profile_ode_residual,
     rescale_profile,
 )
+from eternalprofile import pdecheck
 from eternalprofile.errors import RegionError
 from eternalprofile.pdecheck import (
     eternal_trace,
@@ -52,18 +53,20 @@ def test_profile_ode_residual_small_inside(solved):
         assert float(res.max()) <= 1e-6, case
 
 
-def test_profile_ode_residual_second_order_in_delta(solved):
+def test_profile_ode_residual_second_order_in_delta(solved, monkeypatch):
     sol = solved[(1.2, 0.3, 1)].final_profile
     xi = np.linspace(0.1 * sol.xi0, 0.9 * sol.xi0, 50)
-    r1 = profile_ode_residual(sol, xi, delta=1e-3).max()
-    r2 = profile_ode_residual(sol, xi, delta=5e-4).max()
+    monkeypatch.setattr(pdecheck, "ODE_DELTA", 1e-3)
+    r1 = profile_ode_residual(sol, xi).max()
+    monkeypatch.setattr(pdecheck, "ODE_DELTA", 5e-4)
+    r2 = profile_ode_residual(sol, xi).max()
     assert r1 / r2 == pytest.approx(4.0, rel=0.2)
 
 
 def test_pde_residual_orders_second_order(solved):
     sol = solved[(2.0, 0.5, 1)].final_profile
     r_grid = np.linspace(0.05 * sol.xi0, 0.5 * sol.xi0, 4)
-    report = pde_residual(sol, [0.0], r_grid, h=1e-2)
+    report = pde_residual(sol, [0.0], r_grid)
     assert all(1.7 <= o <= 2.3 for o in report.orders)
     assert report.max_relative < 1e-2
 
@@ -71,7 +74,7 @@ def test_pde_residual_orders_second_order(solved):
 def test_pde_residual_guards_interface_stencils(solved):
     sol = solved[(2.0, 0.5, 1)].final_profile
     with pytest.raises(RegionError):
-        pde_residual(sol, [0.0], [sol.xi0 * 0.999], h=1e-2)
+        pde_residual(sol, [0.0], [sol.xi0 * 0.999])
 
 
 def reference_pde_residual(profile, t_grid, r_grid, h):
@@ -142,7 +145,7 @@ def test_pde_residual_matches_the_pointwise_loop(solved, case, with_axis):
     t_grid = [-0.5, 0.0, 0.5]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = pde_residual(sol, t_grid, r_grid, h=1e-2)
+        report = pde_residual(sol, t_grid, r_grid)
     fields, orders = reference_pde_residual(sol, t_grid, list(r_grid), 1e-2)
     assert (report.max_residual, report.rms_residual,
             report.max_relative) == pytest.approx(fields, rel=1e-7)
@@ -161,9 +164,10 @@ def test_pde_residual_reports_the_first_offending_radius(solved, r_grid):
     sol = solved[(2.0, 0.5, 1)].final_profile
     r_grid = [r * sol.xi0 for r in r_grid]
     errors = []
-    for check in (pde_residual, reference_pde_residual):
+    for check in (pde_residual,
+                  lambda *args: reference_pde_residual(*args, 1e-2)):
         with pytest.raises((DomainError, RegionError)) as info:
-            check(sol, [0.0, 0.5], r_grid, 1e-2)
+            check(sol, [0.0, 0.5], r_grid)
         errors.append((info.type, str(info.value)))
     assert errors[0] == errors[1]
 

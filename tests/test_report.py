@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from eternalprofile import exponents_from_beta, integrate_profile, make_params
 from eternalprofile.report import (
     CSV_HEADER,
     RunReport,
@@ -82,6 +83,22 @@ def test_json_enums_and_dataclasses():
 def test_dumps_deterministic():
     payload = {"b": [1.0, 2.0], "a": {"k": 1e-300}}
     assert dumps(payload) == dumps(payload)
+
+
+def test_dumps_of_a_forward_run_is_deterministic():
+    # a forward run keeps its DOP853 dense solution, whose repr holds an
+    # object address; dumps leaves it out like the dense evaluator
+    p = make_params(2.0, 0.5, 1)
+    texts = [dumps(integrate_profile(p, exponents_from_beta(p, 0.5)))
+             for _ in range(2)]
+    assert texts[0] == texts[1]
+    data = json.loads(texts[0])
+    assert "odesol" not in data and "dense" not in data
+
+
+def test_dumps_rejects_a_callable():
+    with pytest.raises(TypeError):
+        dumps({"f": lambda x: x})
 
 
 def test_write_report_writes_exactly_the_report_keys(tmp_path):

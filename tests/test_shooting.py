@@ -312,6 +312,33 @@ def test_seed_failure_is_typed_and_ends_before_newton(monkeypatch, case):
     assert evals == []
 
 
+def test_matching_failure_is_typed_and_ends_the_solve(monkeypatch):
+    # Newton out of evaluations: solve raises before it certifies a
+    # bracket, so no classification follows the matching stage
+    events = []
+    classify, match = shooting._classify_at, shooting.match_profile
+
+    def classifying(*args):
+        events.append("classify")
+        return classify(*args)
+
+    def matching_stage(*args):
+        events.append("match")
+        return match(*args)
+
+    monkeypatch.setattr(shooting, "_classify_at", classifying)
+    monkeypatch.setattr(shooting, "match_profile", matching_stage)
+    monkeypatch.setattr(matching, "MAX_NFEV", 3)
+    with pytest.raises(BracketFailure, match=(
+        r"^matching stage failed for Params\(m=2\.0, q=0\.5, N=1, "
+        r"sigma=1\.0\): residual \d\.\d{3}e-\d\d after 3 evaluations$"
+    )):
+        solve(make_params(2.0, 0.5, 1))
+    # the seed bisection classifies; nothing runs after the one match
+    assert events.index("match") == len(events) - 1
+    assert "classify" in events
+
+
 #: beta* of every point of the 50-point grid that solves, as solved
 #: before the xi0 seed came from the rescaling family.  Newton's start
 #: moves its last half digit: 4.5e-13 relative at (1.1, 0.3, 1).
