@@ -16,6 +16,7 @@ from .asymptotics import (
     fit_interface,
     predict_expansion,
 )
+from .equation import InterfaceCase, interface_case
 from .errors import (
     BracketFailure,
     CaseError,
@@ -35,10 +36,8 @@ from .integrate import (
 from .matching import MatchResult, match_profile
 from .model import (
     Exponents,
-    InterfaceCase,
     Params,
     exponents_from_beta,
-    interface_case,
     make_params,
     rescale_profile,
 )

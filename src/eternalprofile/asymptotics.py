@@ -16,9 +16,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .equation import _dot, log_grid
+from .equation import InterfaceCase, _dot, interface_case, log_grid
 from .errors import ProfileError, WindowError
-from .model import Exponents, InterfaceCase, Params, interface_case
+from .model import Exponents, Params
 from .solution import ProfileSolution
 
 

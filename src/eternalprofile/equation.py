@@ -26,10 +26,17 @@ CPU: products of computed floats are sums of elementwise products in a
 fixed order (``_dot``, ``_forward_solve``), and array powers are
 ``np.float_power``.  BLAS and LAPACK kernels, and numpy's SIMD-dispatched
 ``exp``, ``log`` and array ``**``, round differently on different CPUs.
+Sums in plain floats keep ``np.add.reduce``'s pairwise order on the
+same terms: left to right below 8 terms, else the eight partial sums of
+``_lanes``; a zero term, left out, changes no partial sum.  So column 0
+of a table (``_SeriesTable._column0``) has the bits of a numpy loop of
+``_dot``, and a plain float power ``x ** y`` is C's ``pow``, as
+``np.float_power`` is.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from typing import TYPE_CHECKING
@@ -93,6 +100,26 @@ def origin_series(p: Params, beta: float, xi):
     return F, Fp
 
 
+#: Tolerance for detecting the algebraic identity m + q = 2.
+CASE_EPS = 1e-12
+
+
+class InterfaceCase(enum.Enum):
+    """Sign of m + q - 2, which selects the interface expansion."""
+
+    SUB_CRITICAL = "sub_critical"      # m + q < 2
+    CRITICAL = "critical"              # m + q = 2
+    SUPER_CRITICAL = "super_critical"  # m + q > 2
+
+
+def interface_case(p: Params) -> InterfaceCase:
+    """Branch on the sign of m + q - 2 with tolerance CASE_EPS."""
+    s = p.m + p.q - 2.0
+    if abs(s) <= CASE_EPS:
+        return InterfaceCase.CRITICAL
+    return InterfaceCase.SUPER_CRITICAL if s > 0 else InterfaceCase.SUB_CRITICAL
+
+
 #: Largest relative shift of xi0 that the truncated interface series may
 #: imply at the backward launch: its error estimate times u0 / theta.
 SERIES_XI0_TOL = 1e-14
@@ -145,6 +172,18 @@ def _dot(a, b):
     return np.add.reduce(a * b, axis=-1)
 
 
+def _lanes(r):
+    """Sum in the order of ``np.add.reduce`` on 8 to 15 floats r: the eight
+    first ones are numpy's partial sums, one per position modulo 8, and
+    combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); the rest follow one at
+    a time.  The pairwise sum keeps adding to the partial sums from 16
+    floats on, and splits the vector above 128."""
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in r[8:]:
+        s += x
+    return s
+
+
 def _binomial(c: float, n: int):
     """First n coefficients of (1 - u)^c."""
     out = np.ones(n)
@@ -155,14 +194,14 @@ def _binomial(c: float, n: int):
 
 @functools.lru_cache(maxsize=256)
 def _power_weights(a: float, n: int):
-    """W[j, i] = (a (j - i) - i) / j for 0 < i < j, else 0.
+    """Rows W[j, 1:j], as lists, of W[j, i] = (a (j - i) - i) / j.
 
     For g[0] = 1, the coefficients of P = g^a obey (J. C. P. Miller)
     P[j] = a g[j] + sum_{0<i<j} W[j, i] g[j - i] P[i].
     """
     j, i = np.indices((n, n), dtype=float)
     W = (a * (j - i) - i) / np.maximum(j, 1.0)
-    return np.where((i > 0) & (i < j), W, 0.0)
+    return [w[1:k] for k, w in enumerate(W.tolist())]
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,6 +224,39 @@ def _operators(m, q, N, theta, gamma, rows, limit):
     drift = 2.0 / (m - 1.0) * (T_u @ T_1u) + T_1u2 * (theta + j) + k * T_1u2
     sigma = 2.0 * (1.0 - q) / (m - 1.0)
     return diffusion, drift, _lower_toeplitz(_binomial(sigma + 1.0, rows))
+
+
+@functools.lru_cache(maxsize=8)
+def _column0_plan(rows, ed, eb):
+    """Which terms the column-0 recursion of a table sums, in which order.
+
+    Row j of the linear part [diffusion | drift | -absorb] (a block only
+    where its power of z is 0) meets X = [g^m, g, g^q] of column 0.  At
+    k = 0 the diffusion block is lower bidiagonal, the drift block has
+    three bands and the absorption block is lower triangular
+    (``_operators``); no other entry can be nonzero.  Per row j >= 1 the
+    plan holds the positions of those entries, but g[j]'s, in increasing
+    order and in the two parts that ``np.add.reduce`` sums differently:
+    those below the last multiple of 8 of the row's length, each with its
+    lane (position modulo 8), and the rest.  With them go the slices of
+    those two parts and of the row's entries at g[j]^m, g[j] and g[j]^q
+    in the list that ``gather`` picks from the flat linear part.  A table
+    has at most 17 rows, as ``_lanes`` sums at most 15 terms.
+    """
+    n = rows
+    full = 3 * n - 3 * n % 8
+    plan, gather = [], []
+    for j in range(1, n):
+        at = [j - 1, j] if ed == 0 else []
+        at += [n + i for i in range(max(j - 2, 0), j)] if eb == 0 else []
+        at += [2 * n + i for i in range(j + 1)]
+        lanes = [p % 8 for p in at if p < full]
+        lo = len(gather)
+        mid, end = lo + len(lanes), lo + len(at)
+        plan.append((lanes, at[: len(lanes)], at[len(lanes) :],
+                     slice(lo, mid), slice(mid, end), slice(end, end + 3)))
+        gather += [3 * n * j + p for p in at] + [3 * n * j + j + k * n for k in range(3)]
+    return plan, np.array(gather)
 
 
 class _SeriesTable:
@@ -220,33 +292,63 @@ class _SeriesTable:
         self.powers = np.zeros((2, limit, rows))    # columns of g^m and g^q
         self._column0(m, q)
         self.columns = 1
+        self._ladder = None
 
     def _column0(self, m, q):
+        """Column 0, power by power of u, in plain floats.
+
+        Row j first gives g^m and g^q their terms in earlier powers
+        (Miller's recursion), then g[j] from the linear part of row j on
+        X = [g^m, g, g^q], in which g[j] is still 0; g[j] enters with the
+        factors m, 1 and q.  Every sum runs over its terms in the order of
+        ``np.add.reduce`` on the whole row, the entries that cannot be
+        nonzero (``_column0_plan``) left out, which changes no partial sum.
+        """
         n = self.rows
-        X = np.zeros(3 * n)        # [g^m, g, g^q] of column 0
-        G, g, Q = X[:n], X[n : 2 * n], X[2 * n :]
-        G[0] = g[0] = Q[0] = 1.0
+        rows, gather = _column0_plan(n, self.ed, self.eb)
+        Wm, Wq = _power_weights(m, n), _power_weights(q, n)
         zero = np.zeros((n, n))
-        lin = np.hstack([
+        lin = np.concatenate([
             self.diffusion[0] if self.ed == 0 else zero,
             self.drift[0] if self.eb == 0 else zero,
             -self.absorb,
-        ])
-        # g[j] enters G[j], g[j] and Q[j] with the factors m, 1 and q
-        fac = np.diag(lin[:, :n]) * m + np.diag(lin[:, n : 2 * n])
-        fac += np.diag(lin[:, 2 * n :]) * q
-        Wm, Wq = _power_weights(m, n), _power_weights(q, n)
-        for j in range(1, n):
-            gg = g[j - 1 : 0 : -1]
-            G[j] = _dot(Wm[j, 1:j], gg * G[1:j])
-            Q[j] = _dot(Wq[j, 1:j], gg * Q[1:j])
-            g[j] = -_dot(lin[j], X) / fac[j]
-            G[j] += m * g[j]
-            Q[j] += q * g[j]
-        self.b[:, 0] = g
-        self.powers[:, 0] = G, Q
+        ], axis=1)
+        coef = lin.ravel()[gather].tolist()
+        X = [0.0] * (3 * n)
+        X[0] = X[n] = X[2 * n] = 1.0
+        n2 = 2 * n
+        for j, (lanes, at, tail, c_at, c_tail, c_diag) in enumerate(rows, 1):
+            if j < 9:     # fewer than 8 terms: left to right
+                sG = sQ = 0.0
+                for wm, wq, a, G, Q in zip(Wm[j], Wq[j], X[n + j - 1 : n : -1],
+                                           X[1:j], X[n2 + 1 : n2 + j]):
+                    sG += wm * (a * G)
+                    sQ += wq * (a * Q)
+            else:
+                gg = X[n + j - 1 : n : -1]
+                sG = _lanes([w * (a * G) for w, a, G in zip(Wm[j], gg, X[1:j])])
+                sQ = _lanes([w * (a * Q) for w, a, Q
+                             in zip(Wq[j], gg, X[n2 + 1 : n2 + j])])
+            X[j] = sG
+            X[n2 + j] = sQ
+            r = [0.0] * 8
+            for k, a, p in zip(lanes, coef[c_at], at):
+                r[k] += a * X[p]
+            # _lanes(r), written out: it runs for every row of every build
+            s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            if tail:
+                for a, p in zip(coef[c_tail], tail):
+                    s += a * X[p]
+            dG, dg, dQ = coef[c_diag]
+            X[n + j] = g = -s / ((dG * m + dg) + dQ * q)
+            X[j] = sG + m * g
+            X[n2 + j] = sQ + q * g
+        X = np.array(X)
+        self.b[:, 0] = X[n : 2 * n]
+        self.powers[:, 0] = X[:n], X[2 * n :]
         if self.limit == 1:
             return
+        g, (G, Q) = self.b[:, 0], self.powers[:, 0]
         self.products = np.zeros((n, self.limit * n))   # [T(b_0) T(b_1) ...]
         self.products[:, :n] = T_g = _lower_toeplitz(g)
         # products with 1 / g: the inverse is the Toeplitz matrix of its
@@ -291,6 +393,25 @@ class _SeriesTable:
             self.products[:, k * n : (k + 1) * n] = _lower_toeplitz(bk)
             self.columns = k + 1
 
+    def ladder_sums(self, u, count: int):
+        """``_row_sums`` of |b_jk| over the columns so far at the candidate
+        depths u, whose first ``count`` are the first points of
+        LAUNCH_LADDER.  What those points give does not depend on beta:
+        it is kept until the table grows, a search needs more points or
+        the ladder is replaced."""
+        kept = self._ladder
+        if (kept is not None and kept[0] is LAUNCH_LADDER
+                and kept[1] == self.columns and kept[2] >= count):
+            B = kept[3]
+            rest = _row_sums(B, u[count:])
+            return (np.hstack([kept[4][:, :count], rest[0]]),
+                    np.hstack([kept[5][:, :count], rest[1]]))
+        B = np.abs(self.b[:, : self.columns])
+        sums, last2 = _row_sums(B, u)
+        self._ladder = (LAUNCH_LADDER, self.columns, count, B,
+                        sums[:, :count], last2[:, :count])
+        return sums, last2
+
 
 @functools.lru_cache(maxsize=64)
 def _series_table(m: float, q: float, N: int, super_critical: bool):
@@ -306,42 +427,65 @@ def _series_table(m: float, q: float, N: int, super_critical: bool):
     return _SeriesTable(m, q, N, theta, gamma, coeffs, SERIES_ROWS, MAX_COLUMNS)
 
 
-def _truncation(table, kappa, gamma, theta, u):
-    """Launch index into the candidate depths u, and the columns kept.
+def _row_sums(B, u):
+    """sum_j B_jk u^j over all rows and over the last two, for each column
+    k of B (rows of the result) and each u (columns)."""
+    U = np.float_power(u, np.arange(len(B))[:, None])
+    return _dot(B.T, U), _dot(B[-2:].T, U[-2:])
 
-    At each u the series keeps the columns k < cut, where cut is the
-    first k >= 1 whose term is negligible or no larger than the next: the
-    optimal truncation of the divergent z-series.  The estimate adds the
-    first dropped term and the last two rows of the kept columns, all in
-    absolute value.  The launch is the first u whose estimate times
+
+def _truncation(table, kappa, theta, u_floor):
+    """Launch depth u0 = d0 / xi0 and the number of columns kept, cut.
+
+    The candidates are the points of LAUNCH_LADDER above u_floor, then
+    u_floor.  At each u the series keeps the columns k < cut, where cut is
+    the first k >= 1 whose term is negligible or no larger than the next:
+    the optimal truncation of the divergent z-series.  The estimate adds
+    the first dropped term and the last two rows of the kept columns, all
+    in absolute value.  The launch is the first u whose estimate times
     u / theta is at most SERIES_XI0_TOL, else the last u.  The table
     grows while a candidate up to the launch runs out of columns.
     """
+    if table.limit == 1:
+        # one column: cut is 1, nothing is dropped and the estimate is the
+        # last two rows; the floor is the launch unless a point passes first
+        n = table.rows
+        b2, b1 = np.abs(table.b[-2:, 0]).tolist()
+        for u in LAUNCH_LADDER[LAUNCH_LADDER > u_floor].tolist():
+            est = b2 * u ** (n - 2.0) + b1 * u ** (n - 1.0)
+            if est * u / theta <= SERIES_XI0_TOL:
+                return u, 1
+        return u_floor, 1
+    count = int(np.count_nonzero(LAUNCH_LADDER > u_floor))
+    u = np.append(LAUNCH_LADDER[:count], u_floor)
     at = np.arange(len(u))
     while True:
-        B = np.abs(table.b[:, : table.columns])
-        n, K = B.shape
-        U = np.float_power(u, np.arange(n)[:, None])
+        sums, last2 = table.ladder_sums(u, count)
+        K = table.columns
         with np.errstate(over="ignore", invalid="ignore"):
             # far-off trials may overflow; their estimate is then inf or nan
-            Z = np.float_power(kappa * np.float_power(u, gamma),
+            Z = np.float_power(kappa * np.float_power(u, table.gamma),
                                np.arange(K)[:, None])
-            terms = _dot(B.T, U) * Z
-            tails = np.cumsum(_dot(B[-2:].T, U[-2:]) * Z, axis=0)
-        cond = np.ones((K, len(u)), dtype=bool)      # row r: cut at k = r + 1
-        cond[:-1] = terms[1:] <= 0.5 * SERIES_XI0_TOL * theta / u
-        cond[:-2] |= terms[2:] >= terms[1:-1]
-        cut = np.argmax(cond, axis=0) + 1
-        # a candidate that keeps every column of a full table counts its
-        # last kept term as dropped
-        dropped = terms[np.minimum(cut, K - 1), at] if K > 1 else 0.0
-        est = tails[cut - 1, at] + dropped
-        with np.errstate(invalid="ignore"):
+            terms = sums * Z
+            tails = np.cumsum(last2 * Z, axis=0)
+            cond = np.ones((K, len(u)), dtype=bool)   # row r: cut at k = r + 1
+            cond[:-1] = terms[1:] <= 0.5 * SERIES_XI0_TOL * theta / u
+            cond[:-2] |= terms[2:] >= terms[1:-1]
+            cut = np.argmax(cond, axis=0) + 1
+            # a candidate that keeps every column of a full table counts its
+            # last kept term as dropped
+            est = tails[cut - 1, at] + terms[np.minimum(cut, K - 1), at]
             ok = est * u / theta <= SERIES_XI0_TOL
         i = int(np.argmax(ok)) if ok.any() else len(u) - 1
         if table.columns == table.limit or not (cut[: i + 1] == K).any():
-            return i, int(cut[i])
+            return float(u[i]), int(cut[i])
         table.grow(K + 8)
+
+
+@functools.lru_cache(maxsize=64)
+def _exponents(rows: int, columns: int):
+    """The powers j of u, as a column, and k of z of a table's monomials."""
+    return np.arange(rows, dtype=float)[:, None], np.arange(columns, dtype=float)
 
 
 class InterfaceSeries:
@@ -370,8 +514,6 @@ class InterfaceSeries:
     """
 
     def __init__(self, p: Params, beta: float, xi0: float):
-        from .model import InterfaceCase, interface_case
-
         m, q = p.m, p.q
         case = interface_case(p)
         if case is InterfaceCase.SUPER_CRITICAL:
@@ -399,16 +541,14 @@ class InterfaceSeries:
         self.m, self.theta, self.xi0 = m, theta, xi0
         self.gamma, self.kappa = gamma, kappa
         self.amplitude = A1 * xi0 ** (2.0 / (m - 1.0) - theta)
-        u_floor = launch_distance(self, LAUNCH_F) / xi0
-        u = np.append(LAUNCH_LADDER[LAUNCH_LADDER > u_floor], u_floor)
-        i, cut = _truncation(table, kappa, gamma, theta, u)
-        self.d0 = float(u[i]) * xi0
+        u0, cut = _truncation(table, kappa, theta,
+                              launch_distance(self, LAUNCH_F) / xi0)
+        self.d0 = u0 * xi0
         self.coefficients = b = table.b[:, :cut]      # the kept b_jk
+        self._j, self._k = _exponents(len(b), cut)
         # columns: the coefficients of g and of (theta + D) g, flat in (j, k)
-        w = theta + np.arange(len(b))[:, None] + gamma * np.arange(cut)
-        self._coeffs = np.stack([b, w * b]).reshape(2, -1).T
-        self._j = np.arange(len(b), dtype=float)[:, None]
-        self._k = np.arange(cut, dtype=float)
+        w = theta + self._j + gamma * self._k
+        self._coeffs = np.array([b, w * b]).reshape(2, -1).T
 
     def __call__(self, d):
         """(F, F') a distance d (scalar or array) inside the interface.

@@ -29,8 +29,9 @@ for, so Newton starts loose (an inexact Newton method: Dembo, Eisenstat
 step is below LOOSE_XTOL, near the accuracy of the loose residual, so
 the cheap stage converges as far as it can before the RTOL legs, 3-5x
 the cost per evaluation, take over; the residual is then re-evaluated
-in place at RTOL and the same iteration goes on to the XTOL stop, so
-the converged point is the one a tight-only iteration finds.  The RTOL
+in place at RTOL, from the interface series already built there, and
+the same iteration goes on to the XTOL stop, so the converged point is
+the one a tight-only iteration finds.  The RTOL
 legs keep their dense output, and the profile is built from those of
 that point.  ``seed_xi0`` gives Newton its xi0 from the same rescaling
 family, with one backward leg on a forward run already made.
@@ -102,10 +103,13 @@ def _leg(rhs, t_span, y0, rtol, direction, beta, xi0):
     return sol
 
 
-def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs):
+def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs,
+                  series=None):
     """Backward leg from the interface series at d0 = u0 xi0 to
-    xi_mid = MID_FRAC xi0; returns (run, the interface series)."""
-    series = InterfaceSeries(p, beta, xi0)
+    xi_mid = MID_FRAC xi0; returns (run, the interface series).  A
+    ``series`` already built at (beta, xi0) is launched as it is."""
+    if series is None:
+        series = InterfaceSeries(p, beta, xi0)
     xi_start, xi_mid = xi0 - series.d0, MID_FRAC * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
@@ -116,9 +120,9 @@ def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs):
     return bwd, series
 
 
-def _legs(p: Params, beta: float, xi0: float, rtol: float):
+def _legs(p: Params, beta: float, xi0: float, rtol: float, series=None):
     """Forward leg from the origin series at DELTA0 and the backward leg,
-    both integrated to xi_mid.
+    from ``series`` when given, both integrated to xi_mid.
 
     Returns (forward run, backward run, the interface series, the
     right-hand side of both legs).
@@ -126,7 +130,7 @@ def _legs(p: Params, beta: float, xi0: float, rtol: float):
     rhs = profile_rhs(p, beta, _F_FLOOR)
     fwd = _leg(rhs, (DELTA0, MID_FRAC * xi0), origin_series(p, beta, DELTA0),
                rtol, "forward", beta, xi0)
-    bwd, series = _backward_leg(p, beta, xi0, rtol, rhs)
+    bwd, series = _backward_leg(p, beta, xi0, rtol, rhs, series)
     return fwd, bwd, series, rhs
 
 
@@ -215,9 +219,10 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
     return sol.t, *f_from_F(p.m, sol.y[0], sol.y[1])
 
 
-def _residuals(p: Params, x, rtol=RTOL):
+def _residuals(p: Params, x, rtol=RTOL, series=None):
     """Continuity residual r, its exact xi0-column dr/dxi0 and the legs
-    of ``_legs``, or None when a leg fails.
+    of ``_legs``, or None when a leg fails.  ``series``, an interface
+    series already built at x, spares its rebuild.
 
     Because sigma = sigma_c, the rescaling family
     f_A(xi) = A f_1(A^{-(m-1)/2} xi) maps the backward leg with its
@@ -237,7 +242,7 @@ def _residuals(p: Params, x, rtol=RTOL):
     if beta <= 0.0 or xi0 <= 0.0:
         return None
     try:
-        fwd, bwd, _, rhs = legs = _legs(p, beta, xi0, rtol)
+        fwd, bwd, _, rhs = legs = _legs(p, beta, xi0, rtol, series)
     except (BracketFailure, StepFailureError):
         return None
     F_f, Fp_f = float(fwd.y[0, -1]), float(fwd.y[1, -1])
@@ -281,9 +286,9 @@ def _newton(p: Params, beta: float, xi0: float):
     (Dennis & Schnabel 1996, ch. 6 and 8).  A trial that fails or does
     not lower max|r| halves the step.  Both legs run at LOOSE_RTOL until
     a step is <= LOOSE_XTOL |x|; the residual is then re-evaluated at the
-    same x at RTOL, the beta-column is kept, and the iteration converges
-    once a step is <= XTOL |x|.  Any failure ends it, and MAX_NFEV
-    bounds the residual evaluations.
+    same x at RTOL from the same interface series, the beta-column is
+    kept, and the iteration converges once a step is <= XTOL |x|.  Any
+    failure ends it, and MAX_NFEV bounds the residual evaluations.
 
     Returns (x, r, nfev, legs), legs those of the converged x at RTOL,
     or None when the iteration fails.
@@ -314,10 +319,11 @@ def _newton(p: Params, beta: float, xi0: float):
                     return x, r, nfev, legs
                 if nfev >= MAX_NFEV:
                     return x, r, nfev, None
-                # tighten the legs in place, keeping the beta-column
+                # tighten the legs in place, keeping the beta-column and
+                # the interface series
                 rtol, xtol = RTOL, XTOL
                 nfev += 1
-                out = _residuals(p, x, rtol)
+                out = _residuals(p, x, rtol, legs[2])
                 if out is None:
                     return x, None, nfev, None
                 r, j_xi0, legs = out

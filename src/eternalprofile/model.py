@@ -8,17 +8,13 @@ sigma = 2(1-q)/(m-1).  All downstream modules consume the immutable
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equation import piecewise
+from .equation import CASE_EPS, piecewise
 from .errors import DomainError
 from .solution import ProfileSolution
-
-#: Tolerance for detecting the algebraic identity m + q = 2.
-CASE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,14 +46,6 @@ class Params:
             assert abs(self.sigma - 2.0) <= 1e-9, "m+q=2 must imply sigma=2"
 
 
-class InterfaceCase(enum.Enum):
-    """Sign of m + q - 2, which selects the interface expansion."""
-
-    SUB_CRITICAL = "sub_critical"      # m + q < 2
-    CRITICAL = "critical"              # m + q = 2
-    SUPER_CRITICAL = "super_critical"  # m + q > 2
-
-
 @dataclass(frozen=True)
 class Exponents:
     """Self-similar exponent pair; alpha is slaved to beta."""
@@ -87,14 +75,6 @@ def exponents_from_beta(p: Params, beta: float) -> Exponents:
     rejects beta <= 0."""
     beta = float(beta)
     return Exponents(beta=beta, alpha=2.0 * beta / (p.m - 1.0))
-
-
-def interface_case(p: Params) -> InterfaceCase:
-    """Branch on the sign of m + q - 2 with tolerance CASE_EPS."""
-    s = p.m + p.q - 2.0
-    if abs(s) <= CASE_EPS:
-        return InterfaceCase.CRITICAL
-    return InterfaceCase.SUPER_CRITICAL if s > 0 else InterfaceCase.SUB_CRITICAL
 
 
 def rescale_profile(profile: ProfileSolution, a: float) -> ProfileSolution:

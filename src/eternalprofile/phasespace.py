@@ -23,9 +23,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .equation import log_grid
+from .equation import InterfaceCase, interface_case, log_grid
 from .errors import CaseError, ProfileError, TailError
-from .model import Exponents, InterfaceCase, Params, interface_case
+from .model import Exponents, Params
 from .solution import ProfileSolution
 
 #: Fraction of xi0 below which phase points are trimmed; the negative

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError, ProfileError
+from .errors import BracketFailure, DomainError
 from .integrate import CLASSIFY_RTOL, integrate_profile
 from .matching import RTOL as MATCH_RTOL, MatchResult, match_profile, seed_xi0
 from .model import Params, exponents_from_beta
@@ -158,9 +158,10 @@ def bisect_beta(
 
     CandidateB midpoints (grazing contact, which forward integration
     cannot split further) are treated as the A side so the bracket keeps
-    narrowing to the requested width.  The returned final_profile is
-    the profile of the last midpoint classified, or of beta_star when
-    the bracket needed no midpoint.
+    narrowing to the requested width; an Undetermined midpoint raises
+    BracketFailure.  The returned final_profile is the profile of the
+    last midpoint classified, or of beta_star when the bracket needed no
+    midpoint.
     """
     _check_beta_tol(beta_tol)
     lo, hi = bracket
@@ -179,8 +180,9 @@ def bisect_beta(
         elif cls in _A_SIDE:
             hi = mid
         else:
-            raise ProfileError(
-                f"classification is Undetermined at beta={mid!r}"
+            raise BracketFailure(
+                f"bisection of [{lo!r}, {hi!r}] for {p}: classification "
+                f"is Undetermined at beta={mid!r}"
             )
         beta_star = 0.5 * (lo + hi)
     if final is None:

@@ -11,9 +11,17 @@ from eternalprofile import (
 )
 from eternalprofile.asymptotics import K0_constant, K1_constant
 from eternalprofile.equation import (
+    CRITICAL_ROWS,
+    LAUNCH_F,
+    LAUNCH_LADDER,
+    SERIES_XI0_TOL,
     InterfaceSeries,
+    _SeriesTable,
     _dot,
+    _lanes,
+    _power_weights,
     _series_table,
+    launch_distance,
     log_grid,
     origin_series,
     piecewise,
@@ -145,6 +153,134 @@ def test_subcritical_first_correction_is_K0(m, q, N, beta):
     assert second == pytest.approx(expn.second_order_coeff, rel=1e-12)
     assert series.kappa == pytest.approx(beta * K1_constant(p) ** (1.0 - q), rel=1e-13)
     assert K0_constant(p, beta) > 0.0
+
+
+#: The 21 critical levels of the benchmark, (q, N) on m = 2 - q.
+CRITICAL_LEVELS = [(q, N) for q in (0.22, 0.3, 0.38, 0.46, 0.54, 0.62, 0.7)
+                   for N in (1, 2, 3)]
+
+
+def numpy_column0(table, m, q):
+    """Column 0 (g, g^m, g^q) of ``table`` by a numpy loop: each sum is one
+    ``_dot`` over every term of its row, zero or not; the reference for
+    the plain-float recursion of ``_SeriesTable._column0``."""
+    n = table.rows
+    X = np.zeros(3 * n)
+    G, g, Q = X[:n], X[n : 2 * n], X[2 * n :]
+    G[0] = g[0] = Q[0] = 1.0
+    zero = np.zeros((n, n))
+    lin = np.hstack([
+        table.diffusion[0] if table.ed == 0 else zero,
+        table.drift[0] if table.eb == 0 else zero,
+        -table.absorb,
+    ])
+    fac = np.diag(lin[:, :n]) * m + np.diag(lin[:, n : 2 * n])
+    fac += np.diag(lin[:, 2 * n :]) * q
+    Wm, Wq = _power_weights(m, n), _power_weights(q, n)
+    for j in range(1, n):
+        gg = g[j - 1 : 0 : -1]
+        G[j] = _dot(np.array(Wm[j]), gg * G[1:j])
+        Q[j] = _dot(np.array(Wq[j]), gg * Q[1:j])
+        g[j] = -_dot(lin[j], X) / fac[j]
+        G[j] += m * g[j]
+        Q[j] += q * g[j]
+    return g, G, Q
+
+
+def critical_table(q, N, beta):
+    """The one-column table of the critical line at beta."""
+    m, theta = 2.0 - q, 1.0 / (1.0 - q)
+    bt, mt = beta * theta, m * theta
+    s = 2.0 / (bt + np.sqrt(bt * bt + 4.0 * mt * (mt - 1.0)))
+    coeffs = (s * s, 0, beta * s, 0, 1.0)
+    return _SeriesTable(m, q, N, theta, 0.0, coeffs, CRITICAL_ROWS, 1)
+
+
+def test_lanes_sum_as_numpy_does():
+    rng = np.random.default_rng(11)
+    for n in range(8, 16):
+        for _ in range(200):
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+            assert _lanes(x.tolist()) == np.add.reduce(x)
+
+
+@pytest.mark.parametrize("q, N", CRITICAL_LEVELS)
+@pytest.mark.parametrize("scale", [1.0, 0.3, 3.0])
+def test_critical_column_is_the_numpy_loop_bit_for_bit(q, N, scale):
+    # around beta*, where the critical column is rebuilt for every beta
+    _, beta, xi0, _ = critical_profile(q, N)
+    table = critical_table(q, N, scale * beta)
+    g, G, Q = numpy_column0(table, 2.0 - q, q)
+    np.testing.assert_array_equal(table.b[:, 0], g)
+    np.testing.assert_array_equal(table.powers[:, 0], [G, Q])
+    series = InterfaceSeries(make_params(2.0 - q, q, N), scale * beta, xi0)
+    np.testing.assert_array_equal(series.coefficients[:, 0], g)
+
+
+@pytest.mark.parametrize("m, q, N", [(2.0, 0.5, 1), (2.0, 0.5, 3), (1.2, 0.3, 1)])
+def test_table_column_is_the_numpy_loop_bit_for_bit(m, q, N):
+    # the super- and sub-critical tables of the reference cases
+    table = _series_table(m, q, N, m + q > 2.0)
+    g, G, Q = numpy_column0(table, m, q)
+    np.testing.assert_array_equal(table.b[:, 0], g)
+    np.testing.assert_array_equal(table.powers[:, 0], [G, Q])
+
+
+def one_column_launch(b, theta, u_floor):
+    """u0 by an array pass over every candidate, for a one-column table:
+    cut is 1, and the estimate is the last two rows."""
+    u = np.append(LAUNCH_LADDER[LAUNCH_LADDER > u_floor], u_floor)
+    U = np.float_power(u, np.arange(len(b))[:, None])
+    ok = _dot(np.abs(b[-2:]), U[-2:]) * u / theta <= SERIES_XI0_TOL
+    return float(u[np.argmax(ok)] if ok.any() else u[-1])
+
+
+@pytest.mark.parametrize("q, N", CRITICAL_LEVELS)
+def test_critical_launch_is_the_array_search(q, N):
+    p, beta, xi0, _ = critical_profile(q, N)
+    for scale in (1.0, 0.3, 3.0, 30.0):
+        series = InterfaceSeries(p, scale * beta, xi0)
+        u_floor = launch_distance(series, LAUNCH_F) / xi0
+        u0 = one_column_launch(series.coefficients[:, 0], series.theta, u_floor)
+        assert series.d0 == u0 * xi0
+        assert series.coefficients.shape[1] == 1
+
+
+#: (beta*, xi0, d0 / xi0, cut) of the matched interface series of the
+#: reference cases, the twelve super-critical benchmark levels and the six
+#: sub-critical ones: the launch that the search over every candidate and
+#: every column finds.
+LAUNCHES = {
+    (2.0, 0.5, 1): (0.5138348204161861, 3.200862877332778, 0.005524271728019903, 35),
+    (2.0, 0.5, 3): (0.960620634236639, 4.2864609255676065, 0.03125, 29),
+    (1.5, 0.5, 2): (0.5000000000001162, 2.4494897427833955, 0.25, 1),
+    (1.2, 0.3, 1): (0.14127220063317739, 1.5208054398587687, 0.08838834764831845, 6),
+    (1.6, 0.5, 1): (0.3225641851229703, 2.484574962059388, 0.0001415443810363053, 1),
+    (1.63, 0.5, 2): (0.5797583432009349, 2.7336289867964245, 0.00023498470141562134, 1),
+    (1.66, 0.5, 3): (0.7896405118579273, 2.996307409363723, 0.0002994738177564329, 12),
+    (1.69, 0.5, 1): (0.36607083691832026, 2.6217219739059625, 0.00018111225251578352, 1),
+    (1.72, 0.5, 2): (0.6310837850715802, 2.9541609811576137, 0.00028037303498434224, 26),
+    (1.75, 0.5, 3): (0.8374826879735212, 3.288865011570985, 0.0009765625, 28),
+    (1.78, 0.5, 1): (0.4092761347351147, 2.7698947484482077, 0.00022171027384080666, 20),
+    (1.81, 0.5, 2): (0.680169124839059, 3.198942024529534, 0.0013810679320049757, 30),
+    (1.84, 0.5, 3): (0.8829885633953364, 3.614790612304299, 0.005524271728019903, 27),
+    (1.87, 0.5, 1): (0.4522101141259524, 2.9329391029476066, 0.000690533966002488, 23),
+    (1.9, 0.5, 2): (0.7276185915188667, 3.471696402347701, 0.005524271728019903, 25),
+    (1.93, 0.5, 3): (0.9270213286440854, 3.9772871354669928, 0.015625, 24),
+    (1.22, 0.2, 1): (0.16061521089585098, 1.451138190906559, 0.0625, 6),
+    (1.26, 0.24, 2): (0.38500103095943455, 1.532720192407877, 0.0625, 8),
+    (1.3, 0.2, 3): (0.6755898078462687, 1.538341879898628, 0.0625, 9),
+    (1.3, 0.26, 1): (0.19874742437136136, 1.6124657412264602, 0.08838834764831843, 7),
+    (1.24, 0.22, 3): (0.5851664715112673, 1.4785398350552814, 0.0625, 8),
+    (1.28, 0.28, 2): (0.3951613202901134, 1.6066200968316215, 0.0625, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAUNCHES))
+def test_launch_depth_and_columns_are_pinned(case):
+    beta, xi0, u0, cut = LAUNCHES[case]
+    series = InterfaceSeries(make_params(*case), beta, xi0)
+    assert (series.d0 / xi0, series.coefficients.shape[1]) == (u0, cut)
 
 
 def sympy_coefficients(m, q, N, theta, a, b, L, gL, order=3):

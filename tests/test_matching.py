@@ -174,9 +174,9 @@ def recorded():
                          t_span[1] < t_span[0]))
             return solve_ivp(fun, t_span, *args, **kwargs)
 
-        def recording_residuals(p, x, rtol=RTOL):
+        def recording_residuals(p, x, rtol=RTOL, series=None):
             evals.append((rtol, (float(x[0]), float(x[1]))))
-            return _residuals(p, x, rtol)
+            return _residuals(p, x, rtol, series)
 
         mp.setattr(matching, "solve_ivp", recording_ivp)
         mp.setattr(matching, "_residuals", recording_residuals)
@@ -211,6 +211,31 @@ def test_few_residual_evaluations_at_rtol(recorded):
         tight = [x for rtol, x in evals if rtol == RTOL]
         assert 1 <= len(tight) <= 3, case
         assert len(evals) == result.match.nfev, case
+
+
+def test_a_solve_builds_one_series_per_point_it_evaluates(monkeypatch):
+    # the xi0 seed's leg and every residual evaluation launch from a series
+    # built at their own (beta, xi0), except the tightening re-evaluation,
+    # which launches from the series of the loose one at the same point
+    builds, evals = [], []
+
+    def building(p, beta, xi0):
+        builds.append((beta, xi0))
+        return InterfaceSeries(p, beta, xi0)
+
+    def recording(p, x, *args):
+        evals.append((float(x[0]), float(x[1])))
+        return _residuals(p, x, *args)
+
+    monkeypatch.setattr(matching, "InterfaceSeries", building)
+    monkeypatch.setattr(matching, "_residuals", recording)
+    for case in CASES:
+        builds.clear()
+        evals.clear()
+        solve(make_params(*case))
+        assert len(set(builds)) == len(builds), case
+        assert set(builds[1:]) == set(evals), case
+        assert len(builds) == len(evals), case
 
 
 def test_loose_beta_column_steps_by_sqrt_of_loose_rtol(recorded):
@@ -248,11 +273,11 @@ def test_failed_loose_stage_makes_no_evaluation_at_rtol(
     _, _, evals = recorded[(2.0, 0.5, 1)]
     rtols = []
 
-    def failing_loose(p, x, rtol=RTOL):
+    def failing_loose(p, x, rtol=RTOL, series=None):
         rtols.append(rtol)
         if rtol == LOOSE_RTOL and len(rtols) >= fail_from:
             return None
-        return _residuals(p, x, rtol)
+        return _residuals(p, x, rtol, series)
 
     monkeypatch.setattr(matching, "_residuals", failing_loose)
     failed = match_profile(make_params(2.0, 0.5, 1), *evals[0][1])

@@ -122,6 +122,19 @@ def test_unbracketable_case_raises_bracket_failure():
         solve(make_params(3.0, 0.5, 1))
 
 
+def test_undetermined_midpoint_raises_a_bracket_failure_naming_it():
+    # the scan brackets (1, 2); the seed bisection's midpoints 1.5 and
+    # 1.25 classify ClassA, and 1.125 ends in a step failure that
+    # classifies as Undetermined
+    p = make_params(2.269, 0.539, 3)
+    with pytest.raises(BracketFailure) as info:
+        solve(p)
+    message = str(info.value)
+    assert message.startswith("bisection of [1.0, 1.25]")
+    assert "Undetermined at beta=1.125" in message
+    assert str(p) in message
+
+
 @pytest.mark.parametrize("case", sorted(BETA_STAR))
 def test_solve_reproduces_frozen_beta_star(solved, case):
     result = solved[case]
