@@ -13,7 +13,12 @@ d = xi0 - xi (``InterfaceSeries``; series at a singular point as in
 Ascher, Mattheij & Russell 1995, interface expansions as in Vazquez
 2007).  Its coefficients come from one linear recursion; off the
 critical line m + q = 2 their table depends only on (m, q, N) and is
-built once per triple.  The integrators in ``integrate`` and
+built once per triple.  Where m + q > 2 the z-series diverges, and
+diagonal Pade approximants in z, from Wynn's epsilon algorithm
+(``_pade``), sum it far past its smallest term, so the backward leg
+launches where the profile is no longer thin; where they fail, the
+series is truncated at its smallest term.  The integrators in
+``integrate`` and
 ``matching`` take their launch states from here, and their right-hand
 side, written once as a template that also gives its DOP853 step.
 Every profile is evaluated off its grid by one ``piecewise``
@@ -23,7 +28,8 @@ check the leading terms of the series.
 
 One arithmetic rule makes the same input give the same bits on every
 CPU: products of computed floats are sums of elementwise products in a
-fixed order (``_dot``, ``_forward_solve``), and array powers are
+fixed order (``_dot``, ``_forward_solve``), the Pade sums are elementwise
+operations and a cumulative sum, and array powers are
 ``np.float_power``.  BLAS and LAPACK kernels, and numpy's SIMD-dispatched
 ``exp``, ``log`` and array ``**``, round differently on different CPUs.
 Sums in plain floats keep ``np.add.reduce``'s pairwise order on the
@@ -39,7 +45,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -131,10 +137,17 @@ LAUNCH_LADDER = 2.0 ** (-0.5 * np.arange(4.0, 120.0))
 LAUNCH_F = 1e-6
 
 #: Powers of u kept in each column of the interface-series table, off and
-#: on the critical line, and the most powers of z = kappa u^gamma.
+#: on the critical line, and the most powers of z = kappa u^gamma.  A
+#: super-critical table with gamma >= 1 keeps WIDE_ROWS: its summed series
+#: launches as far out as u = 1/8 to 1/4, where 12 powers of u fall short.
 SERIES_ROWS = 12
+WIDE_ROWS = 18
 CRITICAL_ROWS = 16
 MAX_COLUMNS = 48
+
+#: Order L of the diagonal Pade approximants [L/L] in z that sum the
+#: super-critical series; they read its first 2L + 1 columns.
+PADE_ORDER = 16
 
 
 @functools.lru_cache(maxsize=8)
@@ -173,13 +186,17 @@ def _dot(a, b):
 
 
 def _lanes(r):
-    """Sum in the order of ``np.add.reduce`` on 8 to 15 floats r: the eight
-    first ones are numpy's partial sums, one per position modulo 8, and
-    combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); the rest follow one at
-    a time.  The pairwise sum keeps adding to the partial sums from 16
-    floats on, and splits the vector above 128."""
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in r[8:]:
+    """Sum in the order of ``np.add.reduce`` on 8 to 128 floats r: eight
+    partial sums, one per position modulo 8 over the longest prefix whose
+    length is a multiple of 8, combine as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); the rest follow one at a time.
+    Above 128 floats numpy splits the vector."""
+    full = len(r) - len(r) % 8
+    p = r[:8]
+    for i in range(8, full, 8):
+        p = [a + b for a, b in zip(p, r[i : i + 8])]
+    s = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    for x in r[full:]:
         s += x
     return s
 
@@ -241,7 +258,7 @@ def _column0_plan(rows, ed, eb):
     lane (position modulo 8), and the rest.  With them go the slices of
     those two parts and of the row's entries at g[j]^m, g[j] and g[j]^q
     in the list that ``gather`` picks from the flat linear part.  A table
-    has at most 17 rows, as ``_lanes`` sums at most 15 terms.
+    has at most 42 rows, as numpy splits a sum of more than 128 terms.
     """
     n = rows
     full = 3 * n - 3 * n % 8
@@ -293,6 +310,7 @@ class _SeriesTable:
         self._column0(m, q)
         self.columns = 1
         self._ladder = None
+        self._summands = self._ladder_terms = None
 
     def _column0(self, m, q):
         """Column 0, power by power of u, in plain floats.
@@ -393,6 +411,37 @@ class _SeriesTable:
             self.products[:, k * n : (k + 1) * n] = _lower_toeplitz(bk)
             self.columns = k + 1
 
+    def summands(self):
+        """What the Pade summation reads, as (4, 2L + 1, rows) with
+        L = PADE_ORDER, k before j: the columns of g and of (theta + D) g,
+        then both without their last two rows, whose Pade values tell what
+        the rows the table leaves out would add."""
+        if self._summands is None:
+            K = 2 * PADE_ORDER + 1
+            self.grow(K)
+            b = self.b[:, :K]
+            j, k = _exponents(self.rows, K)
+            blocks = np.array([b, (self.theta + j + self.gamma * k) * b])
+            cut = blocks.copy()
+            cut[:, -2:] = 0.0
+            self._summands = np.swapaxes(np.concatenate([blocks, cut]), 1, 2).copy()
+        return self._summands
+
+    def ladder_terms(self, count: int):
+        """``_terms`` of every block of ``summands`` at the first ``count``
+        points of LAUNCH_LADDER; they do not depend on beta, and are kept
+        until a search needs more points or the ladder is replaced."""
+        blocks = self.summands()
+        kept = self._ladder_terms
+        if kept is None or kept[0] is not LAUNCH_LADDER:
+            kept = LAUNCH_LADDER, _terms(blocks, self.gamma, LAUNCH_LADDER[:0])
+        have = kept[1].shape[2]
+        if have < count:
+            more = _terms(blocks, self.gamma, LAUNCH_LADDER[have:count])
+            kept = LAUNCH_LADDER, np.concatenate([kept[1], more], axis=2)
+        self._ladder_terms = kept
+        return kept[1][:, :, :count]
+
     def ladder_sums(self, u, count: int):
         """``_row_sums`` of |b_jk| over the columns so far at the candidate
         depths u, whose first ``count`` are the first points of
@@ -424,7 +473,8 @@ def _series_table(m: float, q: float, N: int, super_critical: bool):
         theta = 2.0 / (m - q)
         gamma = (2.0 - m - q) / (m - q)
         coeffs = (1.0 / (m * theta * (m * theta - 1.0)), 0, 1.0, 1, 1.0)
-    return _SeriesTable(m, q, N, theta, gamma, coeffs, SERIES_ROWS, MAX_COLUMNS)
+    rows = WIDE_ROWS if super_critical and gamma >= 1.0 else SERIES_ROWS
+    return _SeriesTable(m, q, N, theta, gamma, coeffs, rows, MAX_COLUMNS)
 
 
 def _row_sums(B, u):
@@ -432,6 +482,70 @@ def _row_sums(B, u):
     k of B (rows of the result) and each u (columns)."""
     U = np.float_power(u, np.arange(len(B))[:, None])
     return _dot(B.T, U), _dot(B[-2:].T, U[-2:])
+
+
+def _terms(blocks, gamma, u):
+    """c_k(u) u^(gamma k), with c_k(u) = sum_j b_jk u^j, for each block b
+    of ``blocks`` (k before j) and each u of the 1-d array ``u``, as an
+    array (k, block, u): the terms of the z-series but their kappa^k."""
+    K, rows = blocks.shape[1:]
+    U = np.float_power(u[:, None], np.arange(rows))
+    C = np.add.reduce(U[:, None] * blocks[:, None], axis=-1)
+    C *= np.float_power(u[:, None], gamma * np.arange(K))
+    return np.ascontiguousarray(np.moveaxis(C, -1, 0))
+
+
+def _pade(terms, kappa):
+    """[L/L] and [L-1/L-1] Pade values in kappa of the series whose first
+    2L + 1 terms, but their kappa^k, run along the first axis of ``terms``
+    (``_terms``); each has the shape of the other axes.
+
+    Wynn's epsilon algorithm (Wynn 1956) on the partial sums S_n,
+    n <= 2L: eps_{-1} = 0, eps_0 = S and
+    eps_{k+1}^(n) = eps_{k-1}^(n+1) + 1 / (eps_k^(n+1) - eps_k^(n)),
+    a column at a time, so that eps_{2L}^(0) = [L/L].  Where an even
+    column has converged, equal neighbours make the next odd column
+    infinite, and two infinite neighbours a NaN difference; that
+    difference is taken as infinite, so the converged value goes on.
+    Only elementwise operations and a cumulative sum along the first
+    axis: the bits of a point do not depend on the others.
+    """
+    L = (len(terms) - 1) // 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        powers = np.float_power(kappa, np.arange(2.0 * L + 1.0))
+        even = np.cumsum(terms * powers.reshape(-1, *[1] * (terms.ndim - 1)),
+                         axis=0)
+        odd = 1.0 / (even[1:] - even[:-1])
+        for k in range(1, L + 1):
+            even = even[1:-1] + 1.0 / np.fmax(odd[1:] - odd[:-1], -np.inf)
+            if k == L - 1:
+                before = even[0]
+            if k < L:
+                odd = odd[1:-1] + 1.0 / (even[1:] - even[:-1])
+    return even[0], before
+
+
+def _summed_launch(table, kappa, theta, count: int):
+    """Index of the launch among the first ``count`` points u of
+    LAUNCH_LADDER, or None, and the Pade values of g and (theta + D) g
+    at every point, as an array (2, count).
+
+    The estimate at u is the larger, for g and for (theta + D) g, of the
+    relative changes of the Pade value from [L-1/L-1] to [L/L] and on
+    leaving out the last two rows of the table, times u / theta: the
+    relative shift of xi0 it implies.  The launch is the first u whose
+    estimate is at most SERIES_XI0_TOL, with the next, deeper point
+    passing too, so that no chance agreement of two approximants decides
+    it.  A point where g is not positive, or a value is NaN, fails.
+    """
+    full, before = _pade(table.ladder_terms(count), kappa)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        est = np.maximum(np.abs(full[:2] - before[:2]),
+                         np.abs(full[:2] - full[2:])) / np.abs(full[:2])
+        est = np.max(est, axis=0) * LAUNCH_LADDER[:count] / theta
+    ok = (est <= SERIES_XI0_TOL) & (full[0] > 0.0)
+    ok = ok[:-1] & ok[1:]
+    return (int(np.argmax(ok)) if ok.any() else None), full[:2]
 
 
 def _truncation(table, kappa, theta, u_floor):
@@ -496,7 +610,8 @@ class InterfaceSeries:
 
     - super-critical (m + q > 2): gamma = (m+q-2)/(1-q) and kappa =
       K3^{m-1}/beta, drift and absorption balance and diffusion enters
-      through z; the z-series diverges and is truncated optimally;
+      through z; the z-series diverges, and is Pade-summed or truncated
+      optimally;
     - sub-critical (m + q < 2): gamma = (2-m-q)/(m-q) and kappa =
       beta K1^{1-q}, diffusion and absorption balance and drift enters
       through z; b_01 kappa is -K0 / K1;
@@ -504,16 +619,25 @@ class InterfaceSeries:
       alone and its coefficients depend on beta.
 
     Off the critical line the table depends only on (m, q, N) and is
-    shared by every beta.  The series is truncated where the backward leg
-    launches, at ``d0 = u0 xi0``: u0 is the shallowest point of
-    LAUNCH_LADDER whose truncation estimate times u0 / theta -- the
-    relative shift of xi0 it implies -- is at most SERIES_XI0_TOL, but
-    never deeper than where A d^theta = LAUNCH_F.  A launch fixed in u
-    keeps the backward leg on the rescaling family in xi0.  The kept
-    terms serve every depth down to the interface.
+    shared by every beta.  The backward leg launches at ``d0 = u0 xi0``
+    from the state ``launch``, (F, F') there; u0 is a point of
+    LAUNCH_LADDER, so a launch fixed in u keeps the leg on the
+    rescaling family in xi0.  A super-critical series is summed by
+    [L/L] Pade approximants in z, L = PADE_ORDER, at the shallowest
+    point whose estimate (``_summed_launch``) -- the relative shift
+    of xi0 it implies -- is at most SERIES_XI0_TOL, at the next deeper
+    point too, and at least twice as far out as where
+    A d^theta = LAUNCH_F; ``pade_u0``, that depth, is then set.  A
+    ``pade_u0`` given to the constructor is taken without the search,
+    unless g summed there is not positive or not finite.
+    Else the series is truncated where its own estimate times u0 / theta
+    first passes SERIES_XI0_TOL, never deeper than where A d^theta =
+    LAUNCH_F, and ``pade_u0`` is None.  Either way the series is summed
+    alike at every depth down to the interface.
     """
 
-    def __init__(self, p: Params, beta: float, xi0: float):
+    def __init__(self, p: Params, beta: float, xi0: float,
+                 pade_u0: Optional[float] = None):
         m, q = p.m, p.q
         case = interface_case(p)
         if case is InterfaceCase.SUPER_CRITICAL:
@@ -538,17 +662,46 @@ class InterfaceSeries:
                 m, q, p.N, theta, 0.0, coeffs, CRITICAL_ROWS, 1
             )
         gamma = table.gamma
-        self.m, self.theta, self.xi0 = m, theta, xi0
+        self.m, self.theta, self.beta, self.xi0 = m, theta, beta, xi0
+        self.pade_u0 = None
         self.gamma, self.kappa = gamma, kappa
         self.amplitude = A1 * xi0 ** (2.0 / (m - 1.0) - theta)
-        u0, cut = _truncation(table, kappa, theta,
-                              launch_distance(self, LAUNCH_F) / xi0)
+        u_floor = launch_distance(self, LAUNCH_F) / xi0
+        self._summands = None
+        if case is InterfaceCase.SUPER_CRITICAL:
+            summands = table.summands()
+            if pade_u0 is not None:
+                terms = _terms(summands[:2], gamma, np.array([pade_u0]))
+                gh = _pade(terms, kappa)[0][:, 0]
+                if not (gh[0] > 0.0 and np.isfinite(gh[1])):
+                    pade_u0 = None      # far off: search afresh
+            if pade_u0 is None:
+                count = int(np.count_nonzero(LAUNCH_LADDER > 2.0 * u_floor))
+                i, gh = _summed_launch(table, kappa, theta, count)
+                if i is not None:
+                    pade_u0, gh = float(LAUNCH_LADDER[i]), gh[:, i]
+            if pade_u0 is not None:
+                self.pade_u0, self._summands = pade_u0, summands[:2]
+                self.d0 = pade_u0 * xi0
+                self.coefficients = table.b[:, : 2 * PADE_ORDER + 1]
+                self._launch = self._state(self.d0, gh[0], gh[1])
+                return
+        u0, cut = _truncation(table, kappa, theta, u_floor)
         self.d0 = u0 * xi0
         self.coefficients = b = table.b[:, :cut]      # the kept b_jk
         self._j, self._k = _exponents(len(b), cut)
         # columns: the coefficients of g and of (theta + D) g, flat in (j, k)
         w = theta + self._j + gamma * self._k
         self._coeffs = np.array([b, w * b]).reshape(2, -1).T
+        self._launch = None
+
+    @property
+    def launch(self):
+        """(F, F') at ``d0``, where the backward leg starts: a summed
+        series keeps the state its search found there."""
+        if self._launch is None:
+            self._launch = self(self.d0)
+        return self._launch
 
     def __call__(self, d):
         """(F, F') a distance d (scalar or array) inside the interface.
@@ -561,12 +714,22 @@ class InterfaceSeries:
         pw = np.float_power
         d = np.asarray(d, dtype=float)
         u = d / self.xi0
-        z = self.kappa * pw(u, self.gamma)
-        mono = pw(u[..., None, None], self._j) * pw(z[..., None, None], self._k)
-        gh = _dot(mono.reshape(*d.shape, len(self._coeffs)), self._coeffs)
+        if self._summands is not None:
+            terms = _terms(self._summands, self.gamma, u.reshape(-1))
+            g, h = _pade(terms, self.kappa)[0].reshape(2, *d.shape)
+        else:
+            z = self.kappa * pw(u, self.gamma)
+            mono = pw(u[..., None, None], self._j) * pw(z[..., None, None], self._k)
+            gh = _dot(mono.reshape(*d.shape, len(self._coeffs)), self._coeffs)
+            g, h = gh[..., 0], gh[..., 1]
+        return self._state(d, g, h)
+
+    def _state(self, d, g, h):
+        """(F, F') at distance d from g and h = (theta + D) g there."""
+        pw = np.float_power
         A, theta, m = self.amplitude, self.theta, self.m
-        f = A * pw(d, theta) * gh[..., 0]
-        fd = A * pw(d, theta - 1.0) * gh[..., 1]
+        f = A * pw(d, theta) * g
+        fd = A * pw(d, theta - 1.0) * h
         # d increases inward, so f'(xi) = -df/dd
         return pw(f, m), -m * pw(f, m - 1.0) * fd
 

@@ -10,8 +10,9 @@ damping.  This module therefore shoots from both regular endpoints --
 forward from the origin with the Taylor launch, and backward from the
 interface with the high-order tangential series
 f = A (xi0 - xi)^theta g((xi0 - xi) / xi0) of ``equation.InterfaceSeries``,
-launched as far out as the truncated series is exact to ~1e-14 in xi0 --
-and solves the continuity conditions
+launched as far out as the series, Pade-summed where m + q > 2 and it
+can be, else truncated, is exact to ~1e-14 in xi0 -- and solves the
+continuity conditions
 
     F_forward(xi_mid) = F_backward(xi_mid),
     F'_forward(xi_mid) = F'_backward(xi_mid),      xi_mid = xi0 / 2,
@@ -31,7 +32,10 @@ the cheap stage converges as far as it can before the RTOL legs, 3-5x
 the cost per evaluation, take over; the residual is then re-evaluated
 in place at RTOL, from the interface series already built there, and
 the same iteration goes on to the XTOL stop, so the converged point is
-the one a tight-only iteration finds.  The RTOL
+the one a tight-only iteration finds.  A loose trial launches its
+backward leg at the Pade depth of the iterate it starts from, since a
+launch that moves would change the loose legs' error between the two
+points the secant update compares.  The RTOL
 legs keep their dense output, and the profile is built from those of
 that point.  ``seed_xi0`` gives Newton its xi0 from the same rescaling
 family, with one backward leg on a forward run already made.
@@ -107,15 +111,18 @@ def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs,
                   series=None):
     """Backward leg from the interface series at d0 = u0 xi0 to
     xi_mid = MID_FRAC xi0; returns (run, the interface series).  A
-    ``series`` already built at (beta, xi0) is launched as it is."""
-    if series is None:
-        series = InterfaceSeries(p, beta, xi0)
+    ``series`` already built at (beta, xi0) is launched as it is; one
+    built at another point lends the new series its Pade launch depth,
+    if it has one."""
+    if series is None or (series.beta, series.xi0) != (beta, xi0):
+        series = InterfaceSeries(p, beta, xi0,
+                                 series.pade_u0 if series else None)
     xi_start, xi_mid = xi0 - series.d0, MID_FRAC * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
             f"interface launch {xi_start} inside matching point {xi_mid}"
         )
-    bwd = _leg(rhs, (xi_start, xi_mid), series(series.d0), rtol, "backward",
+    bwd = _leg(rhs, (xi_start, xi_mid), series.launch, rtol, "backward",
                beta, xi0)
     return bwd, series
 
@@ -222,7 +229,8 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
 def _residuals(p: Params, x, rtol=RTOL, series=None):
     """Continuity residual r, its exact xi0-column dr/dxi0 and the legs
     of ``_legs``, or None when a leg fails.  ``series``, an interface
-    series already built at x, spares its rebuild.
+    series already built at x, spares its rebuild; one built at another
+    point lends its Pade launch depth (``_backward_leg``).
 
     Because sigma = sigma_c, the rescaling family
     f_A(xi) = A f_1(A^{-(m-1)/2} xi) maps the backward leg with its
@@ -233,10 +241,10 @@ def _residuals(p: Params, x, rtol=RTOL, series=None):
     along its own trajectory at rate MID_FRAC.  The backward launch sits
     at a fixed u0 = d0 / xi0 with a series exact to ~1e-14, so the leg
     follows the family and the column agrees with a central difference
-    to the latter's own error.  Where the launch rests on its floor
-    (A d^theta = ``equation.LAUNCH_F``, super-critical with gamma below
-    ~0.5), the truncation error of the series breaks the symmetry
-    instead.
+    to the latter's own error.  Where no summed launch passes and the
+    truncated super-critical series rests on its floor
+    (A d^theta = ``equation.LAUNCH_F``, at (1.6, 0.5, 1) for one), its
+    truncation error breaks the symmetry instead.
     """
     beta, xi0 = float(x[0]), float(x[1])
     if beta <= 0.0 or xi0 <= 0.0:
@@ -332,7 +340,9 @@ def _newton(p: Params, beta: float, xi0: float):
                 return x, r, nfev, None
             x_new = x + dx
             nfev += 1
-            out = _residuals(p, x_new, rtol)
+            # a loose trial launches where the iterate did: a launch that
+            # moves changes the loose legs' error, and the secant reads it
+            out = _residuals(p, x_new, rtol, legs[2] if rtol != RTOL else None)
             if out is not None and np.max(np.abs(out[0])) < norm:
                 r_new, j_xi0_new, legs_new = out
                 d_beta, d_xi0 = dx

@@ -1,5 +1,8 @@
 """The profile equation and its launch series against closed forms."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from eternalprofile import (
     make_params,
     predict_expansion,
 )
+from eternalprofile import equation
+from eternalprofile._dop853 import solve_ivp
 from eternalprofile.asymptotics import K0_constant, K1_constant
 from eternalprofile.equation import (
     CRITICAL_ROWS,
@@ -19,6 +24,7 @@ from eternalprofile.equation import (
     _SeriesTable,
     _dot,
     _lanes,
+    _pade,
     _power_weights,
     _series_table,
     launch_distance,
@@ -27,6 +33,7 @@ from eternalprofile.equation import (
     piecewise,
     profile_rhs,
 )
+from eternalprofile.matching import MID_FRAC, RTOL
 
 #: (q, N) on the critical line m = 2 - q.
 CRITICAL = [(0.5, 2), (0.3, 1), (0.7, 3), (0.2, 2)]
@@ -198,7 +205,7 @@ def critical_table(q, N, beta):
 
 def test_lanes_sum_as_numpy_does():
     rng = np.random.default_rng(11)
-    for n in range(8, 16):
+    for n in range(8, 129):
         for _ in range(200):
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
             assert _lanes(x.tolist()) == np.add.reduce(x)
@@ -248,25 +255,27 @@ def test_critical_launch_is_the_array_search(q, N):
 
 #: (beta*, xi0, d0 / xi0, cut) of the matched interface series of the
 #: reference cases, the twelve super-critical benchmark levels and the six
-#: sub-critical ones: the launch that the search over every candidate and
-#: every column finds.
+#: sub-critical ones: the launch that the search over every candidate finds,
+#: and the columns the series keeps (2 PADE_ORDER + 1 where it is summed).
+#: (1.6, 0.5, 1), (1.63, 0.5, 2) and (1.69, 0.5, 1) still launch on the
+#: floor, from the optimally truncated series.
 LAUNCHES = {
-    (2.0, 0.5, 1): (0.5138348204161861, 3.200862877332778, 0.005524271728019903, 35),
-    (2.0, 0.5, 3): (0.960620634236639, 4.2864609255676065, 0.03125, 29),
+    (2.0, 0.5, 1): (0.5138348204161861, 3.200862877332778, 0.02209708691207961, 33),
+    (2.0, 0.5, 3): (0.960620634236639, 4.2864609255676065, 0.125, 33),
     (1.5, 0.5, 2): (0.5000000000001162, 2.4494897427833955, 0.25, 1),
     (1.2, 0.3, 1): (0.14127220063317739, 1.5208054398587687, 0.08838834764831845, 6),
     (1.6, 0.5, 1): (0.3225641851229703, 2.484574962059388, 0.0001415443810363053, 1),
     (1.63, 0.5, 2): (0.5797583432009349, 2.7336289867964245, 0.00023498470141562134, 1),
-    (1.66, 0.5, 3): (0.7896405118579273, 2.996307409363723, 0.0002994738177564329, 12),
+    (1.66, 0.5, 3): (0.7896405118579273, 2.996307409363723, 0.0027621358640099515, 33),
     (1.69, 0.5, 1): (0.36607083691832026, 2.6217219739059625, 0.00018111225251578352, 1),
-    (1.72, 0.5, 2): (0.6310837850715802, 2.9541609811576137, 0.00028037303498434224, 26),
-    (1.75, 0.5, 3): (0.8374826879735212, 3.288865011570985, 0.0009765625, 28),
-    (1.78, 0.5, 1): (0.4092761347351147, 2.7698947484482077, 0.00022171027384080666, 20),
-    (1.81, 0.5, 2): (0.680169124839059, 3.198942024529534, 0.0013810679320049757, 30),
-    (1.84, 0.5, 3): (0.8829885633953364, 3.614790612304299, 0.005524271728019903, 27),
-    (1.87, 0.5, 1): (0.4522101141259524, 2.9329391029476066, 0.000690533966002488, 23),
-    (1.9, 0.5, 2): (0.7276185915188667, 3.471696402347701, 0.005524271728019903, 25),
-    (1.93, 0.5, 3): (0.9270213286440854, 3.9772871354669928, 0.015625, 24),
+    (1.72, 0.5, 2): (0.6310837850715802, 2.9541609811576137, 0.00390625, 33),
+    (1.75, 0.5, 3): (0.8374826879735212, 3.288865011570985, 0.015625, 33),
+    (1.78, 0.5, 1): (0.4092761347351147, 2.7698947484482077, 0.0013810679320049757, 33),
+    (1.81, 0.5, 2): (0.680169124839059, 3.198942024529534, 0.015625, 33),
+    (1.84, 0.5, 3): (0.8829885633953364, 3.614790612304299, 0.04419417382415922, 33),
+    (1.87, 0.5, 1): (0.4522101141259524, 2.9329391029476066, 0.005524271728019904, 33),
+    (1.9, 0.5, 2): (0.7276185915188667, 3.471696402347701, 0.04419417382415922, 33),
+    (1.93, 0.5, 3): (0.9270213286440854, 3.9772871354669928, 0.0625, 33),
     (1.22, 0.2, 1): (0.16061521089585098, 1.451138190906559, 0.0625, 6),
     (1.26, 0.24, 2): (0.38500103095943455, 1.532720192407877, 0.0625, 8),
     (1.3, 0.2, 3): (0.6755898078462687, 1.538341879898628, 0.0625, 9),
@@ -281,6 +290,85 @@ def test_launch_depth_and_columns_are_pinned(case):
     beta, xi0, u0, cut = LAUNCHES[case]
     series = InterfaceSeries(make_params(*case), beta, xi0)
     assert (series.d0 / xi0, series.coefficients.shape[1]) == (u0, cut)
+
+
+#: (beta*, xi0) and the launch (d0 / xi0, cut) of the optimally truncated
+#: series, which the super-critical series took before it was summed, at
+#: five triples where that launch passed its bound above the floor.
+TRUNCATED_LAUNCHES = {
+    (2.0, 0.5, 1): (0.5138348204161861, 3.200862877332778, 0.005524271728019903, 35),
+    (2.0, 0.5, 3): (0.960620634236639, 4.2864609255676065, 0.03125, 29),
+    (2.0, 0.7, 1): (0.5027408250733802, 5.966132794892989, 0.08838834764831845, 11),
+    (1.75, 0.5, 3): (0.8374826879735212, 3.288865011570985, 0.0009765625, 28),
+    (1.81, 0.5, 2): (0.680169124839059, 3.198942024529534, 0.0013810679320049757, 30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATED_LAUNCHES))
+def test_summed_launch_continues_the_truncated_one(case):
+    # the truncated series, exact to its bound at its deeper launch, and
+    # the equation integrated out from there give the summed series' state
+    # at its own, shallower launch
+    beta, xi0, u_trunc, cut = TRUNCATED_LAUNCHES[case]
+    p = make_params(*case)
+    series = InterfaceSeries(p, beta, xi0)
+    assert series.pade_u0 is not None and series.d0 > u_trunc * xi0
+    table = _series_table(*case, True)
+    table.grow(cut)
+    b, theta, gamma = table.b[:, :cut], series.theta, series.gamma
+    j, k = np.arange(len(b))[:, None], np.arange(cut)
+    d = u_trunc * xi0
+    mono = u_trunc**j * (series.kappa * u_trunc**gamma) ** k
+    g, h = np.sum(mono * b), np.sum(mono * (theta + j + gamma * k) * b)
+    f = series.amplitude * d**theta * g
+    fd = series.amplitude * d ** (theta - 1.0) * h
+    leg = solve_ivp(profile_rhs(p, beta, 1e-280), (xi0 - d, xi0 - series.d0),
+                    (f**p.m, -p.m * f ** (p.m - 1.0) * fd), method="DOP853",
+                    rtol=RTOL, atol=0.0)
+    assert leg.success
+    np.testing.assert_allclose(series.launch, leg.y[:, -1], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(series(series.d0), series.launch, rtol=1e-12,
+                               atol=0.0)
+
+
+def test_pade_sums_the_euler_series():
+    # sum (-1)^k k! z^k is the asymptotic series of the Stieltjes integral
+    # int_0^inf e^-t / (1 + z t) dt = e^(1/z) E1(1/z) / z; at z = 0.1 its
+    # best truncation is off by 2e-4, and [16/16] is exact to rounding
+    z = 0.1
+    terms = np.array([(-1.0) ** k * math.factorial(k) for k in range(33)])
+    exact = 0.9156333393978808   # mpmath: e^10 E1(10) / 0.1
+    full, before = _pade(terms[:, None], z)
+    assert abs(full[0] / exact - 1.0) < 1e-14
+    assert abs(before[0] / exact - 1.0) < 1e-14
+    partial = np.cumsum(terms * z ** np.arange(33.0))
+    assert np.min(np.abs(partial / exact - 1.0)) > 1e-4
+
+
+def test_pade_carries_a_converged_sum_on():
+    # a geometric series is its own [0/1] approximant: the first even column
+    # is exact, its differences vanish, and the value must come through
+    # the infinite and undefined entries that follow
+    for z in (0.5, 0.25, 1e-9):
+        full, before = _pade(np.ones((33, 1)), z)
+        assert full[0] == pytest.approx(1.0 / (1.0 - z), rel=1e-15, abs=0.0)
+        assert before[0] == pytest.approx(1.0 / (1.0 - z), rel=1e-15, abs=0.0)
+
+
+def test_equation_calls_no_lapack_or_blas(monkeypatch):
+    # the launch series must give the same bits on every CPU, so no
+    # np.linalg routine, whose LAPACK or BLAS kernel picks the rounding
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.linalg.{name} called")
+
+    monkeypatch.setattr(np, "linalg", Refused())
+    equation._series_table.cache_clear()     # build the tables here too
+    for case, (beta, xi0, *_) in {**LAUNCHES, **TRUNCATED_LAUNCHES}.items():
+        p = make_params(*case)
+        series = InterfaceSeries(p, beta, xi0)
+        series(np.geomspace(1e-9, 1.0, 8) * series.d0)
+        InterfaceSeries(p, beta, xi0, series.pade_u0)
 
 
 def sympy_coefficients(m, q, N, theta, a, b, L, gL, order=3):

@@ -145,7 +145,7 @@ def reference_modes(case):
 #: Triples whose bits depend on the CPU when the solve path's products go
 #: through BLAS and its powers through numpy's SIMD kernels.
 BITS_TRIPLES = [(1.7, 0.5, 2), (1.202, 0.202, 1), (1.1, 0.7, 3), (1.5, 0.3, 1),
-                (1.5, 0.5, 1)]
+                (1.5, 0.5, 1), (1.85, 0.5, 3)]
 
 SOLVE_BITS = f"""
 import hashlib, json, sys

@@ -68,6 +68,42 @@ def test_far_off_trial_returns_sentinel(x):
     assert _residuals(p, x) is None
 
 
+@pytest.mark.parametrize("x", [(50.0, 3.2), (0.51, 1e-3), (1e6, 1e3),
+                               (1e-6, 3.2), (1e-9, 0.01)])
+def test_far_off_trial_with_a_lent_launch_depth_never_raises(solved, x):
+    # a loose trial launches at the Pade depth of its iterate's series;
+    # far off, the sum there may not be a profile, and the series then
+    # searches its own launch
+    match = solved[(2.0, 0.5, 1)].match
+    p = make_params(2.0, 0.5, 1)
+    _, _, series, _ = _legs(p, match.beta_star, match.xi0, LOOSE_RTOL)
+    assert series.pade_u0 is not None
+    out = _residuals(p, x, LOOSE_RTOL, series)
+    assert out is None or np.all(np.isfinite(out[0]))
+
+
+def test_loose_trials_launch_at_their_iterates_pade_depth(monkeypatch):
+    # every loose trial after the first two evaluations lends the new
+    # series its iterate's depth; the tight stage searches at each point
+    calls = []
+
+    def recording(p, x, rtol=RTOL, series=None):
+        out = _residuals(p, x, rtol, series)
+        calls.append((rtol, series, out))
+        return out
+
+    monkeypatch.setattr(matching, "_residuals", recording)
+    solve(make_params(1.81, 0.5, 2))
+    loose = [(lent, out[2][2]) for rtol, lent, out in calls
+             if rtol == LOOSE_RTOL and lent is not None and out is not None]
+    assert loose
+    for lent, built in loose:
+        assert built.pade_u0 == lent.pade_u0 is not None
+    tight = [lent for rtol, lent, _ in calls if rtol == RTOL]
+    assert tight[0] is calls[len(calls) - len(tight) - 1][2][2][2]
+    assert all(lent is None for lent in tight[1:])
+
+
 def test_newton_step_agrees_with_linalg_solve():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -131,13 +167,24 @@ def test_critical_line_matches_closed_form(q, N):
     assert np.max(f_err) <= 5e-13
 
 
+#: Two super-critical benchmark levels, solved once; their interface
+#: series is summed at its launch.
+SUMMED = [(1.81, 0.5, 2), (1.9, 0.5, 2)]
+
+
+@pytest.fixture(scope="module")
+def solved_summed(solved):
+    """The reference solves and those of SUMMED."""
+    return {**solved, **{c: solve(make_params(*c)) for c in SUMMED}}
+
+
 @pytest.mark.parametrize(
-    "case", [(2.0, 0.5, 1), (2.0, 0.5, 3), (1.5, 0.5, 2), (1.2, 0.3, 1)]
+    "case", [(2.0, 0.5, 1), (2.0, 0.5, 3), (1.5, 0.5, 2), (1.2, 0.3, 1)] + SUMMED
 )
-def test_backward_leg_independent_of_launch_depth(solved, case):
-    # launching the same truncated series 8x deeper moves the end state of
-    # the backward leg by no more than the integration error
-    match = solved[case].match
+def test_backward_leg_independent_of_launch_depth(solved_summed, case):
+    # launching the same series 8x deeper moves the end state of the
+    # backward leg by no more than the integration error
+    match = solved_summed[case].match
     p, beta, xi0 = make_params(*case), match.beta_star, match.xi0
     _, bwd, series, _ = _legs(p, beta, xi0, RTOL)
     d = series.d0 / 8.0
@@ -219,9 +266,9 @@ def test_a_solve_builds_one_series_per_point_it_evaluates(monkeypatch):
     # which launches from the series of the loose one at the same point
     builds, evals = [], []
 
-    def building(p, beta, xi0):
+    def building(p, beta, xi0, *args):
         builds.append((beta, xi0))
-        return InterfaceSeries(p, beta, xi0)
+        return InterfaceSeries(p, beta, xi0, *args)
 
     def recording(p, x, *args):
         evals.append((float(x[0]), float(x[1])))
@@ -406,12 +453,14 @@ def test_matched_grid_is_increasing(solved):
 
 
 def test_floor_launch_uses_optimally_truncated_series():
-    # at (1.7, 0.5, 2), gamma = 0.4, the divergent z-series never reaches
-    # the launch bound above the floor f = LAUNCH_F; cut before its
-    # smallest term it still beats the leading term there (2.3e-4)
+    # at (1.7, 0.5, 2), gamma = 0.4, the divergent z-series, cut before its
+    # smallest term, never reaches the launch bound above the floor
+    # f = LAUNCH_F, and from there it was good to 2e-5 only; summed, it
+    # launches ten times above the floor, as exact as the legs
     p = make_params(1.7, 0.5, 2)
     beta, xi0 = 0.6198964661312343, 2.903231843256818   # matched
     series = InterfaceSeries(p, beta, xi0)
+    assert series.d0 > 8.0 * launch_distance(series, equation.LAUNCH_F)
 
     def end_state(d):
         leg = solve_ivp(
@@ -426,7 +475,7 @@ def test_floor_launch_uses_optimally_truncated_series():
         return leg.y[:, -1]
 
     np.testing.assert_allclose(
-        end_state(series.d0), end_state(series.d0 / 8.0), rtol=2e-5, atol=0.0
+        end_state(series.d0), end_state(series.d0 / 8.0), rtol=1e-12, atol=0.0
     )
 
 
@@ -490,14 +539,14 @@ def test_eval_f_follows_series_beyond_stored_tail(solved, case):
     assert sol.eval_f(sol.xi0) == 0.0
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_profile_inside_backward_launch_solves_the_equation(solved, case):
-    # inside the backward launch the matched profile is the truncated
-    # interface series; the equation, integrated outward from far below
-    # (interface_samples), must give the same f there.  Each depth is
-    # snapped to xi0 - (xi0 - d), so that xi0 - d is exact and the
-    # rounding of xi does not count as a difference.
-    sol = solved[case].final_profile
+@pytest.mark.parametrize("case", CASES + SUMMED)
+def test_profile_inside_backward_launch_solves_the_equation(solved_summed, case):
+    # inside the backward launch the matched profile is the interface
+    # series, truncated or summed; the equation, integrated outward from
+    # far below (interface_samples), must give the same f there.  Each
+    # depth is snapped to xi0 - (xi0 - d), so that xi0 - d is exact and
+    # the rounding of xi does not count as a difference.
+    sol = solved_summed[case].final_profile
     p, beta, xi0 = sol.params, sol.exps.beta, sol.xi0
     d0 = InterfaceSeries(p, beta, xi0).d0
     d = xi0 - (xi0 - log_grid(1e-9 * xi0, d0, 20))
