@@ -191,12 +191,14 @@ def _lanes(r):
     length is a multiple of 8, combine as
     ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); the rest follow one at a time.
     Above 128 floats numpy splits the vector."""
-    full = len(r) - len(r) % 8
-    p = r[:8]
-    for i in range(8, full, 8):
-        p = [a + b for a, b in zip(p, r[i : i + 8])]
+    p, rest = r, r[8:]
+    if len(r) >= 16:
+        full = len(r) - len(r) % 8
+        for i in range(8, full, 8):
+            p = [a + b for a, b in zip(p, r[i : i + 8])]
+        rest = r[full:]
     s = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-    for x in r[full:]:
+    for x in rest:
         s += x
     return s
 
@@ -673,7 +675,7 @@ class InterfaceSeries:
             if pade_u0 is not None:
                 terms = _terms(summands[:2], gamma, np.array([pade_u0]))
                 gh = _pade(terms, kappa)[0][:, 0]
-                if not (gh[0] > 0.0 and np.isfinite(gh[1])):
+                if not (gh[0] > 0.0 and np.isfinite(gh).all()):
                     pade_u0 = None      # far off: search afresh
             if pade_u0 is None:
                 count = int(np.count_nonzero(LAUNCH_LADDER > 2.0 * u_floor))

@@ -116,7 +116,7 @@ def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs,
     if it has one."""
     if series is None or (series.beta, series.xi0) != (beta, xi0):
         series = InterfaceSeries(p, beta, xi0,
-                                 series.pade_u0 if series else None)
+                                 None if series is None else series.pade_u0)
     xi_start, xi_mid = xi0 - series.d0, MID_FRAC * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
@@ -241,8 +241,10 @@ def _residuals(p: Params, x, rtol=RTOL, series=None):
     along its own trajectory at rate MID_FRAC.  The backward launch sits
     at a fixed u0 = d0 / xi0 with a series exact to ~1e-14, so the leg
     follows the family and the column agrees with a central difference
-    to the latter's own error.  Where no summed launch passes and the
-    truncated super-critical series rests on its floor
+    to the latter's own error; the Pade-summed launch makes that so at
+    super-critical levels whose truncated series sat on its floor, such
+    as (1.66, 0.5, 3) and (1.78, 0.5, 1).  Where no summed launch passes
+    and the truncated series still rests on its floor
     (A d^theta = ``equation.LAUNCH_F``, at (1.6, 0.5, 1) for one), its
     truncation error breaks the symmetry instead.
     """
@@ -293,7 +295,8 @@ def _newton(p: Params, beta: float, xi0: float):
     accepted step that moves beta enough to carry information about it
     (Dennis & Schnabel 1996, ch. 6 and 8).  A trial that fails or does
     not lower max|r| halves the step.  Both legs run at LOOSE_RTOL until
-    a step is <= LOOSE_XTOL |x|; the residual is then re-evaluated at the
+    a step is <= LOOSE_XTOL |x|, a loose trial's backward leg launched at
+    the Pade depth of its iterate; the residual is then re-evaluated at the
     same x at RTOL from the same interface series, the beta-column is
     kept, and the iteration converges once a step is <= XTOL |x|.  Any
     failure ends it, and MAX_NFEV bounds the residual evaluations.

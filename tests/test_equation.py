@@ -1,6 +1,5 @@
 """The profile equation and its launch series against closed forms."""
 
-import inspect
 import math
 
 import numpy as np
@@ -33,7 +32,7 @@ from eternalprofile.equation import (
     piecewise,
     profile_rhs,
 )
-from eternalprofile.matching import MID_FRAC, RTOL
+from eternalprofile.matching import RTOL
 
 #: (q, N) on the critical line m = 2 - q.
 CRITICAL = [(0.5, 2), (0.3, 1), (0.7, 3), (0.2, 2)]
