@@ -84,24 +84,26 @@ def test_far_off_trial_with_a_lent_launch_depth_never_raises(solved, x):
 
 def test_loose_trials_launch_at_their_iterates_pade_depth(monkeypatch):
     # every loose trial after the first two evaluations lends the new
-    # series its iterate's depth; the tight stage searches at each point
+    # series its iterate's depth; the tightening launches from the
+    # iterate's own series, and the tight trials search at each point
     calls = []
 
     def recording(p, x, rtol=RTOL, series=None):
         out = _residuals(p, x, rtol, series)
-        calls.append((rtol, series, out))
+        calls.append((rtol, (float(x[0]), float(x[1])), series, out))
         return out
 
     monkeypatch.setattr(matching, "_residuals", recording)
     solve(make_params(1.81, 0.5, 2))
-    loose = [(lent, out[2][2]) for rtol, lent, out in calls
+    loose = [(lent, out[2][2]) for rtol, _, lent, out in calls
              if rtol == LOOSE_RTOL and lent is not None and out is not None]
     assert loose
     for lent, built in loose:
         assert built.pade_u0 == lent.pade_u0 is not None
-    tight = [lent for rtol, lent, _ in calls if rtol == RTOL]
-    assert tight[0] is calls[len(calls) - len(tight) - 1][2][2][2]
-    assert all(lent is None for lent in tight[1:])
+    tight = [(x, lent) for rtol, x, lent, _ in calls if rtol == RTOL]
+    (x, lent), rest = tight[0], tight[1:]
+    assert (lent.beta, lent.xi0) == x
+    assert rest and all(lent is None for _, lent in rest)
 
 
 def test_newton_step_agrees_with_linalg_solve():
