@@ -311,7 +311,6 @@ class _SeriesTable:
         self.powers = np.zeros((2, limit, rows))    # columns of g^m and g^q
         self._column0(m, q)
         self.columns = 1
-        self._ladder = None
         self._summands = self._ladder_terms = None
 
     def _column0(self, m, q):
@@ -422,8 +421,9 @@ class _SeriesTable:
             K = 2 * PADE_ORDER + 1
             self.grow(K)
             b = self.b[:, :K]
-            j, k = _exponents(self.rows, K)
-            blocks = np.array([b, (self.theta + j + self.gamma * k) * b])
+            j = np.arange(self.rows, dtype=float)[:, None]
+            w = self.theta + j + self.gamma * np.arange(K, dtype=float)
+            blocks = np.array([b, w * b])
             cut = blocks.copy()
             cut[:, -2:] = 0.0
             self._summands = np.swapaxes(np.concatenate([blocks, cut]), 1, 2).copy()
@@ -432,36 +432,12 @@ class _SeriesTable:
     def ladder_terms(self, count: int):
         """``_terms`` of every block of ``summands`` at the first ``count``
         points of LAUNCH_LADDER; they do not depend on beta, and are kept
-        until a search needs more points or the ladder is replaced."""
-        blocks = self.summands()
+        until a search needs more points, then taken again at all of them."""
         kept = self._ladder_terms
-        if kept is None or kept[0] is not LAUNCH_LADDER:
-            kept = LAUNCH_LADDER, _terms(blocks, self.gamma, LAUNCH_LADDER[:0])
-        have = kept[1].shape[2]
-        if have < count:
-            more = _terms(blocks, self.gamma, LAUNCH_LADDER[have:count])
-            kept = LAUNCH_LADDER, np.concatenate([kept[1], more], axis=2)
-        self._ladder_terms = kept
-        return kept[1][:, :, :count]
-
-    def ladder_sums(self, u, count: int):
-        """``_row_sums`` of |b_jk| over the columns so far at the candidate
-        depths u, whose first ``count`` are the first points of
-        LAUNCH_LADDER.  What those points give does not depend on beta:
-        it is kept until the table grows, a search needs more points or
-        the ladder is replaced."""
-        kept = self._ladder
-        if (kept is not None and kept[0] is LAUNCH_LADDER
-                and kept[1] == self.columns and kept[2] >= count):
-            B = kept[3]
-            rest = _row_sums(B, u[count:])
-            return (np.hstack([kept[4][:, :count], rest[0]]),
-                    np.hstack([kept[5][:, :count], rest[1]]))
-        B = np.abs(self.b[:, : self.columns])
-        sums, last2 = _row_sums(B, u)
-        self._ladder = (LAUNCH_LADDER, self.columns, count, B,
-                        sums[:, :count], last2[:, :count])
-        return sums, last2
+        if kept is None or kept.shape[2] < count:
+            kept = _terms(self.summands(), self.gamma, LAUNCH_LADDER[:count])
+            self._ladder_terms = kept
+        return kept[:, :, :count]
 
 
 @functools.lru_cache(maxsize=64)
@@ -477,13 +453,6 @@ def _series_table(m: float, q: float, N: int, super_critical: bool):
         coeffs = (1.0 / (m * theta * (m * theta - 1.0)), 0, 1.0, 1, 1.0)
     rows = WIDE_ROWS if super_critical and gamma >= 1.0 else SERIES_ROWS
     return _SeriesTable(m, q, N, theta, gamma, coeffs, rows, MAX_COLUMNS)
-
-
-def _row_sums(B, u):
-    """sum_j B_jk u^j over all rows and over the last two, for each column
-    k of B (rows of the result) and each u (columns)."""
-    U = np.float_power(u, np.arange(len(B))[:, None])
-    return _dot(B.T, U), _dot(B[-2:].T, U[-2:])
 
 
 def _terms(blocks, gamma, u):
@@ -574,10 +543,13 @@ def _truncation(table, kappa, theta, u_floor):
         return u_floor, 1
     count = int(np.count_nonzero(LAUNCH_LADDER > u_floor))
     u = np.append(LAUNCH_LADDER[:count], u_floor)
+    U = np.float_power(u, np.arange(table.rows)[:, None])
     at = np.arange(len(u))
     while True:
-        sums, last2 = table.ladder_sums(u, count)
         K = table.columns
+        # sum_j |b_jk| u^j over all rows and over the last two, per column k
+        B = np.abs(table.b[:, :K])
+        sums, last2 = _dot(B.T, U), _dot(B[-2:].T, U[-2:])
         with np.errstate(over="ignore", invalid="ignore"):
             # far-off trials may overflow; their estimate is then inf or nan
             Z = np.float_power(kappa * np.float_power(u, table.gamma),
@@ -598,12 +570,6 @@ def _truncation(table, kappa, theta, u_floor):
         table.grow(K + 8)
 
 
-@functools.lru_cache(maxsize=64)
-def _exponents(rows: int, columns: int):
-    """The powers j of u, as a column, and k of z of a table's monomials."""
-    return np.arange(rows, dtype=float)[:, None], np.arange(columns, dtype=float)
-
-
 class InterfaceSeries:
     """The tangential profile f = A d^theta g(d / xi0) next to xi0.
 
@@ -622,8 +588,8 @@ class InterfaceSeries:
 
     Off the critical line the table depends only on (m, q, N) and is
     shared by every beta.  The backward leg launches at ``d0 = u0 xi0``
-    from the state ``launch``, (F, F') there; u0 is a point of
-    LAUNCH_LADDER, so a launch fixed in u keeps the leg on the
+    from ``launch``, (F, F') there as the build found it; u0 is a point
+    of LAUNCH_LADDER, so a launch fixed in u keeps the leg on the
     rescaling family in xi0.  A super-critical series is summed by
     [L/L] Pade approximants in z, L = PADE_ORDER, at the shallowest
     point whose estimate (``_summed_launch``) -- the relative shift
@@ -686,24 +652,17 @@ class InterfaceSeries:
                 self.pade_u0, self._summands = pade_u0, summands[:2]
                 self.d0 = pade_u0 * xi0
                 self.coefficients = table.b[:, : 2 * PADE_ORDER + 1]
-                self._launch = self._state(self.d0, gh[0], gh[1])
+                self.launch = self._state(self.d0, gh[0], gh[1])
                 return
         u0, cut = _truncation(table, kappa, theta, u_floor)
         self.d0 = u0 * xi0
         self.coefficients = b = table.b[:, :cut]      # the kept b_jk
-        self._j, self._k = _exponents(len(b), cut)
+        self._j = np.arange(len(b), dtype=float)[:, None]
+        self._k = np.arange(cut, dtype=float)
         # columns: the coefficients of g and of (theta + D) g, flat in (j, k)
         w = theta + self._j + gamma * self._k
         self._coeffs = np.array([b, w * b]).reshape(2, -1).T
-        self._launch = None
-
-    @property
-    def launch(self):
-        """(F, F') at ``d0``, where the backward leg starts: a summed
-        series keeps the state its search found there."""
-        if self._launch is None:
-            self._launch = self(self.d0)
-        return self._launch
+        self.launch = self(self.d0)
 
     def __call__(self, d):
         """(F, F') a distance d (scalar or array) inside the interface.

@@ -185,7 +185,8 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
     equation rather than by the launch series: the launch sits at
     f = min(1e-13, 0.01 A d_min^theta), a hundredth of the leading term
     at the smallest requested distance d_min, and its state is the
-    interface series truncated as for the backward leg.
+    interface series as built for the backward leg: Pade-summed where
+    a super-critical series' search passes, else truncated as there.
 
     Returns (d, f, fprime_wrt_xi) restricted to 2 d_launch < d < xi0.
     """

@@ -141,7 +141,7 @@ def bracket_beta(
         beta /= 2.0
     if lo is None:
         raise BracketFailure(
-            f"no ClassC sample down to beta = 2^-{SCAN_EXP_LIMIT} for {p}"
+            f"no ClassC sample down to beta = 2^-{SCAN_EXP_LIMIT + 1} for {p}"
         )
     return lo, hi
 

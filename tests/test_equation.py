@@ -330,6 +330,30 @@ def test_summed_launch_continues_the_truncated_one(case):
                                atol=0.0)
 
 
+def series_state(p, beta, xi0):
+    """What a backward leg and the dense profile take from a build."""
+    series = InterfaceSeries(p, beta, xi0)
+    F, Fp = series(series.d0 * np.geomspace(1e-8, 1.0, 9))
+    return (series.d0, *series.launch, *F, *Fp, *series.coefficients.shape)
+
+
+@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (2.0, 0.7, 1), (1.6, 0.5, 1),
+                                  (1.2, 0.3, 1), (1.22, 0.2, 1), (1.5, 0.5, 2)])
+def test_interface_series_does_not_depend_on_table_history(case):
+    # the shared (m, q, N) table grows its columns and its ladder terms
+    # with the builds it serves; no build may see what came before it
+    beta, xi0 = {**TRUNCATED_LAUNCHES, **LAUNCHES}[case][:2]
+    p = make_params(*case)
+    equation._series_table.cache_clear()
+    cold = series_state(p, beta, xi0)
+    equation._series_table.cache_clear()
+    for b, x in [(3.0 * beta, xi0), (0.3 * beta, 2.0 * xi0),
+                 (beta * (1.0 + 1e-3), xi0 * (1.0 - 1e-3)), (beta, 0.5 * xi0)]:
+        InterfaceSeries(p, b, x)
+    warm = series_state(p, beta, xi0)
+    assert [float(v).hex() for v in warm] == [float(v).hex() for v in cold]
+
+
 def test_pade_sums_the_euler_series():
     # sum (-1)^k k! z^k is the asymptotic series of the Stieltjes integral
     # int_0^inf e^-t / (1 + z t) dt = e^(1/z) E1(1/z) / z; at z = 0.1 its

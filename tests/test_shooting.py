@@ -198,6 +198,24 @@ def test_bracket_scan_integrates_each_beta_once(monkeypatch):
     assert len(set(betas)) == len(betas)
 
 
+def test_bracket_scan_down_fails_without_class_c(monkeypatch):
+    # every beta ClassA: the upward scan stops at beta = 1, and the
+    # downward scan meets no ClassC sample from 1/2 down to 2^-(LIMIT+1)
+    betas = []
+
+    def class_a(p, e, *args, **kwargs):
+        betas.append(e.beta)
+        return types.SimpleNamespace(classification=Classification.CLASS_A)
+
+    monkeypatch.setattr(shooting, "integrate_profile", class_a)
+    last = shooting.SCAN_EXP_LIMIT + 1
+    with pytest.raises(BracketFailure,
+                       match=rf"no ClassC sample down to beta = 2\^-{last} "):
+        bracket_beta(make_params(2.0, 0.5, 1))
+    assert len(betas) == shooting.SCAN_EXP_LIMIT + 2
+    assert betas[-1] == 2.0 ** -last
+
+
 def test_bracket_scan_keeps_its_last_class_c_sample(monkeypatch):
     # beta* > 1: the upward scan meets ClassC at 1 and ClassA at 2, so no
     # downward scan runs and beta = 1 is integrated once
