@@ -311,7 +311,7 @@ class _SeriesTable:
         self.powers = np.zeros((2, limit, rows))    # columns of g^m and g^q
         self._column0(m, q)
         self.columns = 1
-        self._summands = self._ladder_terms = None
+        self._summands = None
 
     def _column0(self, m, q):
         """Column 0, power by power of u, in plain floats.
@@ -429,16 +429,6 @@ class _SeriesTable:
             self._summands = np.swapaxes(np.concatenate([blocks, cut]), 1, 2).copy()
         return self._summands
 
-    def ladder_terms(self, count: int):
-        """``_terms`` of every block of ``summands`` at the first ``count``
-        points of LAUNCH_LADDER; they do not depend on beta, and are kept
-        until a search needs more points, then taken again at all of them."""
-        kept = self._ladder_terms
-        if kept is None or kept.shape[2] < count:
-            kept = _terms(self.summands(), self.gamma, LAUNCH_LADDER[:count])
-            self._ladder_terms = kept
-        return kept[:, :, :count]
-
 
 @functools.lru_cache(maxsize=64)
 def _series_table(m: float, q: float, N: int, super_critical: bool):
@@ -496,10 +486,10 @@ def _pade(terms, kappa):
     return even[0], before
 
 
-def _summed_launch(table, kappa, theta, count: int):
-    """Index of the launch among the first ``count`` points u of
+def _summed_launch(table, kappa, theta, u):
+    """Index of the launch among ``u``, the first points of
     LAUNCH_LADDER, or None, and the Pade values of g and (theta + D) g
-    at every point, as an array (2, count).
+    at every point, as an array (2, len(u)).
 
     The estimate at u is the larger, for g and for (theta + D) g, of the
     relative changes of the Pade value from [L-1/L-1] to [L/L] and on
@@ -509,11 +499,11 @@ def _summed_launch(table, kappa, theta, count: int):
     passing too, so that no chance agreement of two approximants decides
     it.  A point where g is not positive, or a value is NaN, fails.
     """
-    full, before = _pade(table.ladder_terms(count), kappa)
+    full, before = _pade(_terms(table.summands(), table.gamma, u), kappa)
     with np.errstate(invalid="ignore", divide="ignore"):
         est = np.maximum(np.abs(full[:2] - before[:2]),
                          np.abs(full[:2] - full[2:])) / np.abs(full[:2])
-        est = np.max(est, axis=0) * LAUNCH_LADDER[:count] / theta
+        est = np.max(est, axis=0) * u / theta
     ok = (est <= SERIES_XI0_TOL) & (full[0] > 0.0)
     ok = ok[:-1] & ok[1:]
     return (int(np.argmax(ok)) if ok.any() else None), full[:2]
@@ -592,20 +582,20 @@ class InterfaceSeries:
     of LAUNCH_LADDER, so a launch fixed in u keeps the leg on the
     rescaling family in xi0.  A super-critical series is summed by
     [L/L] Pade approximants in z, L = PADE_ORDER, at the shallowest
-    point whose estimate (``_summed_launch``) -- the relative shift
-    of xi0 it implies -- is at most SERIES_XI0_TOL, at the next deeper
-    point too, and at least twice as far out as where
-    A d^theta = LAUNCH_F; ``pade_u0``, that depth, is then set.  A
-    ``pade_u0`` given to the constructor is taken without the search,
-    unless g summed there is not positive or not finite.
-    Else the series is truncated where its own estimate times u0 / theta
-    first passes SERIES_XI0_TOL, never deeper than where A d^theta =
-    LAUNCH_F, and ``pade_u0`` is None.  Either way the series is summed
-    alike at every depth down to the interface.
+    point out from where A d^theta = LAUNCH_F whose estimate
+    (``_summed_launch``) -- the relative shift of xi0 it implies -- is
+    at most SERIES_XI0_TOL, at the next deeper point too; ``pade_u0``,
+    that depth, is then set.  Else the series is truncated where its own
+    estimate times u0 / theta first passes SERIES_XI0_TOL, never deeper
+    than where A d^theta = LAUNCH_F, and ``pade_u0`` is None.  Built
+    ``like`` a series at another point, it takes that one's form with no
+    Pade search: summed at its ``pade_u0`` (unless g summed there is not
+    a positive finite number: then it searches afresh), or truncated.
+    Either way it is summed alike at every depth down to the interface.
     """
 
     def __init__(self, p: Params, beta: float, xi0: float,
-                 pade_u0: Optional[float] = None):
+                 like: Optional[InterfaceSeries] = None):
         m, q = p.m, p.q
         case = interface_case(p)
         if case is InterfaceCase.SUPER_CRITICAL:
@@ -638,14 +628,15 @@ class InterfaceSeries:
         self._summands = None
         if case is InterfaceCase.SUPER_CRITICAL:
             summands = table.summands()
+            pade_u0 = None if like is None else like.pade_u0
             if pade_u0 is not None:
                 terms = _terms(summands[:2], gamma, np.array([pade_u0]))
                 gh = _pade(terms, kappa)[0][:, 0]
                 if not (gh[0] > 0.0 and np.isfinite(gh).all()):
-                    pade_u0 = None      # far off: search afresh
-            if pade_u0 is None:
-                count = int(np.count_nonzero(LAUNCH_LADDER > 2.0 * u_floor))
-                i, gh = _summed_launch(table, kappa, theta, count)
+                    like = pade_u0 = None      # far off: search afresh
+            if like is None:
+                u = LAUNCH_LADDER[LAUNCH_LADDER > u_floor]
+                i, gh = _summed_launch(table, kappa, theta, u)
                 if i is not None:
                     pade_u0, gh = float(LAUNCH_LADDER[i]), gh[:, i]
             if pade_u0 is not None:

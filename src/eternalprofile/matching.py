@@ -32,12 +32,12 @@ the cheap stage converges as far as it can before the RTOL legs, 3-5x
 the cost per evaluation, take over; the residual is then re-evaluated
 in place at RTOL, from the interface series already built there, and
 the same iteration goes on to the XTOL stop, so the converged point is
-the one a tight-only iteration finds.  A loose trial launches its
-backward leg at the Pade depth of the iterate it starts from, since a
-launch that moves would change the loose legs' error between the two
-points the secant update compares.  The RTOL
-legs keep their dense output, and the profile is built from those of
-that point.  ``seed_xi0`` gives Newton its xi0 from the same rescaling
+the one a tight-only iteration finds.  Only the first evaluation
+searches its backward launch; every later one launches in its form,
+Pade-summed at the same depth or truncated, since a launch that moves
+would change the legs' error between the points a step compares.  The
+RTOL legs keep their dense output, and the profile is built from those
+of that point.  ``seed_xi0`` gives Newton its xi0 from the same rescaling
 family, with one backward leg on a forward run already made.
 """
 
@@ -112,11 +112,10 @@ def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs,
     """Backward leg from the interface series at d0 = u0 xi0 to
     xi_mid = MID_FRAC xi0; returns (run, the interface series).  A
     ``series`` already built at (beta, xi0) is launched as it is; one
-    built at another point lends the new series its Pade launch depth,
-    if it has one."""
+    built at another point gives the new series its launch form, summed
+    at its Pade depth or truncated (``InterfaceSeries``'s ``like``)."""
     if series is None or (series.beta, series.xi0) != (beta, xi0):
-        series = InterfaceSeries(p, beta, xi0,
-                                 None if series is None else series.pade_u0)
+        series = InterfaceSeries(p, beta, xi0, series)
     xi_start, xi_mid = xi0 - series.d0, MID_FRAC * xi0
     if not xi_start > xi_mid:
         raise BracketFailure(
@@ -231,7 +230,7 @@ def _residuals(p: Params, x, rtol=RTOL, series=None):
     """Continuity residual r, its exact xi0-column dr/dxi0 and the legs
     of ``_legs``, or None when a leg fails.  ``series``, an interface
     series already built at x, spares its rebuild; one built at another
-    point lends its Pade launch depth (``_backward_leg``).
+    point gives its launch form (``_backward_leg``).
 
     Because sigma = sigma_c, the rescaling family
     f_A(xi) = A f_1(A^{-(m-1)/2} xi) maps the backward leg with its
@@ -296,11 +295,11 @@ def _newton(p: Params, beta: float, xi0: float):
     accepted step that moves beta enough to carry information about it
     (Dennis & Schnabel 1996, ch. 6 and 8).  A trial that fails or does
     not lower max|r| halves the step.  Both legs run at LOOSE_RTOL until
-    a step is <= LOOSE_XTOL |x|, a loose trial's backward leg launched at
-    the Pade depth of its iterate; the residual is then re-evaluated at the
+    a step is <= LOOSE_XTOL |x|; the residual is then re-evaluated at the
     same x at RTOL from the same interface series, the beta-column is
-    kept, and the iteration converges once a step is <= XTOL |x|.  Any
-    failure ends it, and MAX_NFEV bounds the residual evaluations.
+    kept, and the iteration converges once a step is <= XTOL |x|.  Every
+    later evaluation launches in the first one's form (``_backward_leg``).
+    Any failure ends it, and MAX_NFEV bounds the residual evaluations.
 
     Returns (x, r, nfev, legs), legs those of the converged x at RTOL,
     or None when the iteration fails.
@@ -314,7 +313,7 @@ def _newton(p: Params, beta: float, xi0: float):
     r, j_xi0, legs = out
     h = LOOSE_FD_REL_STEP * beta
     nfev += 1
-    out_h = _residuals(p, (beta + h, xi0), rtol)
+    out_h = _residuals(p, (beta + h, xi0), rtol, legs[2])
     if out_h is None:
         return x, r, nfev, None
     j_beta = (out_h[0] - r) / h
@@ -344,9 +343,7 @@ def _newton(p: Params, beta: float, xi0: float):
                 return x, r, nfev, None
             x_new = x + dx
             nfev += 1
-            # a loose trial launches where the iterate did: a launch that
-            # moves changes the loose legs' error, and the secant reads it
-            out = _residuals(p, x_new, rtol, legs[2] if rtol != RTOL else None)
+            out = _residuals(p, x_new, rtol, legs[2])
             if out is not None and np.max(np.abs(out[0])) < norm:
                 r_new, j_xi0_new, legs_new = out
                 d_beta, d_xi0 = dx

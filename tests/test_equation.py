@@ -340,8 +340,8 @@ def series_state(p, beta, xi0):
 @pytest.mark.parametrize("case", [(2.0, 0.5, 1), (2.0, 0.7, 1), (1.6, 0.5, 1),
                                   (1.2, 0.3, 1), (1.22, 0.2, 1), (1.5, 0.5, 2)])
 def test_interface_series_does_not_depend_on_table_history(case):
-    # the shared (m, q, N) table grows its columns and its ladder terms
-    # with the builds it serves; no build may see what came before it
+    # the shared (m, q, N) table grows its columns with the builds it
+    # serves; no build may see what came before it
     beta, xi0 = {**TRUNCATED_LAUNCHES, **LAUNCHES}[case][:2]
     p = make_params(*case)
     equation._series_table.cache_clear()
@@ -391,7 +391,7 @@ def test_equation_calls_no_lapack_or_blas(monkeypatch):
         p = make_params(*case)
         series = InterfaceSeries(p, beta, xi0)
         series(np.geomspace(1e-9, 1.0, 8) * series.d0)
-        InterfaceSeries(p, beta, xi0, series.pade_u0)
+        InterfaceSeries(p, beta, xi0, series)
 
 
 def sympy_coefficients(m, q, N, theta, a, b, L, gL, order=3):

@@ -70,40 +70,77 @@ def test_far_off_trial_returns_sentinel(x):
 
 @pytest.mark.parametrize("x", [(50.0, 3.2), (0.51, 1e-3), (1e6, 1e3),
                                (1e-6, 3.2), (1e-9, 0.01)])
-def test_far_off_trial_with_a_lent_launch_depth_never_raises(solved, x):
-    # a loose trial launches at the Pade depth of its iterate's series;
-    # far off, the sum there may not be a profile, and the series then
-    # searches its own launch
-    match = solved[(2.0, 0.5, 1)].match
-    p = make_params(2.0, 0.5, 1)
-    _, _, series, _ = _legs(p, match.beta_star, match.xi0, LOOSE_RTOL)
-    assert series.pade_u0 is not None
-    out = _residuals(p, x, LOOSE_RTOL, series)
-    assert out is None or np.all(np.isfinite(out[0]))
+def test_far_off_trial_with_a_lent_launch_depth_never_raises(x):
+    # every trial launches in the form of its iteration's first series:
+    # Pade-summed at its depth, where far off the sum may not be a profile
+    # and the series then searches its own launch, or truncated
+    for lender, summed in [((2.0, 0.5, 1), True), ((1.6, 0.5, 1), False)]:
+        lent = solve(make_params(*lender))
+        _, _, series, _ = _legs(make_params(*lender), lent.beta_star,
+                                lent.match.xi0, LOOSE_RTOL)
+        assert (series.pade_u0 is not None) == summed
+        out = _residuals(make_params(2.0, 0.5, 1), x, LOOSE_RTOL, series)
+        assert out is None or np.all(np.isfinite(out[0]))
 
 
-def test_loose_trials_launch_at_their_iterates_pade_depth(monkeypatch):
-    # every loose trial after the first two evaluations lends the new
-    # series its iterate's depth; the tightening launches from the
-    # iterate's own series, and the tight trials search at each point
-    calls = []
+@pytest.mark.parametrize("case, summed", [((1.81, 0.5, 2), True),
+                                          ((1.6, 0.5, 1), False)])
+def test_one_launch_search_per_newton_iteration(monkeypatch, case, summed):
+    # the first evaluation searches the launch; every later one, the
+    # beta-difference, the loose and tight trials and the tightening,
+    # launches in its form: summed at its depth, or truncated unsearched
+    searches, built = [], []
+    summed_launch = equation._summed_launch
+
+    def searching(*args):
+        searches.append(args)
+        return summed_launch(*args)
+
+    def matching_only(*args):
+        searches.clear()
+        return match_profile(*args)
 
     def recording(p, x, rtol=RTOL, series=None):
         out = _residuals(p, x, rtol, series)
-        calls.append((rtol, (float(x[0]), float(x[1])), series, out))
+        if out is not None:
+            built.append(out[2][2])
         return out
 
+    monkeypatch.setattr(equation, "_summed_launch", searching)
+    monkeypatch.setattr(shooting, "match_profile", matching_only)
     monkeypatch.setattr(matching, "_residuals", recording)
-    solve(make_params(1.81, 0.5, 2))
-    loose = [(lent, out[2][2]) for rtol, _, lent, out in calls
-             if rtol == LOOSE_RTOL and lent is not None and out is not None]
-    assert loose
-    for lent, built in loose:
-        assert built.pade_u0 == lent.pade_u0 is not None
-    tight = [(x, lent) for rtol, x, lent, _ in calls if rtol == RTOL]
-    (x, lent), rest = tight[0], tight[1:]
-    assert (lent.beta, lent.xi0) == x
-    assert rest and all(lent is None for _, lent in rest)
+    assert solve(make_params(*case)).match.success
+    assert len(searches) == 1
+    first, rest = built[0], built[1:]
+    assert (first.pade_u0 is not None) == summed
+    assert rest and all(s.pade_u0 == first.pade_u0 for s in rest)
+
+
+@pytest.mark.parametrize("case", [(1.6032427847567878, 0.5, 3),
+                                  (1.6476018499399774, 0.5, 2),
+                                  (1.7299555935102768, 0.4, 2)])
+def test_tight_trials_keep_the_launch_of_their_iteration(case):
+    # tight trials that searched their own launch fell, near the bound,
+    # on the truncated floor launch, 1e-4 off in the residual, and halved
+    # the step down: 25 and 69 evaluations, and a BracketFailure after 18
+    result = solve(make_params(*case))
+    assert result.match.success
+    assert result.match.nfev <= 8
+
+
+@pytest.mark.parametrize("case", [(1.632, 0.5, 2), (1.644, 0.5, 2)])
+def test_summed_launch_near_the_floor_gives_xi0(monkeypatch, case):
+    # the summed launch passes here within twice the floor's depth; kept
+    # off it, the truncated series launched on its floor, 9e-5 off in
+    # xi0.  The reference re-matches from the converged point with the
+    # truncated series launched far below, at A d^theta = 1e-20
+    p = make_params(*case)
+    match = solve(p).match
+    monkeypatch.setattr(equation, "_summed_launch", lambda *args: (None, None))
+    monkeypatch.setattr(equation, "LAUNCH_F", 1e-20)
+    reference = match_profile(p, match.beta_star, match.xi0)
+    assert reference.success
+    assert match.xi0 == pytest.approx(reference.xi0, rel=1e-12, abs=0.0)
 
 
 def test_newton_step_agrees_with_linalg_solve():
@@ -127,9 +164,10 @@ def test_newton_step_refuses_a_singular_jacobian(column):
 def test_singular_jacobian_ends_newton(monkeypatch):
     # both Jacobian columns are multiples of (1, 2), so the second pivot
     # is exactly zero and Newton ends after its two first evaluations
-    def residuals(p, x, rtol=RTOL):
+    def residuals(p, x, rtol=RTOL, series=None):
         s = x[0] + x[1]
-        return np.array([s - 1.0, 2.0 * s - 2.0]), np.array([1.0, 2.0]), ()
+        return (np.array([s - 1.0, 2.0 * s - 2.0]), np.array([1.0, 2.0]),
+                (None,) * 4)
 
     monkeypatch.setattr(matching, "_residuals", residuals)
     x, r, nfev, legs = _newton(make_params(2.0, 0.5, 1), 0.5, 3.0)
