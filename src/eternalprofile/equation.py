@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ._dop853 import rhs_factory
+from .errors import BracketFailure
 
 if TYPE_CHECKING:
     from .model import Params
@@ -578,20 +579,20 @@ class InterfaceSeries:
 
     Off the critical line the table depends only on (m, q, N) and is
     shared by every beta.  The backward leg launches at ``d0 = u0 xi0``
-    from ``launch``, (F, F') there as the build found it; u0 is a point
-    of LAUNCH_LADDER, so a launch fixed in u keeps the leg on the
-    rescaling family in xi0.  A super-critical series is summed by
-    [L/L] Pade approximants in z, L = PADE_ORDER, at the shallowest
-    point out from where A d^theta = LAUNCH_F whose estimate
-    (``_summed_launch``) -- the relative shift of xi0 it implies -- is
-    at most SERIES_XI0_TOL, at the next deeper point too; ``pade_u0``,
-    that depth, is then set.  Else the series is truncated where its own
-    estimate times u0 / theta first passes SERIES_XI0_TOL, never deeper
-    than where A d^theta = LAUNCH_F, and ``pade_u0`` is None.  Built
-    ``like`` a series at another point, it takes that one's form with no
-    Pade search: summed at its ``pade_u0`` (unless g summed there is not
-    a positive finite number: then it searches afresh), or truncated.
-    Either way it is summed alike at every depth down to the interface.
+    from ``launch``, (F, F') there.  A super-critical series is summed
+    by [L/L] Pade approximants in z, L = PADE_ORDER, at the shallowest
+    point of LAUNCH_LADDER out from where A d^theta = LAUNCH_F whose
+    estimate (``_summed_launch``) -- the relative shift of xi0 it
+    implies -- is at most SERIES_XI0_TOL, at the next deeper point too;
+    ``cut`` is then None.  Else the series keeps ``cut`` columns and is
+    truncated where its own estimate times u0 / theta first passes
+    SERIES_XI0_TOL, never deeper than where A d^theta = LAUNCH_F.  Built
+    ``like`` a series from the same (m, q, N) table, it searches nothing
+    and takes that one's (u0, cut), so the launch is fixed in u and the
+    leg stays on the rescaling family in xi0; a critical table is each
+    build's own.  A launch whose g is not a positive finite number
+    raises BracketFailure.  Either form is summed alike at every depth
+    down to the interface.
     """
 
     def __init__(self, p: Params, beta: float, xi0: float,
@@ -621,59 +622,59 @@ class InterfaceSeries:
             )
         gamma = table.gamma
         self.m, self.theta, self.beta, self.xi0 = m, theta, beta, xi0
-        self.pade_u0 = None
-        self.gamma, self.kappa = gamma, kappa
+        self.gamma, self.kappa, self._table = gamma, kappa, table
         self.amplitude = A1 * xi0 ** (2.0 / (m - 1.0) - theta)
-        u_floor = launch_distance(self, LAUNCH_F) / xi0
-        self._summands = None
-        if case is InterfaceCase.SUPER_CRITICAL:
-            summands = table.summands()
-            pade_u0 = None if like is None else like.pade_u0
-            if pade_u0 is not None:
-                terms = _terms(summands[:2], gamma, np.array([pade_u0]))
-                gh = _pade(terms, kappa)[0][:, 0]
-                if not (gh[0] > 0.0 and np.isfinite(gh).all()):
-                    like = pade_u0 = None      # far off: search afresh
-            if like is None:
-                u = LAUNCH_LADDER[LAUNCH_LADDER > u_floor]
-                i, gh = _summed_launch(table, kappa, theta, u)
-                if i is not None:
-                    pade_u0, gh = float(LAUNCH_LADDER[i]), gh[:, i]
-            if pade_u0 is not None:
-                self.pade_u0, self._summands = pade_u0, summands[:2]
-                self.d0 = pade_u0 * xi0
-                self.coefficients = table.b[:, : 2 * PADE_ORDER + 1]
-                self.launch = self._state(self.d0, gh[0], gh[1])
-                return
-        u0, cut = _truncation(table, kappa, theta, u_floor)
-        self.d0 = u0 * xi0
-        self.coefficients = b = table.b[:, :cut]      # the kept b_jk
-        self._j = np.arange(len(b), dtype=float)[:, None]
-        self._k = np.arange(cut, dtype=float)
-        # columns: the coefficients of g and of (theta + D) g, flat in (j, k)
-        w = theta + self._j + gamma * self._k
-        self._coeffs = np.array([b, w * b]).reshape(2, -1).T
-        self.launch = self(self.d0)
+        gh = None
+        if like is not None and like._table is table:
+            u0, cut = like.u0, like.cut
+        else:
+            u_floor = launch_distance(self, LAUNCH_F) / xi0
+            i = None
+            if case is InterfaceCase.SUPER_CRITICAL:
+                i, sums = _summed_launch(table, kappa, theta,
+                                         LAUNCH_LADDER[LAUNCH_LADDER > u_floor])
+            if i is None:
+                u0, cut = _truncation(table, kappa, theta, u_floor)
+            else:
+                # the search's own Pade values at its launch
+                u0, cut, gh = float(LAUNCH_LADDER[i]), None, sums[:, i]
+        self.u0, self.cut, self.d0 = u0, cut, u0 * xi0
+        if cut is None:
+            self._summands = table.summands()[:2]
+            self.coefficients = table.b[:, : 2 * PADE_ORDER + 1]
+        else:
+            self.coefficients = b = table.b[:, :cut]      # the kept b_jk
+            self._j = np.arange(len(b), dtype=float)[:, None]
+            self._k = np.arange(cut, dtype=float)
+            # columns: the coefficients of g and of (theta + D) g, flat in (j, k)
+            w = theta + self._j + gamma * self._k
+            self._coeffs = np.array([b, w * b]).reshape(2, -1).T
+        if gh is None:
+            # summed at the ladder point itself, truncated where
+            # ``__call__`` puts d0; far off, a lent form may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                gh = self._sums(np.array([u0 if cut is None else self.d0 / xi0]))[:, 0]
+        if not (gh[0] > 0.0 and np.isfinite(gh).all()):
+            raise BracketFailure(f"interface launch at beta={beta!r}, "
+                                 f"xi0={xi0!r} has g = {gh[0]!r}")
+        self.launch = self._state(self.d0, gh[0], gh[1])
+
+    def _sums(self, u):
+        """g and (theta + D) g, as (2, len(u)), at the depths ``u``, a 1-d
+        array: Pade-summed, or the kept monomials u^j z^k summed by one
+        reduction along the last, contiguous axis, which numpy performs
+        alike for every length of u: each depth gets its bits alone."""
+        if self.cut is None:
+            return _pade(_terms(self._summands, self.gamma, u), self.kappa)[0]
+        pw = np.float_power
+        z = self.kappa * pw(u, self.gamma)
+        mono = pw(u[:, None, None], self._j) * pw(z[:, None, None], self._k)
+        return _dot(mono.reshape(len(u), len(self._coeffs)), self._coeffs).T
 
     def __call__(self, d):
-        """(F, F') a distance d (scalar or array) inside the interface.
-
-        The monomials u^j z^k are summed by one reduction along the last,
-        contiguous axis, which numpy performs alike for every leading
-        shape: an array of distances gives the same bits as one distance
-        at a time.
-        """
-        pw = np.float_power
+        """(F, F') a distance d (scalar or array) inside the interface."""
         d = np.asarray(d, dtype=float)
-        u = d / self.xi0
-        if self._summands is not None:
-            terms = _terms(self._summands, self.gamma, u.reshape(-1))
-            g, h = _pade(terms, self.kappa)[0].reshape(2, *d.shape)
-        else:
-            z = self.kappa * pw(u, self.gamma)
-            mono = pw(u[..., None, None], self._j) * pw(z[..., None, None], self._k)
-            gh = _dot(mono.reshape(*d.shape, len(self._coeffs)), self._coeffs)
-            g, h = gh[..., 0], gh[..., 1]
+        g, h = self._sums((d / self.xi0).reshape(-1)).reshape(2, *d.shape)
         return self._state(d, g, h)
 
     def _state(self, d, g, h):

@@ -32,12 +32,13 @@ the cheap stage converges as far as it can before the RTOL legs, 3-5x
 the cost per evaluation, take over; the residual is then re-evaluated
 in place at RTOL, from the interface series already built there, and
 the same iteration goes on to the XTOL stop, so the converged point is
-the one a tight-only iteration finds.  Only the first evaluation
-searches its backward launch; every later one launches in its form,
-Pade-summed at the same depth or truncated, since a launch that moves
-would change the legs' error between the points a step compares.  The
-RTOL legs keep their dense output, and the profile is built from those
-of that point.  ``seed_xi0`` gives Newton its xi0 from the same rescaling
+the one a tight-only iteration finds.  Off the critical line only the
+first evaluation searches its backward launch; every later one
+launches at the same depth u0 = d0 / xi0 in the same form, Pade-summed
+or truncated to the same columns, since a launch that moves would
+change the legs' error between the points a step compares.  The RTOL
+legs keep their dense output, and the profile is built from those of
+that point.  ``seed_xi0`` gives Newton its xi0 from the same rescaling
 family, with one backward leg on a forward run already made.
 """
 
@@ -112,8 +113,9 @@ def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs,
     """Backward leg from the interface series at d0 = u0 xi0 to
     xi_mid = MID_FRAC xi0; returns (run, the interface series).  A
     ``series`` already built at (beta, xi0) is launched as it is; one
-    built at another point gives the new series its launch form, summed
-    at its Pade depth or truncated (``InterfaceSeries``'s ``like``)."""
+    built at another point lends the new series its launch depth u0 and
+    columns (``InterfaceSeries``'s ``like``).  A launch that is not a
+    profile raises BracketFailure."""
     if series is None or (series.beta, series.xi0) != (beta, xi0):
         series = InterfaceSeries(p, beta, xi0, series)
     xi_start, xi_mid = xi0 - series.d0, MID_FRAC * xi0
@@ -124,20 +126,6 @@ def _backward_leg(p: Params, beta: float, xi0: float, rtol: float, rhs,
     bwd = _leg(rhs, (xi_start, xi_mid), series.launch, rtol, "backward",
                beta, xi0)
     return bwd, series
-
-
-def _legs(p: Params, beta: float, xi0: float, rtol: float, series=None):
-    """Forward leg from the origin series at DELTA0 and the backward leg,
-    from ``series`` when given, both integrated to xi_mid.
-
-    Returns (forward run, backward run, the interface series, the
-    right-hand side of both legs).
-    """
-    rhs = profile_rhs(p, beta, _F_FLOOR)
-    fwd = _leg(rhs, (DELTA0, MID_FRAC * xi0), origin_series(p, beta, DELTA0),
-               rtol, "forward", beta, xi0)
-    bwd, series = _backward_leg(p, beta, xi0, rtol, rhs, series)
-    return fwd, bwd, series, rhs
 
 
 def seed_xi0(p: Params, run: ProfileSolution, rtol: float) -> float:
@@ -228,9 +216,10 @@ def interface_samples(p: Params, beta: float, xi0: float, d_values: np.ndarray):
 
 def _residuals(p: Params, x, rtol=RTOL, series=None):
     """Continuity residual r, its exact xi0-column dr/dxi0 and the legs
-    of ``_legs``, or None when a leg fails.  ``series``, an interface
+    (forward run, backward run, interface series), both runs from their
+    launch to xi_mid, or None when a leg fails.  ``series``, an interface
     series already built at x, spares its rebuild; one built at another
-    point gives its launch form (``_backward_leg``).
+    point lends its launch (``_backward_leg``).
 
     Because sigma = sigma_c, the rescaling family
     f_A(xi) = A f_1(A^{-(m-1)/2} xi) maps the backward leg with its
@@ -238,21 +227,20 @@ def _residuals(p: Params, x, rtol=RTOL, series=None):
     F_b(xi; xi0) = xi0^P F_b(xi / xi0; 1) with P = 2m / (m - 1).  At
     xi_mid = MID_FRAC xi0 this gives dF_b/dxi0 = P F_b / xi0 and
     dF'_b/dxi0 = (P - 1) F'_b / xi0, while the forward end state moves
-    along its own trajectory at rate MID_FRAC.  The backward launch sits
-    at a fixed u0 = d0 / xi0 with a series exact to ~1e-14, so the leg
-    follows the family and the column agrees with a central difference
-    to the latter's own error; the Pade-summed launch makes that so at
-    super-critical levels whose truncated series sat on its floor, such
-    as (1.66, 0.5, 3) and (1.78, 0.5, 1).  Where no summed launch passes
-    and the truncated series still rests on its floor
-    (A d^theta = ``equation.LAUNCH_F``, at (1.6, 0.5, 1) for one), its
-    truncation error breaks the symmetry instead.
+    along its own trajectory at rate MID_FRAC.  Evaluations that lend
+    one series launch at the same u0 = d0 / xi0 in the same form, so the
+    leg follows the family and the column agrees with a central
+    difference of such evaluations to the latter's own error, on the
+    truncated series' floor (A d^theta = ``equation.LAUNCH_F``) too.
     """
     beta, xi0 = float(x[0]), float(x[1])
     if beta <= 0.0 or xi0 <= 0.0:
         return None
+    rhs = profile_rhs(p, beta, _F_FLOOR)
     try:
-        fwd, bwd, _, rhs = legs = _legs(p, beta, xi0, rtol, series)
+        fwd = _leg(rhs, (DELTA0, MID_FRAC * xi0), origin_series(p, beta, DELTA0),
+                   rtol, "forward", beta, xi0)
+        bwd, series = _backward_leg(p, beta, xi0, rtol, rhs, series)
     except (BracketFailure, StepFailureError):
         return None
     F_f, Fp_f = float(fwd.y[0, -1]), float(fwd.y[1, -1])
@@ -264,7 +252,7 @@ def _residuals(p: Params, x, rtol=RTOL, series=None):
         MID_FRAC * Fp_f - P * F_b / xi0,
         MID_FRAC * Fpp_f - (P - 1.0) * Fp_b / xi0,
     ])
-    return r, dr_dxi0, legs
+    return r, dr_dxi0, (fwd, bwd, series)
 
 
 def _solve_2x2(a, b, r):
@@ -298,7 +286,9 @@ def _newton(p: Params, beta: float, xi0: float):
     a step is <= LOOSE_XTOL |x|; the residual is then re-evaluated at the
     same x at RTOL from the same interface series, the beta-column is
     kept, and the iteration converges once a step is <= XTOL |x|.  Every
-    later evaluation launches in the first one's form (``_backward_leg``).
+    later evaluation lends the first one's series, so off the critical
+    line it launches at its depth and in its form with no search
+    (``_backward_leg``).
     Any failure ends it, and MAX_NFEV bounds the residual evaluations.
 
     Returns (x, r, nfev, legs), legs those of the converged x at RTOL,
@@ -387,7 +377,7 @@ def _assemble_profile(p: Params, beta: float, xi0: float, legs) -> ProfileSoluti
     leg up to and including xi_mid, the backward leg up to and including
     its launch, the interface series below xi0 and zero from xi0 on."""
     xi_mid = MID_FRAC * xi0
-    fwd, bwd, series, _ = legs
+    fwd, bwd, series = legs
     ode_f = halve_long_steps(fwd.sol, xi_mid * MAX_STEP_FRAC)
     ode_b = halve_long_steps(bwd.sol, xi0 * MAX_STEP_FRAC)
 

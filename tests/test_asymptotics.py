@@ -155,3 +155,10 @@ def test_upper_bounds_hold_on_outer_half(solved):
         assert report.passed, case
         assert report.gradient_margin >= 0
         assert report.height_margin >= 0
+
+
+def test_interface_checks_need_an_interface(no_contact):
+    with pytest.raises(ProfileError, match="finite xi0"):
+        upper_bounds_check(no_contact)
+    with pytest.raises(ProfileError, match="xi0 must be > 0"):
+        predict_expansion(no_contact.params, no_contact.exps, 0.0)

@@ -311,7 +311,7 @@ def test_summed_launch_continues_the_truncated_one(case):
     beta, xi0, u_trunc, cut = TRUNCATED_LAUNCHES[case]
     p = make_params(*case)
     series = InterfaceSeries(p, beta, xi0)
-    assert series.pade_u0 is not None and series.d0 > u_trunc * xi0
+    assert series.cut is None and series.d0 > u_trunc * xi0
     table = _series_table(*case, True)
     table.grow(cut)
     b, theta, gamma = table.b[:, :cut], series.theta, series.gamma

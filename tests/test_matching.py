@@ -32,7 +32,6 @@ from eternalprofile.matching import (
     RTOL,
     TAIL_F,
     XTOL,
-    _legs,
     _newton,
     _residuals,
     _solve_2x2,
@@ -68,33 +67,58 @@ def test_far_off_trial_returns_sentinel(x):
     assert _residuals(p, x) is None
 
 
+@pytest.mark.parametrize("case, x", [
+    (case, x) for case in [(1.6, 0.5, 1), (1.63, 0.5, 2), (1.5, 0.7, 1),
+                           (1.5, 0.5, 2)]
+    for x in [(0.51, 1e-3), (5.0, 1e-3)]
+] + [((1.5, 0.7, 1), (0.3, 1e-2))])
+def test_far_off_trial_of_a_truncated_series_returns_sentinel(case, x):
+    # the truncated series searched at these trials launches where its g
+    # is negative or not finite: no profile, so the leg fails, where it
+    # once took a power of a negative f
+    out = _residuals(make_params(*case), x, LOOSE_RTOL)
+    assert out is None or np.all(np.isfinite(out[0]))
+
+
+def test_launch_that_is_not_a_profile_raises():
+    with pytest.raises(BracketFailure, match="has g = "):
+        InterfaceSeries(make_params(1.6, 0.5, 1), 0.51, 1e-3)
+
+
 @pytest.mark.parametrize("x", [(50.0, 3.2), (0.51, 1e-3), (1e6, 1e3),
                                (1e-6, 3.2), (1e-9, 0.01)])
 def test_far_off_trial_with_a_lent_launch_depth_never_raises(x):
-    # every trial launches in the form of its iteration's first series:
-    # Pade-summed at its depth, where far off the sum may not be a profile
-    # and the series then searches its own launch, or truncated
-    for lender, summed in [((2.0, 0.5, 1), True), ((1.6, 0.5, 1), False)]:
-        lent = solve(make_params(*lender))
-        _, _, series, _ = _legs(make_params(*lender), lent.beta_star,
-                                lent.match.xi0, LOOSE_RTOL)
-        assert (series.pade_u0 is not None) == summed
-        out = _residuals(make_params(2.0, 0.5, 1), x, LOOSE_RTOL, series)
+    # every trial launches in the form of its iteration's first series,
+    # Pade-summed at its depth or truncated at its depth and columns; far
+    # off, a lent launch that is not a profile fails the leg
+    for case, summed in [((2.0, 0.5, 1), True), ((1.6, 0.5, 1), False)]:
+        p = make_params(*case)
+        lent = solve(p).match
+        _, _, series = _residuals(p, (lent.beta_star, lent.xi0), LOOSE_RTOL)[2]
+        assert (series.cut is None) == summed
+        out = _residuals(p, x, LOOSE_RTOL, series)
         assert out is None or np.all(np.isfinite(out[0]))
+        if out is not None:
+            assert (out[2][2].u0, out[2][2].cut) == (series.u0, series.cut)
 
 
 @pytest.mark.parametrize("case, summed", [((1.81, 0.5, 2), True),
-                                          ((1.6, 0.5, 1), False)])
+                                          ((1.6, 0.5, 1), False),
+                                          ((1.22, 0.2, 1), False)])
 def test_one_launch_search_per_newton_iteration(monkeypatch, case, summed):
-    # the first evaluation searches the launch; every later one, the
+    # the first evaluation searches the launch, the Pade sum where m + q > 2
+    # and then the truncation where the sum fails; every later one, the
     # beta-difference, the loose and tight trials and the tightening,
-    # launches in its form: summed at its depth, or truncated unsearched
+    # launches at its depth and columns and searches nothing
     searches, built = [], []
-    summed_launch = equation._summed_launch
 
-    def searching(*args):
-        searches.append(args)
-        return summed_launch(*args)
+    def searching(name):
+        search = getattr(equation, name)
+
+        def counted(*args):
+            searches.append(name)
+            return search(*args)
+        return counted
 
     def matching_only(*args):
         searches.clear()
@@ -106,14 +130,17 @@ def test_one_launch_search_per_newton_iteration(monkeypatch, case, summed):
             built.append(out[2][2])
         return out
 
-    monkeypatch.setattr(equation, "_summed_launch", searching)
+    for name in ("_summed_launch", "_truncation"):
+        monkeypatch.setattr(equation, name, searching(name))
     monkeypatch.setattr(shooting, "match_profile", matching_only)
     monkeypatch.setattr(matching, "_residuals", recording)
-    assert solve(make_params(*case)).match.success
-    assert len(searches) == 1
+    p = make_params(*case)
+    assert solve(p).match.success
+    pade = ["_summed_launch"] if p.m + p.q > 2.0 else []
+    assert searches == pade + ([] if summed else ["_truncation"])
     first, rest = built[0], built[1:]
-    assert (first.pade_u0 is not None) == summed
-    assert rest and all(s.pade_u0 == first.pade_u0 for s in rest)
+    assert (first.cut is None) == summed
+    assert rest and all((s.u0, s.cut) == (first.u0, first.cut) for s in rest)
 
 
 @pytest.mark.parametrize("case", [(1.6032427847567878, 0.5, 3),
@@ -176,17 +203,20 @@ def test_singular_jacobian_ends_newton(monkeypatch):
     np.testing.assert_array_equal(x, [0.5, 3.0])
 
 
-@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.5, 0.5, 2), (1.2, 0.3, 1)])
+@pytest.mark.parametrize("case", [(2.0, 0.5, 1), (1.5, 0.5, 2), (1.2, 0.3, 1),
+                                  (1.6, 0.5, 1), (1.69, 0.5, 1)])
 def test_closed_form_xi0_column_matches_central_difference(solved, case):
-    # super-critical, critical and sub-critical; the backward launch is
-    # fixed in u = d / xi0, so the leg stays on the rescaling family and
-    # only the difference quotient's own error (~h^2) is left
-    match = solved[case].match
-    p, beta, xi0 = make_params(*case), match.beta_star, match.xi0
-    _, column, _ = _residuals(p, (beta, xi0))
+    # super-critical, summed and on the floor, critical and sub-critical;
+    # the differences lend the centre's launch, as Newton's evaluations
+    # do, so it is fixed in u = d / xi0, the leg stays on the rescaling
+    # family and only the difference quotient's own error (~h^2) is left
+    p = make_params(*case)
+    match = (solved[case] if case in solved else solve(p)).match
+    beta, xi0 = match.beta_star, match.xi0
+    _, column, (_, _, series) = _residuals(p, (beta, xi0))
     h = 1e-5 * xi0
-    r_plus, *_ = _residuals(p, (beta, xi0 + h))
-    r_minus, *_ = _residuals(p, (beta, xi0 - h))
+    r_plus, *_ = _residuals(p, (beta, xi0 + h), RTOL, series)
+    r_minus, *_ = _residuals(p, (beta, xi0 - h), RTOL, series)
     np.testing.assert_allclose(column, (r_plus - r_minus) / (2.0 * h), rtol=1e-7)
 
 
@@ -226,7 +256,7 @@ def test_backward_leg_independent_of_launch_depth(solved_summed, case):
     # backward leg by no more than the integration error
     match = solved_summed[case].match
     p, beta, xi0 = make_params(*case), match.beta_star, match.xi0
-    _, bwd, series, _ = _legs(p, beta, xi0, RTOL)
+    _, bwd, series = _residuals(p, (beta, xi0))[2]
     d = series.d0 / 8.0
     deep = solve_ivp(
         profile_rhs(p, beta, 1e-280),
@@ -243,6 +273,10 @@ def test_backward_leg_independent_of_launch_depth(solved_summed, case):
 def test_newton_needs_few_residual_evaluations(solved):
     for case, result in solved.items():
         assert result.match.nfev <= 8, case
+    # launched on the floor, from a truncated series lent at its depth
+    for case, most in [((1.6, 0.5, 1), 6), ((1.63, 0.5, 2), 6),
+                       ((1.69, 0.5, 1), 6), ((1.5, 0.7, 1), 7)]:
+        assert solve(make_params(*case)).match.nfev <= most, case
     # 20 when xi0 was seeded at 1.02 times the forward stop point
     assert solve(make_params(2.0, 0.7, 1)).match.nfev <= 10
 
@@ -452,7 +486,7 @@ def test_matched_profile_pieces_meet_at_their_breaks(solved, case):
     # xi0, zero from xi0 on; the legs are those of the converged (beta, xi0)
     sol = solved[case].final_profile
     p, beta, xi0 = sol.params, sol.exps.beta, sol.xi0
-    fwd, bwd, series, _ = _legs(p, beta, xi0, RTOL)
+    fwd, bwd, series = _residuals(p, (beta, xi0))[2]
     xi_mid, launch = MID_FRAC * xi0, float(bwd.t[0])
     after = lambda x: float(np.nextafter(x, np.inf))
     pieces = {
@@ -612,3 +646,20 @@ def test_assembled_profile_ends_at_tail_height():
     assert result.success
     sol = result.profile
     assert float(sol.f_values[-1]) == pytest.approx(1e-9, rel=0.05)
+
+
+def test_failed_tightening_fails_the_match(monkeypatch):
+    # the loose stage converges; the re-evaluation at RTOL that hands over
+    # to the tight stage fails, and so does the match
+    rtols = []
+
+    def loose_only(p, x, rtol=RTOL, series=None):
+        rtols.append(rtol)
+        return None if rtol == RTOL else _residuals(p, x, rtol, series)
+
+    monkeypatch.setattr(matching, "_residuals", loose_only)
+    result = match_profile(make_params(2.0, 0.5, 1), 0.52, 3.25)
+    assert rtols[-1] == RTOL and set(rtols[:-1]) == {LOOSE_RTOL}
+    assert result.nfev == len(rtols)
+    assert not result.success and result.profile is None
+    assert result.residual == np.inf

@@ -239,3 +239,10 @@ def test_interface_slope_integral_agrees_with_contact_slope(solved):
         est = interface_slope_integral(sol)
         bound = 1e-4 * sol.xi0 ** sol.params.sigma
         assert abs(est) <= bound, f"{case}: {est:.3e} > {bound:.3e}"
+
+
+def test_support_and_pde_residual_need_an_interface(no_contact):
+    with pytest.raises(DomainError, match="no finite support endpoint"):
+        support_radius(no_contact, 0.0)
+    with pytest.raises(DomainError, match="compactly supported"):
+        pde_residual(no_contact, [0.0], [0.5])

@@ -7,6 +7,7 @@ import pytest
 
 from eternalprofile import (
     CaseError,
+    ProfileError,
     linearize_at_origin,
     make_params,
     stable_manifold_ratio,
@@ -125,3 +126,9 @@ def test_stable_manifold_ratio(sub_case):
 def test_stable_manifold_requires_subcritical(solved):
     with pytest.raises(CaseError):
         stable_manifold_ratio(solved[(2.0, 0.5, 1)].final_profile)
+
+
+@pytest.mark.parametrize("analysis", [to_phase_coords, stable_manifold_ratio])
+def test_phase_analysis_needs_contact(no_contact, analysis):
+    with pytest.raises(ProfileError, match="contact"):
+        analysis(no_contact)

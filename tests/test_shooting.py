@@ -734,3 +734,13 @@ def test_monotonicity_in_beta():
     assert len(rep.xi_grid) == 200
     with pytest.raises(DomainError):
         monotonicity_check(p, 1.0, 0.5)
+
+
+def test_bisection_within_tolerance_classifies_the_midpoint_once(monkeypatch):
+    betas = _count_integrations(monkeypatch)
+    lo = 0.5
+    hi = lo * (1.0 + 0.5 * shooting.BETA_TOL)
+    result = bisect_beta(make_params(2.0, 0.5, 1), (lo, hi))
+    assert result.iterations == 0
+    assert betas == [0.5 * (lo + hi)] == [result.beta_star]
+    assert (result.bracket_lo, result.bracket_hi) == (lo, hi)

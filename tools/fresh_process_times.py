@@ -60,10 +60,18 @@ def summary(samples):
             "n": len(samples)}
 
 
+def runs_type(text: str) -> int:
+    """--runs: the quartiles of a measurement need two samples."""
+    runs = int(text)
+    if runs < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {runs}")
+    return runs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="NAME=CHECKOUT")
-    parser.add_argument("--runs", type=int, default=7)
+    parser.add_argument("--runs", type=runs_type, default=7)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     trees = dict(arg.split("=", 1) for arg in args.checkouts)
