@@ -32,12 +32,7 @@ fixed order (``_dot``, ``_forward_solve``), the Pade sums are elementwise
 operations and a cumulative sum, and array powers are
 ``np.float_power``.  BLAS and LAPACK kernels, and numpy's SIMD-dispatched
 ``exp``, ``log`` and array ``**``, round differently on different CPUs.
-Sums in plain floats keep ``np.add.reduce``'s pairwise order on the
-same terms: left to right below 8 terms, else the eight partial sums of
-``_lanes``; a zero term, left out, changes no partial sum.  So column 0
-of a table (``_SeriesTable._column0``) has the bits of a numpy loop of
-``_dot``, and a plain float power ``x ** y`` is C's ``pow``, as
-``np.float_power`` is.
+A plain float power ``x ** y`` is C's ``pow``, as ``np.float_power`` is.
 """
 
 from __future__ import annotations
@@ -186,24 +181,6 @@ def _dot(a, b):
     return np.add.reduce(a * b, axis=-1)
 
 
-def _lanes(r):
-    """Sum in the order of ``np.add.reduce`` on 8 to 128 floats r: eight
-    partial sums, one per position modulo 8 over the longest prefix whose
-    length is a multiple of 8, combine as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); the rest follow one at a time.
-    Above 128 floats numpy splits the vector."""
-    p, rest = r, r[8:]
-    if len(r) >= 16:
-        full = len(r) - len(r) % 8
-        for i in range(8, full, 8):
-            p = [a + b for a, b in zip(p, r[i : i + 8])]
-        rest = r[full:]
-    s = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-    for x in rest:
-        s += x
-    return s
-
-
 def _binomial(c: float, n: int):
     """First n coefficients of (1 - u)^c."""
     out = np.ones(n)
@@ -214,14 +191,14 @@ def _binomial(c: float, n: int):
 
 @functools.lru_cache(maxsize=256)
 def _power_weights(a: float, n: int):
-    """Rows W[j, 1:j], as lists, of W[j, i] = (a (j - i) - i) / j.
+    """Rows W[j, 1:j] of W[j, i] = (a (j - i) - i) / j.
 
     For g[0] = 1, the coefficients of P = g^a obey (J. C. P. Miller)
     P[j] = a g[j] + sum_{0<i<j} W[j, i] g[j - i] P[i].
     """
     j, i = np.indices((n, n), dtype=float)
     W = (a * (j - i) - i) / np.maximum(j, 1.0)
-    return [w[1:k] for k, w in enumerate(W.tolist())]
+    return [w[1:k] for k, w in enumerate(W)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,39 +221,6 @@ def _operators(m, q, N, theta, gamma, rows, limit):
     drift = 2.0 / (m - 1.0) * (T_u @ T_1u) + T_1u2 * (theta + j) + k * T_1u2
     sigma = 2.0 * (1.0 - q) / (m - 1.0)
     return diffusion, drift, _lower_toeplitz(_binomial(sigma + 1.0, rows))
-
-
-@functools.lru_cache(maxsize=8)
-def _column0_plan(rows, ed, eb):
-    """Which terms the column-0 recursion of a table sums, in which order.
-
-    Row j of the linear part [diffusion | drift | -absorb] (a block only
-    where its power of z is 0) meets X = [g^m, g, g^q] of column 0.  At
-    k = 0 the diffusion block is lower bidiagonal, the drift block has
-    three bands and the absorption block is lower triangular
-    (``_operators``); no other entry can be nonzero.  Per row j >= 1 the
-    plan holds the positions of those entries, but g[j]'s, in increasing
-    order and in the two parts that ``np.add.reduce`` sums differently:
-    those below the last multiple of 8 of the row's length, each with its
-    lane (position modulo 8), and the rest.  With them go the slices of
-    those two parts and of the row's entries at g[j]^m, g[j] and g[j]^q
-    in the list that ``gather`` picks from the flat linear part.  A table
-    has at most 42 rows, as numpy splits a sum of more than 128 terms.
-    """
-    n = rows
-    full = 3 * n - 3 * n % 8
-    plan, gather = [], []
-    for j in range(1, n):
-        at = [j - 1, j] if ed == 0 else []
-        at += [n + i for i in range(max(j - 2, 0), j)] if eb == 0 else []
-        at += [2 * n + i for i in range(j + 1)]
-        lanes = [p % 8 for p in at if p < full]
-        lo = len(gather)
-        mid, end = lo + len(lanes), lo + len(at)
-        plan.append((lanes, at[: len(lanes)], at[len(lanes) :],
-                     slice(lo, mid), slice(mid, end), slice(end, end + 3)))
-        gather += [3 * n * j + p for p in at] + [3 * n * j + j + k * n for k in range(3)]
-    return plan, np.array(gather)
 
 
 class _SeriesTable:
@@ -315,60 +259,37 @@ class _SeriesTable:
         self._summands = None
 
     def _column0(self, m, q):
-        """Column 0, power by power of u, in plain floats.
+        """Column 0, power by power of u.
 
         Row j first gives g^m and g^q their terms in earlier powers
         (Miller's recursion), then g[j] from the linear part of row j on
         X = [g^m, g, g^q], in which g[j] is still 0; g[j] enters with the
-        factors m, 1 and q.  Every sum runs over its terms in the order of
-        ``np.add.reduce`` on the whole row, the entries that cannot be
-        nonzero (``_column0_plan``) left out, which changes no partial sum.
+        factors m, 1 and q.  Each sum is one ``_dot`` over its whole row.
         """
         n = self.rows
-        rows, gather = _column0_plan(n, self.ed, self.eb)
-        Wm, Wq = _power_weights(m, n), _power_weights(q, n)
         zero = np.zeros((n, n))
         lin = np.concatenate([
             self.diffusion[0] if self.ed == 0 else zero,
             self.drift[0] if self.eb == 0 else zero,
             -self.absorb,
         ], axis=1)
-        coef = lin.ravel()[gather].tolist()
-        X = [0.0] * (3 * n)
-        X[0] = X[n] = X[2 * n] = 1.0
-        n2 = 2 * n
-        for j, (lanes, at, tail, c_at, c_tail, c_diag) in enumerate(rows, 1):
-            if j < 9:     # fewer than 8 terms: left to right
-                sG = sQ = 0.0
-                for wm, wq, a, G, Q in zip(Wm[j], Wq[j], X[n + j - 1 : n : -1],
-                                           X[1:j], X[n2 + 1 : n2 + j]):
-                    sG += wm * (a * G)
-                    sQ += wq * (a * Q)
-            else:
-                gg = X[n + j - 1 : n : -1]
-                sG = _lanes([w * (a * G) for w, a, G in zip(Wm[j], gg, X[1:j])])
-                sQ = _lanes([w * (a * Q) for w, a, Q
-                             in zip(Wq[j], gg, X[n2 + 1 : n2 + j])])
-            X[j] = sG
-            X[n2 + j] = sQ
-            r = [0.0] * 8
-            for k, a, p in zip(lanes, coef[c_at], at):
-                r[k] += a * X[p]
-            # _lanes(r), written out: it runs for every row of every build
-            s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            if tail:
-                for a, p in zip(coef[c_tail], tail):
-                    s += a * X[p]
-            dG, dg, dQ = coef[c_diag]
-            X[n + j] = g = -s / ((dG * m + dg) + dQ * q)
-            X[j] = sG + m * g
-            X[n2 + j] = sQ + q * g
-        X = np.array(X)
-        self.b[:, 0] = X[n : 2 * n]
-        self.powers[:, 0] = X[:n], X[2 * n :]
+        dG, dg, dQ = lin.reshape(n, 3, n).diagonal(axis1=0, axis2=2)
+        diag = (dG * m + dg) + dQ * q
+        Wm, Wq = _power_weights(m, n), _power_weights(q, n)
+        X = np.zeros(3 * n)
+        G, g, Q = X[:n], X[n : 2 * n], X[2 * n :]
+        G[0] = g[0] = Q[0] = 1.0
+        for j in range(1, n):
+            gg = g[j - 1 : 0 : -1]
+            G[j] = _dot(Wm[j], gg * G[1:j])
+            Q[j] = _dot(Wq[j], gg * Q[1:j])
+            g[j] = -_dot(lin[j], X) / diag[j]
+            G[j] += m * g[j]
+            Q[j] += q * g[j]
+        self.b[:, 0] = g
+        self.powers[:, 0] = G, Q
         if self.limit == 1:
             return
-        g, (G, Q) = self.b[:, 0], self.powers[:, 0]
         self.products = np.zeros((n, self.limit * n))   # [T(b_0) T(b_1) ...]
         self.products[:, :n] = T_g = _lower_toeplitz(g)
         # products with 1 / g: the inverse is the Toeplitz matrix of its

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equation import CASE_EPS, piecewise
+from .equation import piecewise
 from .errors import DomainError
 from .solution import ProfileSolution
 
@@ -42,8 +42,6 @@ class Params:
             raise DomainError(
                 f"sigma must equal the critical value {sigma_c}, got {self.sigma}"
             )
-        if abs(self.m + self.q - 2.0) <= CASE_EPS:
-            assert abs(self.sigma - 2.0) <= 1e-9, "m+q=2 must imply sigma=2"
 
 
 @dataclass(frozen=True)

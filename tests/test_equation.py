@@ -22,7 +22,6 @@ from eternalprofile.equation import (
     InterfaceSeries,
     _SeriesTable,
     _dot,
-    _lanes,
     _pade,
     _power_weights,
     _series_table,
@@ -168,8 +167,8 @@ CRITICAL_LEVELS = [(q, N) for q in (0.22, 0.3, 0.38, 0.46, 0.54, 0.62, 0.7)
 
 def numpy_column0(table, m, q):
     """Column 0 (g, g^m, g^q) of ``table`` by a numpy loop: each sum is one
-    ``_dot`` over every term of its row, zero or not; the reference for
-    the plain-float recursion of ``_SeriesTable._column0``."""
+    ``_dot`` over every term of its row, zero or not; the arithmetic that
+    ``_SeriesTable._column0`` must keep to the bit."""
     n = table.rows
     X = np.zeros(3 * n)
     G, g, Q = X[:n], X[n : 2 * n], X[2 * n :]
@@ -202,14 +201,6 @@ def critical_table(q, N, beta):
     return _SeriesTable(m, q, N, theta, 0.0, coeffs, CRITICAL_ROWS, 1)
 
 
-def test_lanes_sum_as_numpy_does():
-    rng = np.random.default_rng(11)
-    for n in range(8, 129):
-        for _ in range(200):
-            x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
-            assert _lanes(x.tolist()) == np.add.reduce(x)
-
-
 @pytest.mark.parametrize("q, N", CRITICAL_LEVELS)
 @pytest.mark.parametrize("scale", [1.0, 0.3, 3.0])
 def test_critical_column_is_the_numpy_loop_bit_for_bit(q, N, scale):
@@ -221,6 +212,22 @@ def test_critical_column_is_the_numpy_loop_bit_for_bit(q, N, scale):
     np.testing.assert_array_equal(table.powers[:, 0], [G, Q])
     series = InterfaceSeries(make_params(2.0 - q, q, N), scale * beta, xi0)
     np.testing.assert_array_equal(series.coefficients[:, 0], g)
+
+
+@pytest.mark.parametrize("q, N", CRITICAL_LEVELS)
+def test_critical_column_is_the_closed_form(q, N):
+    # at beta* and xi0, g(u) = (1 - u/2)^k with k = 1/(1-q), so that
+    # b_j0 = C(k, j) (-1/2)^j: an exact check of every row of the column
+    p, beta, xi0, _ = critical_profile(q, N)
+    k = 1.0 / (1.0 - q)
+    series = InterfaceSeries(p, beta, xi0)
+    b = series.coefficients[:, 0]
+    assert len(b) == CRITICAL_ROWS
+    exact = np.cumprod([1.0] + [(i - k) / (2.0 * (i + 1)) for i in range(len(b) - 1)])
+    half = 0.5 ** np.arange(len(b))
+    assert np.all(np.abs(b - exact) <= 1e-10 * half)
+    g0 = series._sums(np.array([series.u0]))[0, 0]
+    assert g0 == pytest.approx((1.0 - series.u0 / 2.0) ** k, rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("m, q, N", [(2.0, 0.5, 1), (2.0, 0.5, 3), (1.2, 0.3, 1)])

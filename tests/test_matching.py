@@ -170,6 +170,21 @@ def test_summed_launch_near_the_floor_gives_xi0(monkeypatch, case):
     assert match.xi0 == pytest.approx(reference.xi0, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.xfail(strict=True, reason="the one-column truncated series launched "
+                   "on its floor misplaces xi0 by 1.5e-3")
+def test_near_critical_xi0_agrees_with_a_deep_launch(monkeypatch):
+    # m + q - 2 = 0.123: the solve launches the optimally truncated
+    # series on its floor with one column, xi0 = 2.9602420340774103.
+    # Re-matched from the converged point with A d^theta = 1e-16 at the
+    # launch, the series is summed and xi0 = 2.964738422966965, as at 1e-12
+    p = make_params(1.471, 0.652, 1)
+    match = solve(p).match
+    monkeypatch.setattr(equation, "LAUNCH_F", 1e-16)
+    reference = match_profile(p, match.beta_star, match.xi0)
+    assert reference.success
+    assert match.xi0 == pytest.approx(reference.xi0, rel=1e-10, abs=0.0)
+
+
 def test_newton_step_agrees_with_linalg_solve():
     rng = np.random.default_rng(3)
     for _ in range(200):

@@ -70,6 +70,15 @@ def test_interface_case_sign(m, q, case):
     assert interface_case(make_params(m, q, 1)) is case
 
 
+@pytest.mark.parametrize("m, q", [(1.0010000000009, 0.999), (1.0001000000005, 0.9999)])
+def test_critical_within_case_eps_where_sigma_is_off_2(m, q):
+    # m + q - 2 is within CASE_EPS, but sigma = 2(1-q)/(m-1) misses 2 by
+    # about 2e-12 / (1 - q); the triple is valid and critical
+    p = make_params(m, q, 1)
+    assert abs(p.sigma - 2.0) > 1e-9
+    assert interface_case(p) is InterfaceCase.CRITICAL
+
+
 def test_rescale_profile_scales_height_exactly(solved):
     sol = solved[(2.0, 0.5, 1)].final_profile
     for a in (0.5, 2.0, 4.0):

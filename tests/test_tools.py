@@ -28,3 +28,22 @@ def test_fresh_process_times_refuses_fewer_than_two_runs(monkeypatch, runs):
     with pytest.raises(SystemExit) as refused:
         tool.main(["HEAD=.", "--runs", runs])
     assert refused.value.code == 2
+
+
+def test_bits_census_lines_and_digest():
+    tool = load("bits_census")
+    lines = tool.census([(2.0, 0.5, 1), (3.0, 0.5, 1)])
+    assert len(lines) == 3
+    solved, failed, digest = lines
+    assert solved.startswith("(2.0, 0.5, 1) beta=0x1.")
+    assert "nfev=" in solved and "iterations=" in solved
+    assert failed == "(3.0, 0.5, 1) BracketFailure"
+    assert digest.startswith("sha256 ") and len(digest) == 7 + 64
+    assert tool.census([(2.0, 0.5, 1), (3.0, 0.5, 1)]) == lines
+
+
+def test_bits_census_reads_the_benchmark_levels():
+    # 12 super-critical, 21 critical and 6 sub-critical levels
+    levels = load("bits_census").benchmark_levels()
+    assert len(levels) == 39
+    assert levels[0] == (1.6, 0.5, 1)
